@@ -3,8 +3,8 @@
 Every quantity in this package is an exact rational, so the hot loops are
 dominated by rational adds and comparisons.  When gmpy2 is importable its
 GMP-backed mpq type is used; otherwise the stdlib Fraction.  The choice can
-be forced with PRISONERS_RATIONAL_BACKEND=gmpy2|fraction, which is how the
-benchmark script runs the same workload on both backends.
+be forced with PRISONERS_RATIONAL_BACKEND=gmpy2|fraction, so one workload
+can be run on either backend without uninstalling gmpy2.
 """
 from __future__ import annotations
 

@@ -9,6 +9,7 @@ the representation changes.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -25,7 +26,8 @@ from .sequences import (
 
 __all__ = [
     "ALL_MEMBERS_FAIL", "ANCHOR_FAILS", "AdversaryClaim", "AdversaryState",
-    "CertifiedBlock", "FAILURE_IN_EVERY_CYCLE", "NO_SUCCESS_AFTER_FIRST",
+    "CertifiedBlock", "FAILURE_IN_EVERY_CYCLE", "GoodIndexPlan", "GuardPlan",
+    "HarmonicBlockPlan", "NO_SUCCESS_AFTER_FIRST",
     "divergence_witness", "good_index_adversary", "scaled_harmonic_gap",
     "two_cycle_adversary", "v1b_ceiling_adversary", "v1d_cycle_chooser",
     "v2a_block_adversary", "v2b_block_adversary",
@@ -67,7 +69,6 @@ class AdversaryState:
     """
 
     adversary: str
-    next_candidate: int = 1
     covered: int = 0
     consumed: Optional[set] = None
 
@@ -113,6 +114,26 @@ class CertifiedBlock:
         return (f"block {self.start_label}..2^{self.end_exponent}: "
                 f"price > {rat_str(self.price_lower)} > "
                 f"{rat_str(self.amount_upper)} >= amounts")
+
+
+class GuardPlan(CyclePlan):
+    """A guard's lazy cycle stream together with the claim it certifies.
+
+    stream(plan) returns the cycle generator.  As it runs it appends one
+    witness entry per cycle or note to plan.witness_log, advances
+    plan.state, and sets plan.covered_bound when the stream stops short of
+    the identity.
+    """
+
+    def __init__(self, name: str, claim: AdversaryClaim,
+                 stream: Callable[["GuardPlan"], Iterator[Cycle]],
+                 state: AdversaryState):
+        # the stream sees the plan through a weak proxy: a plan it held
+        # strongly would form a cycle with its own generator and outlive
+        # its last use, witness log included, until the cyclic collector ran
+        super().__init__(name=name, source=stream(weakref.proxy(self)))
+        self.claim = claim
+        self.state = state
 
 
 def _int_label(n) -> str:
@@ -321,8 +342,29 @@ class _DescendingMerge:
         return self._order[position - 1]
 
 
+class GoodIndexPlan(GuardPlan):
+    """The good-index stream, plus the amount-descending coordinates it
+    was built in."""
+
+    def __init__(self, merge: _DescendingMerge, claim: AdversaryClaim,
+                 stream: Callable[[GuardPlan], Iterator[Cycle]]):
+        super().__init__("good-index", claim, stream,
+                         AdversaryState("good-index", consumed=set()))
+        self._merge = merge
+        self.enrichment_added = merge.added
+
+    def enriched_amount(self, index: int) -> Rat:
+        """The amount at an original index after zero filling."""
+        return self._merge.enriched(index)
+
+    def reordered_index(self, position: int) -> int:
+        """The original index at a position of the descending order."""
+        return self._merge.pair(position)[0]
+
+
 def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
-                         search_horizon: int = _DEFAULT_HORIZON) -> CyclePlan:
+                         search_horizon: int = _DEFAULT_HORIZON
+                         ) -> GoodIndexPlan:
     """Consecutive cycles in amount-descending coordinates, mapped back.
 
     Requires the certificate that weighted price sums diverge under every
@@ -380,10 +422,7 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
             goodness[position] = known
         return known
 
-    log: list = []
-    state = AdversaryState("good-index", consumed=set())
-
-    def source() -> Iterator[Cycle]:
+    def stream(plan: GuardPlan) -> Iterator[Cycle]:
         position = 1
         while not is_good(position):
             position += 1
@@ -414,7 +453,7 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
                 cum += price_of(end)
             members = tuple(merge.pair(i)[0] for i in range(start, end + 1))
             cycle_no += 1
-            log.append({
+            plan.witness_log.append({
                 "cycle": cycle_no,
                 "anchor_position": anchor,
                 "anchor_index": merge.pair(anchor)[0],
@@ -423,32 +462,24 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
                 "bundled_bad_prefix": anchor - start,
                 "inequality": f"{_rat_label(cum)} > {_rat_label(target)}",
             })
-            state.consume(members)
-            state.covered = end
-            state.next_candidate = end + 1
+            plan.state.consume(members)
+            plan.state.covered = end
             yield Cycle(members)
             start = end + 1
             anchor = end + 1
 
-    plan = CyclePlan(name="good-index", source=source())
-    plan.claim = AdversaryClaim(
+    return GoodIndexPlan(merge, AdversaryClaim(
         "good-index", NO_SUCCESS_AFTER_FIRST,
         detail="beyond cycle one, every member's enriched amount sits "
                "strictly below its cycle price",
-        params={"enrichment_added": merge.added})
-    plan.witness_log = log
-    plan.state = state
-    plan.enriched_amount = merge.enriched
-    plan.enrichment_added = merge.added
-    plan.reordered_index = lambda position: merge.pair(position)[0]
-    return plan
+        params={"enrichment_added": merge.added}), stream)
 
 
 # ---------------------------------------------------------------------------
 # pigeonhole blocks against a certified finite total
 
 def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
-                          leader_cap: int = _LEADER_CAP) -> CyclePlan:
+                          leader_cap: int = _LEADER_CAP) -> GuardPlan:
     """Blocks sized so the leader price times the size beats the total.
 
     Block (m .. m + s - 1) with s = ceil(T / p_m) + 1, where T is a
@@ -459,22 +490,18 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
     stream truncates and says so.
     """
     bound = _total_upper(alloc)
-    log: list = []
-    state = AdversaryState("ceiling-blocks")
-    holder: list = []
 
-    def source() -> Iterator[Cycle]:
+    def stream(plan: GuardPlan) -> Iterator[Cycle]:
         leader = 1
         cycle_no = 0
         while True:
             if leader > leader_cap:
-                log.append({
+                plan.witness_log.append({
                     "note": "stream truncated: next leader exceeds the "
                             "representable cap",
                     "next_leader_bits": leader.bit_length(),
                 })
-                if holder:
-                    holder[0].covered_bound = state.covered
+                plan.covered_bound = plan.state.covered
                 return
             price = model.term(leader)
             if price == ZERO:
@@ -484,10 +511,9 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
                         f"prices vanish from index {leader} on; every "
                         "further cycle would be a free singleton")
                 cycle_no += 1
-                log.append({"cycle": cycle_no, "leader": leader,
-                            "skipped": True, "note": "free box"})
-                state.covered = leader
-                state.next_candidate = leader + 1
+                plan.witness_log.append({"cycle": cycle_no, "leader": leader,
+                                         "skipped": True, "note": "free box"})
+                plan.state.covered = leader
                 yield Cycle((leader,))
                 leader += 1
                 continue
@@ -497,32 +523,27 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
                 raise PlanViolationError("pigeonhole sizing lost its "
                                          "invariant")
             cycle_no += 1
-            log.append({
+            plan.witness_log.append({
                 "cycle": cycle_no, "leader": leader,
                 "leader_price": price, "size": size,
                 "total_bound": bound,
                 "inequality": f"{_int_label(size)} * {_rat_label(price)} > "
                               f"{_rat_label(bound)}",
             })
-            state.covered = end
-            state.next_candidate = end + 1
+            plan.state.covered = end
             yield Cycle.of_range(leader, end)
             leader = end + 1
 
-    plan = CyclePlan(name="ceiling-blocks", source=source())
-    holder.append(plan)
-    plan.claim = AdversaryClaim(
+    return GuardPlan("ceiling-blocks", AdversaryClaim(
         "ceiling-blocks", FAILURE_IN_EVERY_CYCLE,
         detail="in every unskipped block, some member's amount is below "
                "the leader price and so below the block price",
-        params={"total_bound": bound})
-    plan.witness_log = log
-    plan.state = state
-    return plan
+        params={"total_bound": bound}),
+        stream, AdversaryState("ceiling-blocks"))
 
 
 def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
-                        search_horizon: int = _DEFAULT_HORIZON) -> CyclePlan:
+                        search_horizon: int = _DEFAULT_HORIZON) -> GuardPlan:
     """Pairs each leader with a partner too poor for the leader's box.
 
     Takes the smallest unconsumed index l; if its box is free the cycle
@@ -530,11 +551,8 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
     unconsumed n with amount(n) < price(l) and emits (l, n): the partner
     cannot pay even the leader's box, let alone the pair.
     """
-    log: list = []
-    state = AdversaryState("two-cycles", consumed=set())
-    consumed = state.consumed
-
-    def source() -> Iterator[Cycle]:
+    def stream(plan: GuardPlan) -> Iterator[Cycle]:
+        consumed = plan.state.consumed
         cycle_no = 0
         floor_index = 1
         while True:
@@ -543,11 +561,10 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
                 leader += 1
             price = model.term(leader)
             consumed.add(leader)
-            state.next_candidate = leader + 1
             if price == ZERO:
                 cycle_no += 1
-                log.append({"cycle": cycle_no, "leader": leader,
-                            "skipped": True, "note": "free box"})
+                plan.witness_log.append({"cycle": cycle_no, "leader": leader,
+                                         "skipped": True, "note": "free box"})
                 yield Cycle((leader,))
                 floor_index = leader + 1
                 continue
@@ -566,7 +583,7 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
                 partner += 1
             consumed.add(partner)
             cycle_no += 1
-            log.append({
+            plan.witness_log.append({
                 "cycle": cycle_no, "leader": leader, "partner": partner,
                 "leader_price": price,
                 "partner_amount": alloc.amount(partner),
@@ -576,19 +593,16 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
             yield Cycle((leader, partner))
             floor_index = leader + 1
 
-    plan = CyclePlan(name="two-cycles", source=source())
-    plan.claim = AdversaryClaim(
+    return GuardPlan("two-cycles", AdversaryClaim(
         "two-cycles", FAILURE_IN_EVERY_CYCLE,
         detail="the partner in every unskipped pair cannot pay the "
-               "leader's box price")
-    plan.witness_log = log
-    plan.state = state
-    return plan
+               "leader's box price"),
+        stream, AdversaryState("two-cycles", consumed=set()))
 
 
 def v1d_cycle_chooser(model: PriceModel, total=ONE,
                       leader_cap: int = _LEADER_CAP,
-                      search_horizon: int = _DEFAULT_HORIZON) -> CyclePlan:
+                      search_horizon: int = _DEFAULT_HORIZON) -> GuardPlan:
     """Allocation-independent blocks with a pigeonhole witness member.
 
     Block (m+1 .. m+k) takes the smallest k whose largest price p_i inside
@@ -600,23 +614,19 @@ def v1d_cycle_chooser(model: PriceModel, total=ONE,
     bound = Rat(total)
     if bound < ZERO:
         raise DomainError("the total bound cannot be negative")
-    log: list = []
-    state = AdversaryState("pigeonhole-blocks")
-    holder: list = []
 
-    def source() -> Iterator[Cycle]:
+    def stream(plan: GuardPlan) -> Iterator[Cycle]:
         covered = 0
         cycle_no = 0
         while True:
             start = covered + 1
             if start > leader_cap:
-                log.append({
+                plan.witness_log.append({
                     "note": "stream truncated: next block start exceeds "
                             "the representable cap",
                     "next_start_bits": start.bit_length(),
                 })
-                if holder:
-                    holder[0].covered_bound = covered
+                plan.covered_bound = covered
                 return
             non_increasing = model.nonincreasing_from
             if non_increasing is not None and start >= non_increasing:
@@ -646,7 +656,7 @@ def v1d_cycle_chooser(model: PriceModel, total=ONE,
             if not size * best_price > bound:
                 raise PlanViolationError("block sizing lost its invariant")
             cycle_no += 1
-            log.append({
+            plan.witness_log.append({
                 "cycle": cycle_no, "start": start, "size": size,
                 "witness_index": witness, "witness_price": best_price,
                 "total_bound": bound,
@@ -654,22 +664,17 @@ def v1d_cycle_chooser(model: PriceModel, total=ONE,
                               f"{_rat_label(best_price)} > "
                               f"{_rat_label(bound)}",
             })
-            state.covered = end
-            state.next_candidate = end + 1
+            plan.state.covered = end
             yield Cycle.of_range(start, end)
             covered = end
 
-    plan = CyclePlan(name="pigeonhole-blocks", source=source())
-    holder.append(plan)
-    plan.claim = AdversaryClaim(
+    return GuardPlan("pigeonhole-blocks", AdversaryClaim(
         "pigeonhole-blocks", FAILURE_IN_EVERY_CYCLE,
         detail="each block holds a witness price p with size * p above "
                "the total, so against any allocation within the total "
                "some member cannot pay",
-        params={"total_bound": bound})
-    plan.witness_log = log
-    plan.state = state
-    return plan
+        params={"total_bound": bound}),
+        stream, AdversaryState("pigeonhole-blocks"))
 
 
 # ---------------------------------------------------------------------------
@@ -700,146 +705,151 @@ def _least_block_end(anchor: int, target_fn, end_cap: int):
     return None
 
 
-def _next_certified(phase: dict, alloc: AllocationPlan, per_member: bool,
-                    exponent_cap: int) -> CertifiedBlock:
-    """Continue a finished exact stream with one power-of-two block.
+class HarmonicBlockPlan(GuardPlan):
+    """Consecutive harmonic blocks, exact while summable, then certified.
 
-    The block price over (s, 2^E] is below-bounded by E*ln2 minus a
-    certified upper bound on ln(s); amounts are above-bounded through the
-    allocation's amount_upper_pow2 hook (or the exact anchor amount when
-    the anchor is still an ordinary index)."""
-    hook = getattr(alloc, "amount_upper_pow2", None)
-    previous = phase["prev_exp"]
-    if previous is None:
-        anchor = phase["anchor_index"]
-        ln_start_hi = ln_bounds(anchor)[1] if anchor > 1 else ZERO
-        floor_exp = max(2, anchor.bit_length())
-        start_index, start_exponent = anchor, None
-    else:
-        # anchor is 2^previous + 1; ln(2^e + 1) <= e ln2 + 2^-e
-        ln_start_hi = previous * LN2_HI + rat(1, 1 << min(previous, 64))
-        floor_exp = previous + 1
-        start_index, start_exponent = None, previous
+    The exact stream emits greedily minimal blocks from `anchor` on, each
+    priced above its target amount: the largest amount inside the block
+    when per_member is set, the anchor's own amount otherwise.  It ends
+    once no block closes by exact_end_cap; certified_blocks(count) then
+    continues from `anchor` with power-of-two blocks proved by logarithm
+    bounds.
+    """
 
-    if per_member:
-        if hook is None:
-            raise CapabilityError(
-                f"{alloc.name}: lacks a certified amount bound over "
-                "power-of-two prefixes")
-        amount_bound: Callable[[int], Rat] = hook
-    else:
-        if start_index is not None:
-            fixed = alloc.amount(start_index)
-        else:
-            if hook is None:
-                raise CapabilityError(
-                    f"{alloc.name}: lacks a certified amount bound over "
-                    "power-of-two prefixes")
-            fixed = hook(previous + 1)  # the anchor sits below 2^(prev+1)
-        amount_bound = lambda exp: fixed
+    def __init__(self, alloc: AllocationPlan, per_member: bool,
+                 claim: AdversaryClaim, exact_end_cap: int,
+                 exponent_cap: int):
+        super().__init__(claim.adversary, claim,
+                         HarmonicBlockPlan._exact_stream,
+                         AdversaryState(claim.adversary))
+        self.alloc = alloc
+        self.per_member = per_member
+        self.exact_end_cap = exact_end_cap
+        self.exponent_cap = exponent_cap
+        self.anchor = 1
+        self.transitioned = False
+        self.prev_exp: Optional[int] = None
+        self._certified: list = []
 
-    def beats(exp: int) -> bool:
-        return exp * LN2_LO - ln_start_hi > amount_bound(exp)
-
-    exp = floor_exp
-    while not beats(exp):
-        exp *= 2
-        if exp > exponent_cap:
-            raise HorizonExhaustedError(
-                f"{alloc.name}: no power-of-two block end is certifiable; "
-                "the amounts keep pace with the price sums")
-    lo, hi = floor_exp, exp
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if beats(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    block = CertifiedBlock(
-        end_exponent=lo,
-        price_lower=lo * LN2_LO - ln_start_hi,
-        amount_upper=amount_bound(lo),
-        start_index=start_index,
-        start_exponent=start_exponent)
-    phase["prev_exp"] = lo
-    return block
-
-
-def _harmonic_block_plan(alloc: AllocationPlan, per_member: bool, name: str,
-                         exact_end_cap: int,
-                         exponent_cap: int) -> CyclePlan:
-    log: list = []
-    state = AdversaryState(name)
-    phase = {"anchor": 1, "transitioned": False, "anchor_index": None,
-             "prev_exp": None}
-    holder: list = []
-
-    def target_for(anchor: int):
-        if per_member:
-            return lambda end: alloc.max_in_range(anchor, end)
-        fixed = alloc.amount(anchor)
+    def _target_for(self, anchor: int):
+        if self.per_member:
+            return lambda end: self.alloc.max_in_range(anchor, end)
+        fixed = self.alloc.amount(anchor)
         return lambda end: fixed
 
-    def source() -> Iterator[Cycle]:
+    def _exact_stream(self) -> Iterator[Cycle]:
         cycle_no = 0
         while True:
-            anchor = phase["anchor"]
-            target_fn = target_for(anchor)
-            found = _least_block_end(anchor, target_fn, exact_end_cap)
+            anchor = self.anchor
+            target_fn = self._target_for(anchor)
+            found = _least_block_end(anchor, target_fn, self.exact_end_cap)
             if found is None:
-                phase["transitioned"] = True
-                phase["anchor_index"] = anchor
+                self.transitioned = True
                 if cycle_no == 0:
                     raise HorizonExhaustedError(
-                        f"{name}: no block ending by {exact_end_cap} "
-                        "defeats this allocation; if one exists it lies "
-                        "beyond the exact horizon")
-                log.append({
+                        f"{self.name}: no block ending by "
+                        f"{self.exact_end_cap} defeats this allocation; if "
+                        "one exists it lies beyond the exact horizon")
+                self.witness_log.append({
                     "note": "exact stream ends; certified_blocks "
                             "continues it",
                     "next_anchor": anchor,
                 })
-                if holder:
-                    holder[0].covered_bound = anchor - 1
+                self.covered_bound = anchor - 1
                 return
             end, price = found
             amount_bound = target_fn(end)
             cycle_no += 1
-            log.append({
+            self.witness_log.append({
                 "cycle": cycle_no, "anchor": anchor, "end": end,
                 "price": price, "amount_bound": amount_bound,
                 "inequality": f"{_rat_label(price)} > "
                               f"{_rat_label(amount_bound)}",
             })
-            state.covered = end
-            state.next_candidate = end + 1
-            phase["anchor"] = end + 1
+            self.state.covered = end
+            self.anchor = end + 1
             yield Cycle.of_range(anchor, end)
 
-    plan = CyclePlan(name=name, source=source())
-    holder.append(plan)
-    plan.witness_log = log
-    plan.state = state
-    certified: list = []
-
-    def certified_blocks(count: int) -> list:
-        plan.materialize(exact_end_cap + 1)
-        if not phase["transitioned"]:
+    def certified_blocks(self, count: int) -> list:
+        """The first count power-of-two blocks after the exact stream."""
+        self.materialize(self.exact_end_cap + 1)
+        if not self.transitioned:
             raise HorizonExhaustedError(
-                f"{name}: the exact stream is still running; certified "
-                "blocks only continue a finished one")
-        while len(certified) < count:
-            certified.append(
-                _next_certified(phase, alloc, per_member, exponent_cap))
-        return list(certified[:count])
+                f"{self.name}: the exact stream is still running; "
+                "certified blocks only continue a finished one")
+        while len(self._certified) < count:
+            self._certified.append(self._next_certified())
+        return list(self._certified[:count])
 
-    plan.certified_blocks = certified_blocks
-    return plan
+    def _next_certified(self) -> CertifiedBlock:
+        """Continue the finished exact stream with one power-of-two block.
+
+        The block price over (s, 2^E] is below-bounded by E*ln2 minus a
+        certified upper bound on ln(s); amounts are above-bounded through
+        the allocation's amount_upper_pow2 hook (or the exact anchor
+        amount when the anchor is still an ordinary index)."""
+        alloc = self.alloc
+        hook = alloc.amount_upper_pow2
+        previous = self.prev_exp
+        if previous is None:
+            anchor = self.anchor
+            ln_start_hi = ln_bounds(anchor)[1] if anchor > 1 else ZERO
+            floor_exp = max(2, anchor.bit_length())
+            start_index, start_exponent = anchor, None
+        else:
+            # anchor is 2^previous + 1; ln(2^e + 1) <= e ln2 + 2^-e
+            ln_start_hi = previous * LN2_HI + rat(1, 1 << min(previous, 64))
+            floor_exp = previous + 1
+            start_index, start_exponent = None, previous
+
+        if self.per_member:
+            if hook is None:
+                raise CapabilityError(
+                    f"{alloc.name}: lacks a certified amount bound over "
+                    "power-of-two prefixes")
+            amount_bound: Callable[[int], Rat] = hook
+        else:
+            if start_index is not None:
+                fixed = alloc.amount(start_index)
+            else:
+                if hook is None:
+                    raise CapabilityError(
+                        f"{alloc.name}: lacks a certified amount bound "
+                        "over power-of-two prefixes")
+                fixed = hook(previous + 1)  # the anchor sits below 2^(prev+1)
+            amount_bound = lambda exp: fixed
+
+        def beats(exp: int) -> bool:
+            return exp * LN2_LO - ln_start_hi > amount_bound(exp)
+
+        exp = floor_exp
+        while not beats(exp):
+            exp *= 2
+            if exp > self.exponent_cap:
+                raise HorizonExhaustedError(
+                    f"{alloc.name}: no power-of-two block end is "
+                    "certifiable; the amounts keep pace with the price sums")
+        lo, hi = floor_exp, exp
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if beats(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        block = CertifiedBlock(
+            end_exponent=lo,
+            price_lower=lo * LN2_LO - ln_start_hi,
+            amount_upper=amount_bound(lo),
+            start_index=start_index,
+            start_exponent=start_exponent)
+        self.prev_exp = lo
+        return block
 
 
 def v2a_block_adversary(alloc: AllocationPlan,
                         exact_end_cap: int = _EXACT_END_CAP,
-                        exponent_cap: int = _EXPONENT_CAP) -> CyclePlan:
+                        exponent_cap: int = _EXPONENT_CAP
+                        ) -> HarmonicBlockPlan:
     """Consecutive harmonic blocks whose price beats every amount inside.
 
     Greedily minimal block ends; since amounts inside each block all sit
@@ -848,18 +858,17 @@ def v2a_block_adversary(alloc: AllocationPlan,
     block ends stop being exactly summable, certified_blocks(count)
     continues the stream with power-of-two blocks proved by log bounds.
     """
-    plan = _harmonic_block_plan(alloc, True, "v2a-blocks",
-                                exact_end_cap, exponent_cap)
-    plan.claim = AdversaryClaim(
+    return HarmonicBlockPlan(alloc, True, AdversaryClaim(
         "v2a-blocks", ALL_MEMBERS_FAIL,
         detail="each block's price strictly exceeds the largest amount "
-               "carried by any of its members")
-    return plan
+               "carried by any of its members"),
+        exact_end_cap, exponent_cap)
 
 
 def v2b_block_adversary(alloc: AllocationPlan,
                         exact_end_cap: int = _EXACT_END_CAP,
-                        exponent_cap: int = _EXPONENT_CAP) -> CyclePlan:
+                        exponent_cap: int = _EXPONENT_CAP
+                        ) -> HarmonicBlockPlan:
     """Consecutive harmonic blocks whose price beats the first amount.
 
     Every block's first member fails, so cofinitely many successes are
@@ -867,12 +876,10 @@ def v2b_block_adversary(alloc: AllocationPlan,
     each block closes.  The certified continuation mirrors
     v2a_block_adversary.
     """
-    plan = _harmonic_block_plan(alloc, False, "v2b-blocks",
-                                exact_end_cap, exponent_cap)
-    plan.claim = AdversaryClaim(
+    return HarmonicBlockPlan(alloc, False, AdversaryClaim(
         "v2b-blocks", ANCHOR_FAILS,
-        detail="the first member of each block cannot pay the block price")
-    return plan
+        detail="the first member of each block cannot pay the block price"),
+        exact_end_cap, exponent_cap)
 
 
 def scaled_harmonic_gap(k: int, c) -> int:

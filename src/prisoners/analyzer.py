@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,22 +63,16 @@ def _scan_block(terms: dict, first: int, m: int):
     return best, best_perm
 
 
-def brute_force_min(model: PriceModel, m: int, jobs: int = 1):
+def brute_force_min(model: PriceModel, m: int):
     """Exact minimum of the weighted prefix sum over all m! arrangements.
 
     Returns (value, relabeling) where the relabeling is the
     lexicographically least arrangement achieving the minimum.  The scan is
-    partitioned by the first entry; partitions reduce by exact minimum, so
-    the result does not depend on worker scheduling.
+    partitioned by the first entry; partitions reduce by exact minimum.
     """
     _require_desk_scale(m)
     terms = {i: model.term(i) for i in range(1, m + 1)}
-    firsts = range(1, m + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, m)) as pool:
-            blocks = list(pool.map(lambda f: _scan_block(terms, f, m), firsts))
-    else:
-        blocks = [_scan_block(terms, f, m) for f in firsts]
+    blocks = [_scan_block(terms, f, m) for f in range(1, m + 1)]
     best, best_perm = blocks[0]
     for value, perm in blocks[1:]:
         if value < best or (value == best and perm < best_perm):

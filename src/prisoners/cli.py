@@ -290,8 +290,9 @@ def cmd_adversary(args) -> int:
     plan = _adversary_plan(kind, model, alloc, params)
     cycles = plan.materialize(args.cycles)
     notes = {}
-    for entry in getattr(plan, "witness_log", []):
-        notes[entry["cycle"]] = entry.get("inequality", "")
+    for entry in plan.witness_log:
+        if "cycle" in entry:  # stream notes belong to no cycle
+            notes[entry["cycle"]] = entry.get("inequality", "")
     lines = []
     for i, cycle in enumerate(cycles, 1):
         base = (f"range {cycle.start} {cycle.end}" if cycle.is_range
@@ -306,7 +307,7 @@ def cmd_adversary(args) -> int:
 def cmd_analyze(args) -> int:
     model = parse_model(args.model)
     if args.mode == "min":
-        value, delta = brute_force_min(model, args.m, jobs=args.jobs)
+        value, delta = brute_force_min(model, args.m)
         _emit(analysis_tsv([(delta, value)]), args.out)
         return 0
     if args.mode == "existence":
@@ -383,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--m", type=int, default=4)
     ana.add_argument("--trials", type=int, default=1000)
     ana.add_argument("--seed", type=int, default=0)
-    ana.add_argument("--jobs", type=int, default=1)
     ana.add_argument("--out")
     ana.set_defaults(run=cmd_analyze)
     return parser

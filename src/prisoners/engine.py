@@ -219,7 +219,6 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
     _pull_to_horizon(plan, horizon)
     scored: list[int] = []
     not_simulated: list[int] = []
-    cycle_of: dict[int, tuple] = {}
     seen_cycles: dict[tuple, tuple] = {}
     for n in range(1, horizon + 1):
         try:
@@ -231,8 +230,7 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
             not_simulated.append(n)
             continue
         members = _walk_order(cycle, cycle.min_member)
-        key = seen_cycles.setdefault(members, members)
-        cycle_of[n] = key
+        seen_cycles.setdefault(members, members)
         scored.append(n)
 
     outcomes: dict[int, PrisonerOutcome] = {}
@@ -252,9 +250,7 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
             outcomes[n] = run_prisoner(n, alloc.amount(n), plan, model)
 
     ordered = tuple(outcomes[n] for n in scored)
-    claim = getattr(plan, "claim", None)
-    if claim is None:
-        claim = getattr(alloc, "descriptor", None)
+    claim = plan.claim if plan.claim is not None else alloc.descriptor
     report = SimulationReport(
         variant=v.id, horizon=horizon, outcomes=ordered,
         success_count=sum(1 for o in ordered if o.success),

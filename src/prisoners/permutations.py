@@ -20,8 +20,6 @@ __all__ = [
     "dump_plan",
 ]
 
-_MATERIALIZE_CAP = 2_000_000
-
 
 def _index_repr(n: int) -> str:
     # adversary blocks reach indices too large for decimal formatting
@@ -120,15 +118,6 @@ class Cycle:
             if cur == n:
                 return
 
-    def iter_members(self) -> Iterator[int]:
-        if self.members is not None:
-            return iter(self.members)
-        if self.length > _MATERIALIZE_CAP:
-            raise CapabilityError(
-                f"cycle range [{_index_repr(self.start)}, "
-                f"{_index_repr(self.end)}] is too large to walk")
-        return iter(range(self.start, self.end + 1))
-
     def price(self, model) -> Rat:
         if self.members is not None:
             total = ZERO
@@ -180,6 +169,10 @@ class CyclePlan:
         # set by stream producers whose coverage stops without implying
         # identity beyond (the stream continues in another representation)
         self.covered_bound: Optional[int] = None
+        # what a guard construction certifies about this plan, and its
+        # witness entries: one dict per emitted cycle or stream note
+        self.claim = None
+        self.witness_log: list[dict] = []
         for c in cycles:
             self._admit(c)
 

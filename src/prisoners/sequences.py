@@ -364,6 +364,9 @@ class CustomModel(PriceModel):
         self._table = table
         self._zero_prefix = sorted(
             i for i in range(1, tail_rule.start) if i not in table)
+        self._declared_total_unknown = isinstance(total_cert, UnknownTotal)
+        self._declared_weighted_unknown = (
+            weighted_cert is WeightedCert.UNKNOWN)
         self._check_declared(total_cert, weighted_cert)
 
     def _check_declared(self, total_cert, weighted_cert) -> None:
@@ -374,12 +377,10 @@ class CustomModel(PriceModel):
                                  and total_cert.value != computed.value):
                 raise DomainError("declared total certificate is inconsistent "
                                   "with the tail rule")
-        self._declared_total_unknown = isinstance(total_cert, UnknownTotal)
         if weighted_cert is not None and weighted_cert is not WeightedCert.UNKNOWN:
             if weighted_cert is not self._computed_weighted():
                 raise DomainError("declared weighted-sum certificate is "
                                   "inconsistent with the tail rule")
-        self._declared_weighted_unknown = weighted_cert is WeightedCert.UNKNOWN
 
     def term(self, n: int) -> Rat:
         if n < 1:
@@ -397,7 +398,7 @@ class CustomModel(PriceModel):
 
     @property
     def total_cert(self):
-        if getattr(self, "_declared_total_unknown", False):
+        if self._declared_total_unknown:
             return UnknownTotal()
         rule = self.rule
         if isinstance(rule, ZeroTail):
@@ -423,7 +424,7 @@ class CustomModel(PriceModel):
 
     @property
     def weighted_cert(self) -> WeightedCert:
-        if getattr(self, "_declared_weighted_unknown", False):
+        if self._declared_weighted_unknown:
             return WeightedCert.UNKNOWN
         return self._computed_weighted()
 
@@ -720,9 +721,16 @@ class Unstructured:
 
 
 class AllocationPlan:
-    """How much money prisoner n carries."""
+    """How much money prisoner n carries.
+
+    Builders fill in the descriptor naming who is promised to succeed, and
+    fixed-price builders the certified bound amount_upper_pow2(E) on the
+    amount at index 2**E; plans built otherwise carry neither.
+    """
 
     name: str = "allocation"
+    descriptor = None
+    amount_upper_pow2: Optional[Callable[[int], Rat]] = None
 
     def amount(self, n: int) -> Rat:
         raise NotImplementedError
@@ -812,8 +820,11 @@ class FnAllocation(AllocationPlan):
 
     def __init__(self, name: str, fn: Callable[[int], "Rat"],
                  total_cert=None, tail_structure=None,
-                 max_in_range_fn=None):
+                 max_in_range_fn=None, descriptor=None,
+                 amount_upper_pow2=None):
         self.name = name
+        self.descriptor = descriptor
+        self.amount_upper_pow2 = amount_upper_pow2
         self._fn = fn
         self._total = total_cert if total_cert is not None else UnknownTotal()
         self._structure = (tail_structure if tail_structure is not None

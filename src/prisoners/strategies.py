@@ -160,12 +160,11 @@ def build_baseline_geometric() -> AllocationPlan:
     def amount(n: int) -> Rat:
         return ZERO if n == 1 else half ** (n - 1)
 
-    alloc = FnAllocation(
+    return FnAllocation(
         "baseline-geometric", amount,
         total_cert=ExactTotal(ONE),
-        tail_structure=NonIncreasingBeyond(2, positive=True))
-    alloc.descriptor = StrategyDescriptor("baseline-geometric", {}, m=2)
-    return alloc
+        tail_structure=NonIncreasingBeyond(2, positive=True),
+        descriptor=StrategyDescriptor("baseline-geometric", {}, m=2))
 
 
 def build_tail_sum_strategy(model: PriceModel, delta: Optional[Relabeling]
@@ -199,13 +198,13 @@ def build_tail_sum_strategy(model: PriceModel, delta: Optional[Relabeling]
         structure = ZeroBeyond(max(top, 1))
     else:
         structure = NonIncreasingBeyond(m, positive=True)
-    alloc = FnAllocation(
-        f"tail-sum[{model.name}]", amount,
-        total_cert=ExactTotal(total), tail_structure=structure)
     params = {"model": model.name, "total": rat_str(total)}
     if not delta.is_identity:
         params["relabeling"] = _relabeling_pairs(delta)
-    alloc.descriptor = StrategyDescriptor("tail-sum", params, m=m)
+    alloc = FnAllocation(
+        f"tail-sum[{model.name}]", amount,
+        total_cert=ExactTotal(total), tail_structure=structure,
+        descriptor=StrategyDescriptor("tail-sum", params, m=m))
     return alloc, m
 
 
@@ -249,10 +248,10 @@ def build_bounded_length_strategy(model: PriceModel, k: int, total=ONE):
     alloc = FnAllocation(
         f"bounded-length[{model.name},k={k}]", amount,
         total_cert=_total_cert_from_tail(scaled_tail(m)),
-        tail_structure=structure, max_in_range_fn=max_in_range)
-    alloc.descriptor = StrategyDescriptor(
-        "bounded-length",
-        {"model": model.name, "k": k, "total": rat_str(total)}, m=m)
+        tail_structure=structure, max_in_range_fn=max_in_range,
+        descriptor=StrategyDescriptor(
+            "bounded-length",
+            {"model": model.name, "k": k, "total": rat_str(total)}, m=m))
     return alloc, m
 
 
@@ -295,14 +294,14 @@ def build_bounded_diameter_strategy(model: PriceModel, d: int,
     else:
         structure = NonIncreasingBeyond(
             max(floor + 1, delta.support_bound + 1), positive=True)
-    alloc = FnAllocation(
-        f"bounded-diameter[{model.name},d={d}]", fn,
-        total_cert=ExactTotal(work.second_tail(m + 1)),
-        tail_structure=structure)
     params = {"model": model.name, "d": d, "total": rat_str(total)}
     if not delta.is_identity:
         params["relabeling"] = _relabeling_pairs(delta)
-    alloc.descriptor = StrategyDescriptor("bounded-diameter", params, m=m)
+    alloc = FnAllocation(
+        f"bounded-diameter[{model.name},d={d}]", fn,
+        total_cert=ExactTotal(work.second_tail(m + 1)),
+        tail_structure=structure,
+        descriptor=StrategyDescriptor("bounded-diameter", params, m=m))
     return alloc, m
 
 
@@ -362,13 +361,12 @@ def build_cycle_informed_strategy(model: PriceModel, plan, k: int,
                 lambda w: _refined_interval(base_iv, w).shift(shift))
         else:
             total_cert = ExactTotal(t + charged - listed)
-    alloc = FnAllocation(f"cycle-informed[{model.name}]", amount,
-                         total_cert=total_cert)
-    alloc.descriptor = StrategyDescriptor(
-        "cycle-informed",
-        {"model": model.name, "k": k, "total": rat_str(total),
-         "plan": plan.name}, m=m)
-    return alloc
+    return FnAllocation(
+        f"cycle-informed[{model.name}]", amount, total_cert=total_cert,
+        descriptor=StrategyDescriptor(
+            "cycle-informed",
+            {"model": model.name, "k": k, "total": rat_str(total),
+             "plan": plan.name}, m=m))
 
 
 # ---------------------------------------------------------------------------
@@ -425,29 +423,38 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
     for the amount at index 2**E that never materializes 2**E itself.
     """
     if kind == "constant1":
-        alloc = FnAllocation(
+        return FnAllocation(
             "v2-constant1", lambda n: ONE,
             total_cert=DivergentTotal(),
             tail_structure=NonIncreasingBeyond(1, positive=True),
-            max_in_range_fn=lambda a, b: ONE)
-        alloc.amount_upper_pow2 = lambda E: ONE
-        alloc.descriptor = StrategyDescriptor("v2", {"kind": kind})
-        return alloc
+            max_in_range_fn=lambda a, b: ONE,
+            descriptor=StrategyDescriptor("v2", {"kind": kind}),
+            amount_upper_pow2=lambda E: ONE)
 
     if kind == "harmonic-prefix":
-        alloc = FnAllocation(
+        return FnAllocation(
             "v2-harmonic-prefix", _hsum,
             total_cert=DivergentTotal(),
-            max_in_range_fn=lambda a, b: _hsum(b))
-        alloc.amount_upper_pow2 = lambda E: ONE + E * LN2_HI
-        alloc.descriptor = StrategyDescriptor(
-            "v2", {"kind": kind, "k": 1})
-        return alloc
+            max_in_range_fn=lambda a, b: _hsum(b),
+            descriptor=StrategyDescriptor("v2", {"kind": kind, "k": 1}),
+            amount_upper_pow2=lambda E: ONE + E * LN2_HI)
 
-    if kind == "shifted-harmonic":
-        k = params.get("k")
-        if not isinstance(k, int) or k < 1:
-            raise DomainError("shifted-harmonic needs an integer k >= 1")
+    if kind in ("shifted-harmonic", "log-shift"):
+        if kind == "shifted-harmonic":
+            k = params.get("k")
+            if not isinstance(k, int) or k < 1:
+                raise DomainError("shifted-harmonic needs an integer k >= 1")
+            name = f"v2-shifted-harmonic[{k}]"
+            descriptor = StrategyDescriptor("v2", {"kind": kind, "k": k})
+        else:
+            K = Rat(params.get("K"))
+            if K < ZERO:
+                raise DomainError("the shift constant must be nonnegative")
+            k, exact = _log_shift_cutoff(K)
+            name = f"v2-log-shift[{rat_str(K)}]"
+            descriptor = StrategyDescriptor(
+                "v2", {"kind": kind, "K": rat_str(K), "k": k,
+                       "minimal": exact})
 
         def amount(n: int) -> Rat:
             # the exact start-of-window sum is only ever needed past k,
@@ -459,27 +466,13 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
         else:
             # certified: 1 + ... + 1/(k-1) exceeds ln(k)
             base_floor = ln_bounds(k)[0]
-        alloc = FnAllocation(
-            f"v2-shifted-harmonic[{k}]", amount,
+        return FnAllocation(
+            name, amount,
             total_cert=DivergentTotal(),
-            max_in_range_fn=lambda a, b: ZERO if b < k else amount(b))
-        alloc.amount_upper_pow2 = (
-            lambda E: max(ZERO, ONE + E * LN2_HI - base_floor))
-        alloc.descriptor = StrategyDescriptor(
-            "v2", {"kind": kind, "k": k})
-        return alloc
-
-    if kind == "log-shift":
-        K = Rat(params.get("K"))
-        if K < ZERO:
-            raise DomainError("the shift constant must be nonnegative")
-        k, exact = _log_shift_cutoff(K)
-        alloc = build_v2_strategy("shifted-harmonic", k=k)
-        alloc.name = f"v2-log-shift[{rat_str(K)}]"
-        alloc.descriptor = StrategyDescriptor(
-            "v2", {"kind": kind, "K": rat_str(K), "k": k,
-                   "minimal": exact})
-        return alloc
+            max_in_range_fn=lambda a, b: ZERO if b < k else amount(b),
+            descriptor=descriptor,
+            amount_upper_pow2=(
+                lambda E: max(ZERO, ONE + E * LN2_HI - base_floor)))
 
     if kind == "scaled":
         c = Rat(params.get("c"))
@@ -492,13 +485,12 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
         def amount(n: int) -> Rat:
             return c * _hsum(n)
 
-        alloc = FnAllocation(
+        return FnAllocation(
             f"v2-scaled[{rat_str(c)}]", amount,
             total_cert=DivergentTotal() if c > ZERO else ExactTotal(ZERO),
-            max_in_range_fn=lambda a, b: c * _hsum(b))
-        alloc.amount_upper_pow2 = lambda E: c * (ONE + E * LN2_HI)
-        alloc.descriptor = StrategyDescriptor(
-            "v2", {"kind": kind, "c": rat_str(c)})
-        return alloc
+            max_in_range_fn=lambda a, b: c * _hsum(b),
+            descriptor=StrategyDescriptor(
+                "v2", {"kind": kind, "c": rat_str(c)}),
+            amount_upper_pow2=lambda E: c * (ONE + E * LN2_HI))
 
     raise DomainError(f"unknown fixed-price strategy kind {kind!r}")

@@ -1,4 +1,7 @@
 """Adversary streams against hand-computed blocks and exact inequalities."""
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -471,3 +474,26 @@ def test_all_streams_validate_on_prefixes(count):
         assert len(cycles) == count
         bound = min(plan.pulled_bound, 10_000)
         assert validate_plan(plan, bound) == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: two_cycle_adversary(GEO, pow2_alloc()),
+    lambda: good_index_adversary(INV, build_baseline_geometric()),
+    lambda: v1b_ceiling_adversary(INV, build_baseline_geometric()),
+    lambda: v1d_cycle_chooser(GEO),
+    lambda: v2b_block_adversary(build_v2_strategy("constant1")),
+], ids=["two-cycle", "good-index", "v1b-ceiling", "v1d-chooser",
+        "v2b-blocks"])
+def test_dropped_guard_plan_is_freed_by_reference_counting(build):
+    # a stream that held its plan strongly would keep the plan and its
+    # witness log alive until the cyclic collector happened to run
+    plan = build()
+    plan.materialize(3)
+    assert plan.witness_log
+    ref = weakref.ref(plan)
+    gc.disable()
+    try:
+        del plan
+        assert ref() is None
+    finally:
+        gc.enable()

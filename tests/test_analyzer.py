@@ -59,16 +59,6 @@ def test_brute_force_min_ties_prefer_lexicographic():
     assert delta.is_identity
 
 
-def test_brute_force_min_partitioned_scan_matches_serial():
-    model = increasing_prefix_model()
-    assert brute_force_min(model, 4, jobs=3)[0] == \
-        brute_force_min(model, 4)[0]
-    a = brute_force_min(INV, 5, jobs=4)
-    b = brute_force_min(INV, 5)
-    assert a[0] == b[0]
-    assert a[1].prefix(5) == b[1].prefix(5)
-
-
 def test_brute_force_min_rejects_factorial_blowup():
     with pytest.raises(DomainError):
         brute_force_min(GEO, 10)

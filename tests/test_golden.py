@@ -1,0 +1,144 @@
+"""Golden outputs: adversary dumps, guard reports and certified blocks.
+
+The SHA-256 digests below were recorded from the code before guard plans
+got their own types, so any refactor of the adversaries, the engine or the
+CLI that changes a single output byte fails here.  Every dump except
+good-index and two-cycle ends its stream with a note entry, which crashed
+the CLI when they were recorded; their digests are of the same cycle lines
+with note entries skipped, which is what the fixed CLI prints.
+"""
+import hashlib
+
+import pytest
+
+from prisoners import adversaries, engine, sequences, strategies
+from prisoners.cli import main
+from prisoners.numeric import rat
+
+INVSQ = sequences.builtin_model("inverse-square")
+GEO = sequences.builtin_model("geometric", ratio=rat(1, 2))
+HARMONIC = sequences.builtin_model("harmonic")
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (argv after "adversary", stdout lines, stdout digest)
+ADVERSARY_DUMPS = [
+    (["good-index", "--model", "inverse-square", "--cycles", "6"], 6,
+     "2a5a7006da59df594be1e8e82e82c8ab89b2a802e0cc0e803857024ecd50d2d7"),
+    (["two-cycle", "--model", "geometric", "--cycles", "6"], 6,
+     "a14b2fa6d6fde7be2ffb8b197034ae0878754d4938f93a451ccf5a6c468a271e"),
+    (["v1b-ceiling", "--model", "inverse-square", "--cycles", "6"], 5,
+     "804a1c0ec846dd20e2f371aa0152f2de4056f730c477ace784c4ee30c69de905"),
+    (["v1d-chooser", "--model", "inverse-square", "--cycles", "6"], 5,
+     "804a1c0ec846dd20e2f371aa0152f2de4056f730c477ace784c4ee30c69de905"),
+    (["v2b-blocks", "--model", "harmonic", "--strategy", "harmonic-prefix",
+      "--cycles", "6"], 3,
+     "74c3c630f1c3456d809fff06e2db4ea815ca4dea1dbb6daa2733346c92d40749"),
+    (["v2a-blocks:exact_end_cap=2000", "--model", "harmonic",
+      "--strategy", "constant1", "--cycles", "20"], 7,
+     "0c5f527b68e7531fdb9274023961f8e839e321557b269fcb1869175afd9155b6"),
+    (["v1b-ceiling:leader_cap=50", "--model", "inverse-square",
+      "--cycles", "20"], 3,
+     "af471e6d13720542d4073e63e0af6631016c5739e94e566fb8f3d981fe5aee1c"),
+]
+
+
+@pytest.mark.parametrize("argv, lines, expected", ADVERSARY_DUMPS,
+                         ids=[case[0][0] for case in ADVERSARY_DUMPS])
+def test_adversary_dump_bytes(capsys, argv, lines, expected):
+    assert main(["adversary"] + argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count("\n") == lines
+    assert digest(out) == expected
+
+
+def _pulled_horizon(plan, count):
+    return max(c.max_member for c in plan.materialize(count))
+
+
+def _good_index():
+    alloc = strategies.build_baseline_geometric()
+    plan = adversaries.good_index_adversary(INVSQ, alloc)
+    return engine.simulate("V1a", INVSQ, alloc, plan,
+                           _pulled_horizon(plan, 8))
+
+
+def _two_cycle():
+    alloc = strategies.build_baseline_geometric()
+    plan = adversaries.two_cycle_adversary(GEO, alloc)
+    return engine.simulate("V1b", GEO, alloc, plan, _pulled_horizon(plan, 40))
+
+
+def _v1b_ceiling():
+    alloc = strategies.build_baseline_geometric()
+    plan = adversaries.v1b_ceiling_adversary(INVSQ, alloc)
+    return engine.simulate("V1b", INVSQ, alloc, plan, 200)
+
+
+def _v1d_chooser():
+    alloc = strategies.build_baseline_geometric()
+    plan = adversaries.v1d_cycle_chooser(INVSQ)
+    return engine.simulate("V1d", INVSQ, alloc, plan, 200)
+
+
+def _v2a_blocks():
+    alloc = strategies.build_v2_strategy("scaled", c=rat(1, 2))
+    plan = adversaries.v2a_block_adversary(alloc)
+    return engine.simulate("V2a", HARMONIC, alloc, plan, 200)
+
+
+def _v2b_blocks():
+    alloc = strategies.build_v2_strategy("constant1")
+    plan = adversaries.v2b_block_adversary(alloc)
+    return engine.simulate("V2b", HARMONIC, alloc, plan, 200)
+
+
+# (window, report.to_json() length, digest); every verdict is
+# CounterexampleFound
+GUARD_REPORTS = [
+    (_good_index, 1009,
+     "a0c5e0fe018582e784c69bb86e591968a3025f420cb6a781cd1571b44089af3c"),
+    (_two_cycle, 6750,
+     "c90bf0011a61c887e4b4162bc07245290b731d6b3f649bcbb951dcdebe90c06e"),
+    (_v1b_ceiling, 13012,
+     "875ffb9358d716fa0d779d087cc432d9664ac39bb35d7c0b27a6b187b23a61a9"),
+    (_v1d_chooser, 13012,
+     "4e3baff1019d900acb1b6f0af4082f183f0852cf64c11fe6941c328e7327177d"),
+    (_v2a_blocks, 6502,
+     "0dd77e8ec3569c67a6a581ee6c25f2438f52c652ecb6305f1a08ff0c6ec382e5"),
+    (_v2b_blocks, 73193,
+     "f56212aaa2ac737b24fcce0d58c1edccb957f4e0eb3c169aa75c1fe865acd744"),
+]
+
+
+@pytest.mark.parametrize("window, length, expected", GUARD_REPORTS,
+                         ids=[case[0].__name__[1:] for case in GUARD_REPORTS])
+def test_guard_report_bytes(window, length, expected):
+    report = window()
+    assert report.verdict == "CounterexampleFound"
+    text = report.to_json()
+    assert len(text) == length
+    assert digest(text) == expected
+
+
+def test_v2a_certified_block_lines():
+    alloc = strategies.build_v2_strategy("constant1")
+    plan = adversaries.v2a_block_adversary(alloc, exact_end_cap=2000)
+    lines = [blk.describe() for blk in plan.certified_blocks(5)]
+    assert lines[0].startswith("block 1144..2^12: price > ")
+    assert digest("\n".join(lines) + "\n") == (
+        "0bb0c37a1d7d69da213184b064038956a8df2fa6e69def192c15652ef880948f")
+
+
+def test_v2b_certified_block_lines():
+    alloc = strategies.build_v2_strategy("harmonic-prefix")
+    plan = adversaries.v2b_block_adversary(alloc)
+    lines = [blk.describe() for blk in plan.certified_blocks(5)]
+    assert lines[0].startswith("block 515..2^19: price > ")
+    assert lines[4].startswith("block 2^173+1..2^349: price > ")
+    assert digest("\n".join(lines) + "\n") == (
+        "6e9e5ff64f33c800ac736be8a391d5c8f0ad2a6135eb0f81ab3af940e30418ad")
