@@ -21,8 +21,7 @@ from .numeric import (
 from .permutations import Cycle, CyclePlan
 from .sequences import (
     AllocationPlan, BracketedTotal, ExactTotal, HarmonicModel,
-    NonIncreasingBeyond, PriceModel, Relabeling, WeightedCert, ZeroBeyond,
-    weighted_partial_sum)
+    NonIncreasingBeyond, PriceModel, Relabeling, WeightedCert, ZeroBeyond)
 
 __all__ = [
     "ALL_MEMBERS_FAIL", "ANCHOR_FAILS", "AdversaryClaim", "AdversaryState",
@@ -691,14 +690,18 @@ def _least_block_end(anchor: int, target_fn, end_cap: int):
         upto = min(cursor + step, end_cap)
         chunk = _H.range_sum(cursor + 1, upto)
         if cum + chunk > target_fn(upto):
+            # base is the price of [anchor, lo - 1] and found that of
+            # [anchor, hi], so each probe sums only the terms past lo
             lo, hi = cursor + 1, upto
+            base, found = cum, cum + chunk
             while lo < hi:
                 mid = (lo + hi) // 2
-                if cum + _H.range_sum(cursor + 1, mid) > target_fn(mid):
-                    hi = mid
+                price = base + _H.range_sum(lo, mid)
+                if price > target_fn(mid):
+                    hi, found = mid, price
                 else:
-                    lo = mid + 1
-            return lo, cum + _H.range_sum(cursor + 1, lo)
+                    lo, base = mid + 1, price
+            return lo, found
         cum += chunk
         cursor = upto
         step *= 2

@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -27,7 +28,7 @@ from .engine import THEOREM_KEYS, simulate, verify_theorem
 from .errors import PrisonersError, UsageError
 from .numeric import rat, rat_str
 from .permutations import (
-    dump_plan, parse_plan, random_bounded_diameter_plan, random_plan,
+    parse_plan, random_bounded_diameter_plan, random_plan,
 )
 from .sequences import (
     Relabeling, builtin_model, load_allocation, load_model,
@@ -58,14 +59,38 @@ def _split_spec(spec: str):
 
 
 def _value(text: str):
+    """A spec parameter: an integer or an exact a/b rational, nothing else."""
     try:
         return int(text)
     except ValueError:
         pass
     try:
         return rat(text)
-    except (ValueError, ZeroDivisionError, PrisonersError):
-        return text
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"expected an integer or a rational a/b, "
+                         f"got {text!r}") from None
+
+
+def _check_keys(label: str, params: dict, allowed) -> None:
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise UsageError(f"{label} takes no parameter "
+                         f"{', '.join(unknown)}")
+
+
+def _build(label: str, builder, args: tuple, params: dict, allowed=None):
+    """builder(*args, **params) for the keywords of a spec string.
+
+    A keyword outside allowed (when given) or unknown to the builder, and a
+    required one that is missing, are usage errors rather than tracebacks.
+    """
+    if allowed is not None:
+        _check_keys(label, params, allowed)
+    try:
+        inspect.signature(builder).bind(*args, **params)
+    except TypeError as err:
+        raise UsageError(f"{label}: {err}") from None
+    return builder(*args, **params)
 
 
 def parse_model(spec: str):
@@ -74,7 +99,7 @@ def parse_model(spec: str):
         return load_model(path.read_text(), name=path.stem)
     name, params = _split_spec(spec)
     if name == "geometric":
-        ratio = rat(params.pop("ratio", "1/2"))
+        ratio = _value(params.pop("ratio", "1/2"))
         if params:
             raise UsageError(f"unknown model parameters {sorted(params)}")
         return builtin_model("geometric", ratio=ratio)
@@ -95,18 +120,22 @@ def parse_strategy(spec: str, model, plan=None):
     name, raw = _split_spec(spec)
     params = {k: _value(v) for k, v in raw.items()}
     if name == "baseline":
-        return build_baseline_geometric()
+        return _build(name, build_baseline_geometric, (), params)
     if name == "tail-sum":
-        return build_tail_sum_strategy(model, **params)[0]
+        return _build(name, build_tail_sum_strategy, (model,), params,
+                      ("total",))[0]
     if name == "bounded-length":
-        return build_bounded_length_strategy(model, **params)[0]
+        return _build(name, build_bounded_length_strategy, (model,), params,
+                      ("k", "total"))[0]
     if name == "bounded-diameter":
-        return build_bounded_diameter_strategy(model, **params)[0]
+        return _build(name, build_bounded_diameter_strategy, (model,),
+                      params, ("d", "total"))[0]
     if name == "cycle-informed":
         if plan is None:
             raise UsageError("cycle-informed amounts need a concrete plan; "
                              "combine with --plan @file or random")
-        return build_cycle_informed_strategy(model, plan, **params)
+        return _build(name, build_cycle_informed_strategy, (model, plan),
+                      params, ("k", "total"))
     if name in ("constant1", "harmonic-prefix", "shifted-harmonic",
                 "scaled", "log-shift"):
         return build_v2_strategy(name, **params)
@@ -119,17 +148,17 @@ _ADVERSARIES = ("good-index", "v1b-ceiling", "two-cycle", "v1d-chooser",
 
 def _adversary_plan(kind: str, model, alloc, params):
     if kind == "good-index":
-        return good_index_adversary(model, alloc, **params)
+        return _build(kind, good_index_adversary, (model, alloc), params)
     if kind == "v1b-ceiling":
-        return v1b_ceiling_adversary(model, alloc, **params)
+        return _build(kind, v1b_ceiling_adversary, (model, alloc), params)
     if kind == "two-cycle":
-        return two_cycle_adversary(model, alloc, **params)
+        return _build(kind, two_cycle_adversary, (model, alloc), params)
     if kind == "v1d-chooser":
-        return v1d_cycle_chooser(model, **params)
+        return _build(kind, v1d_cycle_chooser, (model,), params)
     if kind == "v2a-blocks":
-        return v2a_block_adversary(alloc, **params)
+        return _build(kind, v2a_block_adversary, (alloc,), params)
     if kind == "v2b-blocks":
-        return v2b_block_adversary(alloc, **params)
+        return _build(kind, v2b_block_adversary, (alloc,), params)
     raise UsageError(f"unknown adversary {kind!r}; choose from "
                      f"{', '.join(_ADVERSARIES)}")
 
@@ -141,9 +170,11 @@ def parse_plan_source(spec: str, horizon: int, seed: int, model, alloc):
     name, raw = _split_spec(spec)
     params = {k: _value(v) for k, v in raw.items()}
     if name == "random":
-        return random_plan(horizon, params.pop("max_len", 6), seed)
+        _check_keys(name, params, ("max_len",))
+        return random_plan(horizon, params.get("max_len", 6), seed)
     if name == "banded":
-        return random_bounded_diameter_plan(horizon, params.pop("d", 2),
+        _check_keys(name, params, ("d",))
+        return random_bounded_diameter_plan(horizon, params.get("d", 2),
                                             seed)
     if name in _ADVERSARIES:
         return _adversary_plan(name, model, alloc, params)
@@ -210,7 +241,12 @@ def cmd_simulate(args) -> int:
                              "(or a --config file)")
         order = None
         if args.entry_order:
-            order = [int(x) for x in args.entry_order.split(",")]
+            try:
+                order = [int(x) for x in args.entry_order.split(",")]
+            except ValueError:
+                raise UsageError("--entry-order takes comma-separated "
+                                 "prisoner indices, got "
+                                 f"{args.entry_order!r}") from None
         config = ScenarioConfig(args.variant, args.model, args.strategy,
                                 args.plan, args.horizon, args.seed,
                                 order, args.out)
@@ -252,10 +288,7 @@ def _verify_params(tokens) -> dict:
         if not eq:
             raise UsageError(f"expected key=value, got {token!r}")
         key = _PARAM_ALIASES.get(key, key)
-        parsed = _value(value)
-        if key == "allocs":
-            parsed = (value,)
-        params[key] = parsed
+        params[key] = (value,) if key == "allocs" else _value(value)
     return params
 
 

@@ -6,11 +6,19 @@ where the money runs out.  Simulation scores every prisoner whose cycle is
 fully inside the window, renders a verdict against whatever success pattern
 was claimed (by a builder descriptor or by a guard construction), and the
 registry replays each named result end to end with exact arithmetic.
+
+Under closed boxes (V1a, V1b, V1d, V2a, V2b) prices are nonnegative, so a
+walk opens exactly the longest prefix of its rotation that the amount
+covers; those variants are scored a cycle at a time from the cycle's prefix
+sums.  run_prisoner is the box-by-box walk: it plays the open-boxes variant
+V1c, whose shared open boxes make walks depend on each other, and it is the
+oracle the per-cycle scoring is tested against.
 """
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -146,6 +154,58 @@ def run_prisoner(n: int, budget, plan: CyclePlan, model: PriceModel,
                            None if success else "BudgetExhausted")
 
 
+def _score_cycle(members: tuple, alloc: AllocationPlan, model: PriceModel,
+                 outcomes: dict) -> None:
+    """Score every member of one closed-box cycle, as run_prisoner would.
+
+    members is the cycle in walk order.  Prices are nonnegative, so what a
+    walk has paid after j boxes never decreases in j, and the walk opens
+    exactly the largest j whose payment the amount covers.  The cyclic
+    prefix sums are built once per cycle, as integers over the common
+    denominator of the prices, and only once some member's amount covers
+    the box its walk starts at; each member then needs one bisection.
+    """
+    size = len(members)
+    prices = [model.term(box) for box in members]
+    scale = sums = None
+    for i, n in enumerate(members):
+        amount = alloc.amount(n)
+        if amount < ZERO:
+            raise DomainError("amounts cannot be negative")
+        if amount < prices[i]:
+            outcomes[n] = PrisonerOutcome(n, (), ZERO, False,
+                                          "BudgetExhausted")
+            continue
+        if sums is None:
+            scale = math.lcm(*(price.denominator for price in prices))
+            sums = [0]
+            for price in prices:
+                if price.numerator < 0:
+                    raise DomainError("prices must be nonnegative")
+                sums.append(sums[-1]
+                            + price.numerator * (scale // price.denominator))
+        total = sums[size]
+        # sums are whole multiples of 1/scale, so the walk can pay exactly
+        # the payments of at most floor(amount * scale) such units
+        budget = amount.numerator * scale // amount.denominator
+        if budget >= total:
+            outcomes[n] = PrisonerOutcome(n, members[i:] + members[:i],
+                                          Rat(total, scale), True)
+            continue
+        # the walk has paid sums[k] - sums[i] on reaching position k before
+        # it wraps, and total - sums[i] + sums[k] after
+        reach = budget + sums[i]
+        if reach < total:
+            k = bisect_right(sums, reach, i + 1, size + 1) - 1
+            opened, paid = members[i:k], sums[k] - sums[i]
+        else:
+            k = bisect_right(sums, reach - total, 0, i) - 1
+            opened = members[i:] + members[:k]
+            paid = total - sums[i] + sums[k]
+        outcomes[n] = PrisonerOutcome(n, opened, Rat(paid, scale), False,
+                                      "BudgetExhausted")
+
+
 # ---------------------------------------------------------------------------
 # whole-window simulation
 
@@ -178,8 +238,9 @@ def _pull_to_horizon(plan: CyclePlan, horizon: int) -> None:
     # stream cycles can grow fast, so stop the moment the window is covered
     if not plan.is_lazy:
         return
+    want = len(plan.cycles)
     while plan.pulled_bound < horizon:
-        want = len(plan.cycles) + 4
+        want += 4
         if len(plan.materialize(want)) < want:
             break
 
@@ -219,7 +280,9 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
     _pull_to_horizon(plan, horizon)
     scored: list[int] = []
     not_simulated: list[int] = []
-    seen_cycles: dict[tuple, tuple] = {}
+    # id(cycle) -> (cycle, members in walk order from the least); the cycle
+    # is kept so its id cannot be reused by a later fixed-point cycle
+    seen_cycles: dict[int, tuple] = {}
     for n in range(1, horizon + 1):
         try:
             cycle = plan.cycle_containing(n)
@@ -229,15 +292,21 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
         if cycle.max_member > horizon:
             not_simulated.append(n)
             continue
-        members = _walk_order(cycle, cycle.min_member)
-        seen_cycles.setdefault(members, members)
+        if id(cycle) not in seen_cycles:
+            seen_cycles[id(cycle)] = (cycle,
+                                      _walk_order(cycle, cycle.min_member))
         scored.append(n)
+    cycles = tuple(members for _, members in seen_cycles.values())
 
     outcomes: dict[int, PrisonerOutcome] = {}
     if v.info == "OpenBoxesPersist":
         order = scored
         if entry_order is not None:
-            order = [int(x) for x in entry_order]
+            try:
+                order = [int(x) for x in entry_order]
+            except (TypeError, ValueError):
+                raise UsageError("the entry order must list prisoner "
+                                 "indices") from None
             if sorted(order) != scored:
                 raise UsageError("the entry order must be a permutation "
                                  "of the simulated prisoners")
@@ -246,8 +315,8 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
             outcomes[n] = run_prisoner(n, alloc.amount(n), plan, model,
                                        open_boxes)
     else:
-        for n in scored:
-            outcomes[n] = run_prisoner(n, alloc.amount(n), plan, model)
+        for members in cycles:
+            _score_cycle(members, alloc, model, outcomes)
 
     ordered = tuple(outcomes[n] for n in scored)
     claim = plan.claim if plan.claim is not None else alloc.descriptor
@@ -255,7 +324,7 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
         variant=v.id, horizon=horizon, outcomes=ordered,
         success_count=sum(1 for o in ordered if o.success),
         verdict="Inconclusive", witnesses=(),
-        cycles=tuple(seen_cycles), not_simulated=tuple(not_simulated),
+        cycles=cycles, not_simulated=tuple(not_simulated),
         claim=claim, model=model)
     release = evaluate_release(v, report, claim)
     report.verdict = release.verdict
@@ -323,9 +392,10 @@ def _pattern_verdict(v: Variant, report, pattern: dict) -> ReleaseVerdict:
             elif scope == "last-member":
                 claimed.add(max(members))
             elif scope == "max-price-member":
-                top = max(report.model.term(m) for m in members)
+                prices = [report.model.term(m) for m in members]
+                top = max(prices)
                 claimed.update(
-                    m for m in members if report.model.term(m) == top)
+                    m for m, price in zip(members, prices) if price == top)
             else:
                 raise DomainError(f"unknown claim scope {scope!r}")
     failures = [o.prisoner for o in report.outcomes if not o.success]

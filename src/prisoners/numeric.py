@@ -79,10 +79,12 @@ def power_sum(exponent: int, a: int, b: int) -> Rat:
 
     def rec(lo: int, hi: int) -> Rat:
         if hi - lo < 64:
-            total = ZERO
+            # one unreduced integer fraction per leaf, reduced once at the end
+            num, den = 0, 1
             for i in range(lo, hi + 1):
-                total += Rat(1, i ** exponent)
-            return total
+                d = i ** exponent
+                num, den = num * d + den, den * d
+            return Rat(num, den)
         mid = (lo + hi) // 2
         return rec(lo, mid) + rec(mid + 1, hi)
 

@@ -75,11 +75,11 @@ class Cycle:
 
     @property
     def min_member(self) -> int:
-        return self.start if self.members is None else min(self.members)
+        return self.start
 
     @property
     def max_member(self) -> int:
-        return self.end if self.members is None else max(self.members)
+        return self.end
 
     @property
     def diameter(self) -> int:
@@ -166,6 +166,7 @@ class CyclePlan:
         self._owner: dict[int, Cycle] = {}
         self._ranges: list[Cycle] = []
         self._exhausted = source is None
+        self._pulled_bound = 0
         # set by stream producers whose coverage stops without implying
         # identity beyond (the stream continues in another representation)
         self.covered_bound: Optional[int] = None
@@ -196,6 +197,7 @@ class CyclePlan:
                         f"index {m} appears in two cycles")
                 self._owner[m] = cycle
         self._cycles.append(cycle)
+        self._pulled_bound = max(self._pulled_bound, cycle.max_member)
 
     @property
     def is_lazy(self) -> bool:
@@ -217,10 +219,7 @@ class CyclePlan:
     @property
     def pulled_bound(self) -> int:
         """Largest index known to be covered by pulled cycles."""
-        top = 0
-        for c in self._cycles:
-            top = max(top, c.max_member)
-        return top
+        return self._pulled_bound
 
     def _lookup(self, n: int) -> Optional[Cycle]:
         hit = self._owner.get(n)
@@ -298,8 +297,9 @@ def validate_plan(plan: CyclePlan, horizon: int) -> list[str]:
 def random_plan(horizon: int, max_len: int, seed: int,
                 name: Optional[str] = None) -> CyclePlan:
     """Random partition of [1, horizon] into cycles of length <= max_len."""
-    if horizon < 1 or max_len < 1:
-        raise DomainError("horizon and max_len must be >= 1")
+    if not (isinstance(horizon, int) and isinstance(max_len, int)
+            and horizon >= 1 and max_len >= 1):
+        raise DomainError("horizon and max_len must be integers >= 1")
     rng = random.Random(("plan", horizon, max_len, seed).__repr__())
     pool = list(range(1, horizon + 1))
     rng.shuffle(pool)
@@ -315,8 +315,10 @@ def random_plan(horizon: int, max_len: int, seed: int,
 def random_bounded_diameter_plan(horizon: int, diameter: int, seed: int,
                                  name: Optional[str] = None) -> CyclePlan:
     """Random plan whose every cycle has max - min <= diameter."""
-    if horizon < 1 or diameter < 0:
-        raise DomainError("horizon must be >= 1 and diameter >= 0")
+    if not (isinstance(horizon, int) and isinstance(diameter, int)
+            and horizon >= 1 and diameter >= 0):
+        raise DomainError("horizon must be an integer >= 1 and diameter "
+                          "an integer >= 0")
     rng = random.Random(("banded", horizon, diameter, seed).__repr__())
     cycles = []
     n = 1

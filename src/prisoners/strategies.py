@@ -414,6 +414,12 @@ def _log_shift_cutoff(K: Rat) -> tuple[int, bool]:
     return lo, False
 
 
+# the keywords each fixed-price kind takes, all of them required
+_V2_PARAMS = {"constant1": (), "harmonic-prefix": (),
+              "shifted-harmonic": ("k",), "log-shift": ("K",),
+              "scaled": ("c",)}
+
+
 def build_v2_strategy(kind: str, **params) -> AllocationPlan:
     """Allocations for the fixed 1/n price schedule.
 
@@ -422,6 +428,13 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
     total.  Each plan carries amount_upper_pow2(E), a certified upper bound
     for the amount at index 2**E that never materializes 2**E itself.
     """
+    wanted = _V2_PARAMS.get(kind)
+    if wanted is None:
+        raise DomainError(f"unknown fixed-price strategy kind {kind!r}")
+    if set(params) != set(wanted):
+        raise DomainError(
+            f"{kind} takes {', '.join(wanted) or 'no parameters'}, "
+            f"not {', '.join(sorted(params)) or 'none'}")
     if kind == "constant1":
         return FnAllocation(
             "v2-constant1", lambda n: ONE,
@@ -474,23 +487,21 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
             amount_upper_pow2=(
                 lambda E: max(ZERO, ONE + E * LN2_HI - base_floor)))
 
-    if kind == "scaled":
-        c = Rat(params.get("c"))
-        if c >= ONE:
-            raise DomainError(
-                "scaled prefix amounts with factor >= 1 are a different game")
-        if c < ZERO:
-            raise DomainError("the scale factor must be nonnegative")
+    # scaled: c times the harmonic prefix sum
+    c = Rat(params.get("c"))
+    if c >= ONE:
+        raise DomainError(
+            "scaled prefix amounts with factor >= 1 are a different game")
+    if c < ZERO:
+        raise DomainError("the scale factor must be nonnegative")
 
-        def amount(n: int) -> Rat:
-            return c * _hsum(n)
+    def amount(n: int) -> Rat:
+        return c * _hsum(n)
 
-        return FnAllocation(
-            f"v2-scaled[{rat_str(c)}]", amount,
-            total_cert=DivergentTotal() if c > ZERO else ExactTotal(ZERO),
-            max_in_range_fn=lambda a, b: c * _hsum(b),
-            descriptor=StrategyDescriptor(
-                "v2", {"kind": kind, "c": rat_str(c)}),
-            amount_upper_pow2=lambda E: c * (ONE + E * LN2_HI))
-
-    raise DomainError(f"unknown fixed-price strategy kind {kind!r}")
+    return FnAllocation(
+        f"v2-scaled[{rat_str(c)}]", amount,
+        total_cert=DivergentTotal() if c > ZERO else ExactTotal(ZERO),
+        max_in_range_fn=lambda a, b: c * _hsum(b),
+        descriptor=StrategyDescriptor(
+            "v2", {"kind": kind, "c": rat_str(c)}),
+        amount_upper_pow2=lambda E: c * (ONE + E * LN2_HI))

@@ -1,6 +1,7 @@
 """Adversary streams against hand-computed blocks and exact inequalities."""
 import gc
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from prisoners.adversaries import (
     NO_SUCCESS_AFTER_FIRST, divergence_witness, good_index_adversary,
     scaled_harmonic_gap, two_cycle_adversary, v1b_ceiling_adversary,
     v1d_cycle_chooser, v2a_block_adversary, v2b_block_adversary,
+    _least_block_end,
 )
 from prisoners.errors import (
     CapabilityError, DomainError, HorizonExhaustedError, NotMaterializedError,
@@ -309,6 +311,91 @@ def test_v1d_fails_loudly_when_prices_vanish():
 
 # ---------------------------------------------------------------------------
 # harmonic block adversaries
+
+def as_fraction(q) -> Fraction:
+    return Fraction(q.numerator, q.denominator)
+
+
+_HARMONIC_PREFIX = [Fraction(0)]
+
+
+def _harmonic_price(a: int, b: int) -> Fraction:
+    """1/a + ... + 1/b from plain Fraction prefix sums."""
+    while len(_HARMONIC_PREFIX) <= b:
+        _HARMONIC_PREFIX.append(_HARMONIC_PREFIX[-1]
+                                + Fraction(1, len(_HARMONIC_PREFIX)))
+    return _HARMONIC_PREFIX[b] - _HARMONIC_PREFIX[a - 1]
+
+
+def plain_block_end(anchor, target_fn, end_cap):
+    """Doubling chunks, then plain bisection that re-sums every probe
+    from the chunk start."""
+    cum = Fraction(0)
+    cursor = anchor - 1
+    step = 64
+    while cursor < end_cap:
+        upto = min(cursor + step, end_cap)
+        chunk = _harmonic_price(cursor + 1, upto)
+        if cum + chunk > target_fn(upto):
+            lo, hi = cursor + 1, upto
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if cum + _harmonic_price(cursor + 1, mid) > target_fn(mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo, cum + _harmonic_price(cursor + 1, lo)
+        cum += chunk
+        cursor = upto
+        step *= 2
+    return None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: good_index_adversary(INV, build_baseline_geometric()),
+    lambda: two_cycle_adversary(GEO, build_baseline_geometric()),
+    lambda: v1b_ceiling_adversary(INV, build_baseline_geometric()),
+    lambda: v1d_cycle_chooser(INV),
+    lambda: v2b_block_adversary(build_v2_strategy("constant1")),
+], ids=["good-index", "two-cycle", "v1b-ceiling", "v1d-chooser",
+        "v2b-blocks"])
+def test_pulled_bound_tracks_every_materialize(build):
+    plan = build()
+    for count in range(1, 9):
+        plan.materialize(count)
+        assert plan.pulled_bound == max(c.max_member for c in plan.cycles)
+
+
+def flat_alloc(value):
+    return FnAllocation(f"flat[{value}]", lambda n: value,
+                        max_in_range_fn=lambda a, b: value)
+
+
+@pytest.mark.parametrize("builder", [v2a_block_adversary,
+                                     v2b_block_adversary],
+                         ids=["per-member", "anchor-amount"])
+@pytest.mark.parametrize("alloc", [
+    build_v2_strategy("constant1"), build_v2_strategy("scaled", c=rat(1, 2)),
+    build_v2_strategy("shifted-harmonic", k=3),
+    build_v2_strategy("harmonic-prefix"), flat_alloc(rat(3)),
+], ids=lambda alloc: alloc.name)
+def test_least_block_end_matches_plain_bisection(builder, alloc):
+    plan = builder(alloc)
+    for anchor in (1, 2, 5, 63, 64, 65, 200, 700):
+        target_fn = plan._target_for(anchor)
+        got_probes, want_probes = [], []
+
+        def recorded(probes):
+            return lambda end: probes.append(end) or target_fn(end)
+
+        got = _least_block_end(anchor, recorded(got_probes), 5000)
+        want = plain_block_end(anchor, recorded(want_probes), 5000)
+        assert got_probes == want_probes
+        if want is None:
+            assert got is None
+        else:
+            assert (got[0], as_fraction(got[1])) == want
+
 
 def test_v2a_constant_blocks_match_hand_computation():
     plan = v2a_block_adversary(build_v2_strategy("constant1"))

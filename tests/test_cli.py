@@ -151,6 +151,14 @@ def test_broken_config_exits_two(tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+def test_config_with_a_non_integer_entry_order_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    ScenarioConfig("V1c", "geometric", "baseline", "random", 3,
+                   entry_order=[1, 2, "x"]).save(path)
+    assert run(["simulate", "--config", str(path)]) == 2
+    assert "entry order" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -305,3 +313,25 @@ def test_argparse_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--model", "geometric", "--mode", "sideways"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--variant", "V1a", "--model", "geometric:ratio=1/0",
+     "--strategy", "baseline", "--plan", "random"],
+    ["--variant", "V1a", "--model", "geometric",
+     "--strategy", "tail-sum:bogus=1", "--plan", "random"],
+    ["--variant", "V1a", "--model", "geometric", "--strategy", "baseline",
+     "--plan", "random:max_len=abc"],
+    ["--variant", "V1c", "--model", "geometric", "--strategy", "baseline",
+     "--plan", "random", "--entry-order", "1,2,x"],
+], ids=["zero-denominator", "unknown-keyword", "non-number", "entry-order"])
+def test_bad_specs_are_usage_errors_without_traceback(flags):
+    # scripts read exit 1 as "counterexample found", so a bad spec must
+    # never escape as a traceback
+    argv = ["simulate", "--horizon", "10"] + flags
+    proc = subprocess.run([sys.executable, "-m", "prisoners.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -2,24 +2,26 @@
 import json
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prisoners import engine
 from prisoners.adversaries import (
     ALL_MEMBERS_FAIL, ANCHOR_FAILS, AdversaryClaim, FAILURE_IN_EVERY_CYCLE,
     NO_SUCCESS_AFTER_FIRST, good_index_adversary,
 )
 from prisoners.engine import (
-    THEOREM_KEYS, VARIANTS, evaluate_release, get_variant, run_prisoner,
-    simulate, verify_theorem,
+    THEOREM_KEYS, VARIANTS, _score_cycle, _walk_order, evaluate_release,
+    get_variant, run_prisoner, simulate, verify_theorem,
 )
 from prisoners.errors import DomainError, UsageError
 from prisoners.numeric import ONE, ZERO, rat, rat_str
 from prisoners.permutations import Cycle, CyclePlan, conjugate_plan, random_plan
 from prisoners.sequences import (
-    PermutedModel, Relabeling, ScaledModel, TableAllocation, ZeroTail,
-    builtin_model,
+    CustomModel, FnAllocation, PermutedModel, Relabeling, ScaledModel,
+    TableAllocation, ZeroTail, builtin_model,
 )
 from prisoners.strategies import (
     build_baseline_geometric, build_bounded_length_strategy,
@@ -109,6 +111,104 @@ def test_brute_force_walk_agreement():
         budget = rat(rng.randrange(0, 300), 256)
         out = run_prisoner(members[0], budget, CyclePlan([cycle]), GEO)
         assert out.success == (budget >= cycle.price(GEO))
+
+
+# ---------------------------------------------------------------------------
+# per-cycle scoring against the walk
+
+# zero prices at every odd index below 13 and from 13 on
+ZERO_PRICES = CustomModel({2 * k: rat(1, 2 ** k) for k in range(1, 7)},
+                          ZeroTail(13), name="zero-prices")
+KERNEL_MODELS = [HARMONIC, GEO, builtin_model("inverse-square"), ZERO_PRICES]
+NANO = rat(1, 10 ** 9)
+
+
+def _amount(kind: tuple, paid: list):
+    """The amount of one drawn kind against a walk's payments paid[j]."""
+    choice, j = kind
+    total = paid[-1]
+    value = paid[j % len(paid)]
+    return [ZERO, value, value + NANO, max(ZERO, value - NANO),
+            total + NANO, total][choice]
+
+
+def _explicit_cycles():
+    return st.lists(st.integers(1, 200), min_size=1, max_size=8,
+                    unique=True).map(lambda m: Cycle(m))
+
+
+def _range_cycles():
+    return st.tuples(st.integers(1, 400), st.integers(64, 90)).map(
+        lambda sl: Cycle.of_range(sl[0], sl[0] + sl[1] - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_MODELS),
+       st.one_of(_explicit_cycles(), _range_cycles()),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 200)),
+                min_size=90, max_size=90))
+def test_cycle_scoring_matches_the_walk_exactly(model, cycle, kinds):
+    members = _walk_order(cycle, cycle.min_member)
+    amounts = {}
+    for i, n in enumerate(members):
+        rotation = members[i:] + members[:i]
+        paid = [ZERO]
+        for box in rotation:
+            paid.append(paid[-1] + model.term(box))
+        amounts[n] = _amount(kinds[i], paid)
+    alloc = FnAllocation("drawn", amounts.__getitem__)
+    plan = CyclePlan([cycle], name="one")
+    outcomes = {}
+    _score_cycle(members, alloc, model, outcomes)
+    assert sorted(outcomes) == sorted(members)
+    for n in members:
+        got, want = outcomes[n], run_prisoner(n, amounts[n], plan, model)
+        assert got.prisoner == want.prisoner == n
+        assert got.opened == want.opened
+        assert got.spent == want.spent
+        assert got.spent.denominator == want.spent.denominator
+        assert type(got.spent) is type(want.spent)
+        assert got.success == want.success
+        assert got.reason == want.reason
+
+
+def test_cycle_scoring_stops_exactly_at_a_prefix_boundary():
+    # boxes 3, 5, 4 cost 1/8, 1/32, 1/16 from prisoner 3
+    plan = plan_of((3, 5, 4))
+    members = (3, 5, 4)
+    amounts = {3: rat(5, 32), 5: rat(3, 32), 4: rat(7, 32) - NANO}
+    outcomes = {}
+    _score_cycle(members, FnAllocation("edges", amounts.__getitem__), GEO,
+                 outcomes)
+    assert outcomes[3].opened == (3, 5) and outcomes[3].spent == rat(5, 32)
+    assert outcomes[5].opened == (5, 4) and outcomes[5].spent == rat(3, 32)
+    assert outcomes[4].opened == (4, 3) and outcomes[4].spent == rat(3, 16)
+    for n in members:
+        assert outcomes[n] == run_prisoner(n, amounts[n], plan, GEO)
+
+
+def test_cycle_scoring_rejects_negative_amounts():
+    # FnAllocation refuses negative amounts itself, so bypass it
+    alloc = SimpleNamespace(amount=lambda n: rat(-1, 2))
+    with pytest.raises(DomainError):
+        _score_cycle((1, 2), alloc, GEO, {})
+
+
+def test_only_the_open_box_variant_walks_box_by_box(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run_prisoner(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_prisoner", counted)
+    alloc, _ = build_bounded_length_strategy(GEO, 3)
+    plan = random_plan(30, 3, 1)
+    for variant in ("V1a", "V1b", "V1d"):
+        simulate(variant, GEO, alloc, plan, 30)
+    assert calls == []
+    simulate("V1c", GEO, alloc, plan, 30)
+    assert sorted(calls) == list(range(1, 31))
 
 
 # ---------------------------------------------------------------------------

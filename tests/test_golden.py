@@ -1,23 +1,30 @@
-"""Golden outputs: adversary dumps, guard reports and certified blocks.
+"""Golden outputs: adversary dumps, guard reports, windows and blocks.
 
 The SHA-256 digests below were recorded from the code before guard plans
 got their own types, so any refactor of the adversaries, the engine or the
 CLI that changes a single output byte fails here.  Every dump except
 good-index and two-cycle ends its stream with a note entry, which crashed
 the CLI when they were recorded; their digests are of the same cycle lines
-with note entries skipped, which is what the fixed CLI prints.
+with note entries skipped, which is what the fixed CLI prints.  The
+window digests were recorded from the prisoner-by-prisoner walk, before
+closed-box variants were scored per cycle from prefix sums.
 """
 import hashlib
 
 import pytest
 
-from prisoners import adversaries, engine, sequences, strategies
+from prisoners import (
+    adversaries, engine, permutations, sequences, strategies,
+)
 from prisoners.cli import main
 from prisoners.numeric import rat
 
 INVSQ = sequences.builtin_model("inverse-square")
 GEO = sequences.builtin_model("geometric", ratio=rat(1, 2))
 HARMONIC = sequences.builtin_model("harmonic")
+# zero prices at every odd index below 13 and from 13 on
+GAPPY = sequences.CustomModel({2 * k: rat(1, 2 ** k) for k in range(1, 7)},
+                              sequences.ZeroTail(13), name="gappy")
 
 
 def digest(text: str) -> str:
@@ -120,6 +127,86 @@ GUARD_REPORTS = [
 def test_guard_report_bytes(window, length, expected):
     report = window()
     assert report.verdict == "CounterexampleFound"
+    text = report.to_json()
+    assert len(text) == length
+    assert digest(text) == expected
+
+
+def _v1a_bounded_length():
+    alloc, _ = strategies.build_bounded_length_strategy(GEO, 3)
+    plan = permutations.random_plan(400, 3, 5)
+    return engine.simulate("V1a", GEO, alloc, plan, 400)
+
+
+def _v1a_baseline():
+    # most walks die part-way round their cycle
+    alloc = strategies.build_baseline_geometric()
+    plan = permutations.random_plan(300, 20, 7)
+    return engine.simulate("V1a", GEO, alloc, plan, 300)
+
+
+def _v1a_zero_prices():
+    alloc = strategies.build_baseline_geometric()
+    plan = permutations.random_plan(60, 8, 19)
+    return engine.simulate("V1a", GAPPY, alloc, plan, 60)
+
+
+def _v1b_bounded_diameter():
+    alloc, _ = strategies.build_bounded_diameter_strategy(GEO, 2)
+    plan = permutations.random_bounded_diameter_plan(300, 2, 3)
+    return engine.simulate("V1b", GEO, alloc, plan, 300)
+
+
+def _v1b_first_box_failures():
+    alloc = strategies.build_baseline_geometric()
+    plan = permutations.random_bounded_diameter_plan(200, 5, 9)
+    return engine.simulate("V1b", INVSQ, alloc, plan, 200)
+
+
+def _v1d_informed():
+    plan = permutations.random_plan(300, 3, 11)
+    alloc = strategies.build_cycle_informed_strategy(GEO, plan, 3)
+    return engine.simulate("V1d", GEO, alloc, plan, 300)
+
+
+def _v2a_harmonic_prefix():
+    alloc = strategies.build_v2_strategy("harmonic-prefix")
+    plan = permutations.random_plan(500, 6, 13)
+    return engine.simulate("V2a", HARMONIC, alloc, plan, 500)
+
+
+def _v2a_constant1():
+    alloc = strategies.build_v2_strategy("constant1")
+    plan = permutations.random_plan(300, 8, 17)
+    return engine.simulate("V2a", HARMONIC, alloc, plan, 300)
+
+
+# (window, verdict, report.to_json() length, digest)
+WINDOW_REPORTS = [
+    (_v1a_bounded_length, "PatternConfirmed", 67835,
+     "ffd5c64c506d93a11fbc6ccd668cff0dc3c203437119dcd5167294e5935c0770"),
+    (_v1a_baseline, "PatternConfirmed", 50640,
+     "9cbf719437aed5d7aea0a7562bb910de7cd0104c37941aa8592976bb452376d8"),
+    (_v1a_zero_prices, "CounterexampleFound", 4884,
+     "5a3673f435f12b7ad3c9cfa10ff0cb5e5df656d9e1dc0b05ad41b029cc19eac5"),
+    (_v1b_bounded_diameter, "PatternConfirmed", 35953,
+     "cc2142669b86865f943f5231c1e4ef77f391f4274fc629145399f35150bb6324"),
+    (_v1b_first_box_failures, "CounterexampleFound", 14294,
+     "4682b896c0a043ea82934408ead35c348e22ec672b6e9110549a17efe6252331"),
+    (_v1d_informed, "PatternConfirmed", 49617,
+     "9abb2b83cf8c0d6f15bba6f5efb652b179c377dc76e6542cdd3286507bdeebed"),
+    (_v2a_harmonic_prefix, "PatternConfirmed", 48908,
+     "24981306750e607c1625bec66db43375a2ddb2c5f5cd0fef8f4362ade0f7fb1e"),
+    (_v2a_constant1, "Inconclusive", 31205,
+     "3e9a1e6e4bc2e4fd9cc91c1ef55cbfd3711b002c8ed962f098ca292960775247"),
+]
+
+
+@pytest.mark.parametrize("window, verdict, length, expected", WINDOW_REPORTS,
+                         ids=[case[0].__name__[1:] for case in WINDOW_REPORTS])
+def test_window_report_bytes(window, verdict, length, expected):
+    report = window()
+    assert report.verdict == verdict
     text = report.to_json()
     assert len(text) == length
     assert digest(text) == expected

@@ -87,6 +87,19 @@ def test_power_sum_matches_oracle():
     assert as_fraction(power_sum(3, 4, 90)) == oracle_power_sum(3, 4, 90)
 
 
+@pytest.mark.parametrize("exponent", [1, 2, 3])
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 129, 300])
+@pytest.mark.parametrize("a", [1, 997])
+def test_power_sum_leaves_match_plain_fraction_sums(exponent, length, a):
+    # 64 terms make one leaf; 63..65 and 129 straddle the leaf boundary
+    b = a + length - 1
+    got = as_fraction(power_sum(exponent, a, b))
+    want = sum((Fraction(1, i ** exponent) for i in range(a, b + 1)),
+               Fraction(0))
+    assert got == want
+    assert got.denominator == want.denominator
+
+
 def test_geometric_sum_and_tail():
     half = rat(1, 2)
     total = Fraction(0)

@@ -186,3 +186,16 @@ def test_random_plan_sigma_is_bijective_on_horizon(seed, horizon, max_len):
         seen = list(c.rotation_from(c.min_member))
         assert len(seen) == c.length
         assert set(seen) == set(c.members)
+
+
+def test_pulled_bound_is_the_running_max_of_pulled_members():
+    # the third cycle reaches less far than the second
+    stream = iter([Cycle((2, 1)), Cycle((3, 9)), Cycle((4, 5)),
+                   Cycle.of_range(10, 500), Cycle((6,))])
+    plan = CyclePlan.lazy(stream)
+    assert plan.pulled_bound == 0
+    for count in range(1, 7):
+        plan.materialize(count)
+        assert plan.pulled_bound == max(c.max_member for c in plan.cycles)
+    explicit = CyclePlan([Cycle((7, 3)), Cycle((1, 2))])
+    assert explicit.pulled_bound == 7
