@@ -6,10 +6,14 @@ the desk-scale consistency checks behind it: exhaustive minimization over
 small permutation prefixes, dominance of the descending arrangement, and the
 bookkeeping that lets zero prices be compressed out without changing the
 answer.  Everything is computed in exact rationals; nothing is estimated.
+The exhaustive scans hold each scan's prices as integers over one common
+denominator, so every arrangement costs integer adds and compares only.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -45,39 +49,42 @@ def _require_desk_scale(m: int) -> None:
 # ---------------------------------------------------------------------------
 # exhaustive minimization
 
-def _scan_block(terms: dict, first: int, m: int):
-    """Best (value, permutation) among prefixes that place `first` first."""
-    rest = [i for i in range(1, m + 1) if i != first]
-    head = terms[first]
-    best = None
-    best_perm = None
-    for tail in itertools.permutations(rest):
-        total = head
-        pos = 2
-        for idx in tail:
-            total += pos * terms[idx]
-            pos += 1
-        if best is None or total < best:
-            best = total
-            best_perm = (first,) + tail
-    return best, best_perm
+def _scaled(values):
+    """Integers over one common denominator: v == Rat(int, scale) for each v.
+
+    Exhaustive scans add and compare these integers instead of rationals;
+    a total leaves the loop as Rat(total, scale), the same normalized value
+    the rational sum gives.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _weighted(weights, table, perm) -> int:
+    """Integer sum of n * table[perm[n - 1]]."""
+    return sum(map(operator.mul, weights, map(table.__getitem__, perm)))
+
+
+def _scored_arrangements(ints):
+    """Each arrangement of 1..m in lexicographic order, with the integer sum
+    of n * ints[perm[n - 1] - 1]."""
+    weights = range(1, len(ints) + 1)
+    for perm, vals in zip(itertools.permutations(weights),
+                          itertools.permutations(ints)):
+        yield perm, sum(map(operator.mul, weights, vals))
 
 
 def brute_force_min(model: PriceModel, m: int):
     """Exact minimum of the weighted prefix sum over all m! arrangements.
 
     Returns (value, relabeling) where the relabeling is the
-    lexicographically least arrangement achieving the minimum.  The scan is
-    partitioned by the first entry; partitions reduce by exact minimum.
+    lexicographically least arrangement achieving the minimum: the scan
+    runs in lexicographic order and `min` keeps the first minimal one.
     """
     _require_desk_scale(m)
-    terms = {i: model.term(i) for i in range(1, m + 1)}
-    blocks = [_scan_block(terms, f, m) for f in range(1, m + 1)]
-    best, best_perm = blocks[0]
-    for value, perm in blocks[1:]:
-        if value < best or (value == best and perm < best_perm):
-            best, best_perm = value, perm
-    return best, Relabeling.from_sequence(best_perm, name="minimizer")
+    ints, scale = _scaled([model.term(i) for i in range(1, m + 1)])
+    perm, best = min(_scored_arrangements(ints), key=operator.itemgetter(1))
+    return Rat(best, scale), Relabeling.from_sequence(perm, name="minimizer")
 
 
 # ---------------------------------------------------------------------------
@@ -179,38 +186,48 @@ def check_zero_omission(model: PriceModel, m: int) -> ZeroOmissionTrace:
             f"{horizon}, need {m} to embed at odd positions")
 
     beta = [compressed.original_index(k) for k in range(1, m + 1)]
-    checked = 0
-    for perm in itertools.permutations(range(1, m + 1)):
-        checked += 1
-        delta = Relabeling.from_sequence(perm)
+    placements = {2 * k: beta[k - 1] for k in range(1, m + 1)}
+    for j in range(1, m + 1):
+        placements[2 * j - 1] = zeros[j - 1]
+    # raises when beta meets the zeros, which no permutation changes
+    Relabeling(placements, name="even-embedding")
 
-        # arrangement induced on q by reading delta's positive entries
-        induced = ZERO
+    p_terms = [model.term(i) for i in range(1, m + 1)]
+    ints, scale = _scaled(
+        p_terms
+        + [compressed.term(k) for k in range(1, m + 1)]
+        + [compressed.term(alpha[i]) if v > ZERO else ZERO
+           for i, v in enumerate(p_terms, start=1)]
+        + [model.term(i) for i in beta]
+        + [model.term(i) for i in zeros[:m]])
+    p, q, q_alpha, p_beta, p_zero = (
+        [0] + ints[c * m:(c + 1) * m] for c in range(5))
+    weights = range(1, m + 1)
+    # zeros at the odd positions 2j - 1 of the embedding
+    odd = sum((2 * j - 1) * p_zero[j] for j in weights)
+    for perm in itertools.permutations(weights):
+        # arrangement induced on q by reading perm's positive entries
+        induced = 0
         k = 0
-        for n in range(1, m + 1):
-            idx = perm[n - 1]
-            p_val = model.term(idx)
-            if p_val > ZERO:
+        for idx in perm:
+            if p[idx] > 0:
                 k += 1
-                induced += k * compressed.term(alpha[idx])
-        p_sum = weighted_partial_sum(model, delta, m)
+                induced += k * q_alpha[idx]
+        p_sum = _weighted(weights, p, perm)
         if not induced <= p_sum:
             failures.append({"delta": list(perm), "kind": "induced",
-                             "lhs": rat_str(induced), "rhs": rat_str(p_sum)})
+                             "lhs": rat_str(Rat(induced, scale)),
+                             "rhs": rat_str(Rat(p_sum, scale))})
 
         # q at even positions, zeros at odd ones: exact doubling
-        placements = {2 * k: beta[perm[k - 1] - 1] for k in range(1, m + 1)}
-        for j in range(1, m + 1):
-            placements[2 * j - 1] = zeros[j - 1]
-        sigma = Relabeling(placements, name="even-embedding")
-        q_sum = weighted_partial_sum(compressed, delta, m)
-        embedded = weighted_partial_sum(model, sigma, 2 * m)
+        q_sum = _weighted(weights, q, perm)
+        embedded = 2 * _weighted(weights, p_beta, perm) + odd
         if embedded != 2 * q_sum:
             failures.append({"delta": list(perm), "kind": "doubling",
-                             "lhs": rat_str(embedded),
-                             "rhs": rat_str(2 * q_sum)})
+                             "lhs": rat_str(Rat(embedded, scale)),
+                             "rhs": rat_str(Rat(2 * q_sum, scale))})
     return ZeroOmissionTrace(passed=not failures, mode="even-embedding",
-                             permutations=checked, alpha=dict(alpha),
+                             permutations=math.factorial(m), alpha=dict(alpha),
                              failures=failures)
 
 
@@ -220,17 +237,19 @@ def _zero_free_trace(model, compressed, alpha, m, failures) -> ZeroOmissionTrace
         if alpha.get(i) != i:
             failures.append({"kind": "alpha", "index": i,
                              "position": alpha.get(i)})
-    checked = 0
-    for perm in itertools.permutations(range(1, m + 1)):
-        checked += 1
-        delta = Relabeling.from_sequence(perm)
-        p_sum = weighted_partial_sum(model, delta, m)
-        q_sum = weighted_partial_sum(compressed, delta, m)
+    ints, scale = _scaled([model.term(i) for i in range(1, m + 1)]
+                          + [compressed.term(k) for k in range(1, m + 1)])
+    p, q = [0] + ints[:m], [0] + ints[m:]
+    weights = range(1, m + 1)
+    for perm in itertools.permutations(weights):
+        p_sum = _weighted(weights, p, perm)
+        q_sum = _weighted(weights, q, perm)
         if p_sum != q_sum:
             failures.append({"delta": list(perm), "kind": "identity",
-                             "lhs": rat_str(q_sum), "rhs": rat_str(p_sum)})
+                             "lhs": rat_str(Rat(q_sum, scale)),
+                             "rhs": rat_str(Rat(p_sum, scale))})
     return ZeroOmissionTrace(passed=not failures, mode="zero-free",
-                             permutations=checked, alpha=dict(alpha),
+                             permutations=math.factorial(m), alpha=dict(alpha),
                              failures=failures)
 
 
@@ -262,48 +281,43 @@ def descending_partial_dominance(model: PriceModel, trials: int = 1000,
     """
     if not isinstance(m, int) or m < 1:
         raise DomainError("the prefix length must be a positive integer")
-    terms = {}
+    terms = []
     for i in range(1, m + 1):
         v = model.term(i)
         if v <= ZERO:
             raise DomainError(
                 f"positivity hypothesis fails at index {i}: "
                 f"price is {rat_str(v)}")
-        terms[i] = v
-    sigma = tuple(sorted(range(1, m + 1), key=lambda i: (-terms[i], i)))
-    minimum = ZERO
-    for n, idx in enumerate(sigma, start=1):
-        minimum += n * terms[idx]
-
-    def rival_sum(perm) -> Rat:
-        total = ZERO
-        for n, idx in enumerate(perm, start=1):
-            total += n * terms[idx]
-        return total
+        terms.append(v)
+    sigma = tuple(sorted(range(1, m + 1), key=lambda i: (-terms[i - 1], i)))
+    ints, scale = _scaled(terms)
+    table = [0] + ints
+    weights = range(1, m + 1)
+    least = _weighted(weights, table, sigma)
 
     failures: list[dict] = []
     if m <= _FACTORIAL_CAP:
         mode = "exhaustive"
-        checked = 0
-        for perm in itertools.permutations(range(1, m + 1)):
-            checked += 1
-            value = rival_sum(perm)
-            if not minimum <= value:
-                failures.append({"delta": list(perm), "sum": rat_str(value)})
+        checked = math.factorial(m)
+        for perm, value in _scored_arrangements(ints):
+            if value < least:
+                failures.append({"delta": list(perm),
+                                 "sum": rat_str(Rat(value, scale))})
     else:
         if trials < 1:
             raise DomainError("sampling needs at least one trial")
         mode = "sampled"
         rng = random.Random(seed)
-        base = list(range(1, m + 1))
+        base = list(weights)
         checked = trials
         for _ in range(trials):
             rng.shuffle(base)
-            value = rival_sum(base)
-            if not minimum <= value:
-                failures.append({"delta": list(base), "sum": rat_str(value)})
+            value = _weighted(weights, table, base)
+            if value < least:
+                failures.append({"delta": list(base),
+                                 "sum": rat_str(Rat(value, scale))})
     return DominanceReport(passed=not failures, mode=mode, checked=checked,
-                           m=m, sigma=sigma, minimum=minimum,
+                           m=m, sigma=sigma, minimum=Rat(least, scale),
                            failures=failures)
 
 

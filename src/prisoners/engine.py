@@ -469,9 +469,27 @@ INVSQ = builtin_model("inverse-square")
 HARMONIC = builtin_model("harmonic")
 
 
+_PARAM_KINDS = {int: "an integer", tuple: "a tuple", Rat: "a rational"}
+
+
 def _merge(defaults: dict, params) -> dict:
+    """The runner's defaults, overridden by params of the same keys and types.
+
+    A check run with a key it does not read, or with a value of the wrong
+    type, would pass vacuously or crash, so both are domain errors.
+    """
     got = dict(defaults)
-    got.update(params or {})
+    for key, value in (params or {}).items():
+        if key not in defaults:
+            raise DomainError(f"unknown parameter {key!r}; this check takes "
+                              f"{', '.join(defaults)}")
+        want, have = type(defaults[key]), type(value)
+        if have is not want:
+            raise DomainError(
+                f"parameter {key!r} takes "
+                f"{_PARAM_KINDS.get(want, want.__name__)}, not "
+                f"{_PARAM_KINDS.get(have, have.__name__)}")
+        got[key] = value
     return got
 
 

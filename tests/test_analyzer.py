@@ -1,5 +1,7 @@
 """Rearrangement oracles against exhaustively derived frozen values."""
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,8 @@ from prisoners.analyzer import (
 from prisoners.errors import CapabilityError, DomainError
 from prisoners.numeric import ZERO, rat, rat_str
 from prisoners.sequences import (
-    BlackBoxModel, CustomModel, GeometricTail, Relabeling, WeightedCert,
-    ZeroTail, builtin_model, omit_zeros, weighted_partial_sum,
+    BlackBoxModel, CustomModel, GeometricTail, OmittedZerosModel, Relabeling,
+    WeightedCert, ZeroTail, builtin_model, omit_zeros, weighted_partial_sum,
 )
 
 GEO = builtin_model("geometric", ratio=rat(1, 2))
@@ -275,3 +277,193 @@ def test_tsv_row_for_brute_force_result():
     line = analysis_tsv([(delta, value)])
     assert line == "(1 4)(2 3)\t13/8\n"
     assert rat_str(value) == "13/8"
+
+
+# ---------------------------------------------------------------------------
+# integer scans against plain rational references
+#
+# Each reference walks the arrangements with Fraction sums through
+# weighted_partial_sum and Relabeling, the way the scans did before they
+# summed integers over a common denominator.
+
+GEO_TWO_THIRDS = builtin_model("geometric", ratio=rat(2, 3))
+# ties at 1/4 and 1/8, zeros at 3, 6, 8 and from 10 on
+TIED_ZEROS = CustomModel(
+    {1: rat(1, 4), 2: rat(1, 4), 4: rat(1, 8), 5: rat(1, 4), 7: rat(1, 8),
+     9: rat(1, 8)}, ZeroTail(10), name="tied-zeros")
+# pairwise coprime denominators: their LCM has 391 bits
+WIDE_LCM = CustomModel(
+    {1: rat(1, 2 ** 31 - 1), 2: rat(3, 10 ** 9 + 7), 3: rat(2, 3 ** 20),
+     4: rat(5, 10 ** 9 + 9), 5: rat(1, 7 ** 11), 6: rat(7, 2 ** 61 - 1),
+     7: rat(1, 5 ** 13), 8: rat(4, 11 ** 9), 9: rat(1, 13 ** 8),
+     10: rat(2, 17 ** 7), 11: rat(1, 19 ** 7), 12: rat(3, 23 ** 6)},
+    GeometricTail(rat(1, 2), 13), name="wide-lcm")
+ORACLE_MODELS = [INV, GEO_TWO_THIRDS, TIED_ZEROS, WIDE_LCM]
+oracle_models = st.sampled_from(ORACLE_MODELS)
+
+
+def reference_min(model, m):
+    best = None
+    for perm in itertools.permutations(range(1, m + 1)):
+        value = weighted_partial_sum(model, Relabeling.from_sequence(perm), m)
+        if best is None or value < best[0]:
+            best = (value, list(perm))
+    return best
+
+
+def reference_dominance(model, m, trials, seed):
+    terms = {i: model.term(i) for i in range(1, m + 1)}
+    sigma = sorted(range(1, m + 1), key=lambda i: (-terms[i], i))
+    minimum = weighted_partial_sum(model, Relabeling.from_sequence(sigma), m)
+    if m <= 9:
+        rivals = (list(p) for p in itertools.permutations(range(1, m + 1)))
+    else:
+        rng = random.Random(seed)
+        base = list(range(1, m + 1))
+
+        def shuffles():
+            for _ in range(trials):
+                rng.shuffle(base)
+                yield list(base)
+        rivals = shuffles()
+    checked = 0
+    failures = []
+    for perm in rivals:
+        checked += 1
+        value = weighted_partial_sum(model, Relabeling.from_sequence(perm), m)
+        if not minimum <= value:
+            failures.append({"delta": perm, "sum": rat_str(value)})
+    return checked, minimum, failures
+
+
+def reference_zero_omission(model, m):
+    horizon = max(4 * m, 64)
+    compressed, alpha = omit_zeros(model, horizon)
+    failures = [{"kind": "alpha", "index": i, "position": k}
+                for i, k in alpha.items()
+                if compressed.term(k) != model.term(i)]
+    zeros = [i for i in range(1, horizon + 1) if model.term(i) == ZERO]
+    if not zeros:
+        failures += [{"kind": "alpha", "index": i, "position": alpha.get(i)}
+                     for i in range(1, m + 1) if alpha.get(i) != i]
+    beta = [compressed.original_index(k) for k in range(1, m + 1)]
+    for perm in itertools.permutations(range(1, m + 1)):
+        delta = Relabeling.from_sequence(perm)
+        p_sum = weighted_partial_sum(model, delta, m)
+        q_sum = weighted_partial_sum(compressed, delta, m)
+        if not zeros:
+            if p_sum != q_sum:
+                failures.append({"delta": list(perm), "kind": "identity",
+                                 "lhs": rat_str(q_sum),
+                                 "rhs": rat_str(p_sum)})
+            continue
+        induced = ZERO
+        k = 0
+        for idx in perm:
+            if model.term(idx) > ZERO:
+                k += 1
+                induced += k * compressed.term(alpha[idx])
+        if not induced <= p_sum:
+            failures.append({"delta": list(perm), "kind": "induced",
+                             "lhs": rat_str(induced), "rhs": rat_str(p_sum)})
+        placements = {2 * k: beta[perm[k - 1] - 1] for k in range(1, m + 1)}
+        for j in range(1, m + 1):
+            placements[2 * j - 1] = zeros[j - 1]
+        embedded = weighted_partial_sum(model, Relabeling(placements), 2 * m)
+        if embedded != 2 * q_sum:
+            failures.append({"delta": list(perm), "kind": "doubling",
+                             "lhs": rat_str(embedded),
+                             "rhs": rat_str(2 * q_sum)})
+    mode = "even-embedding" if zeros else "zero-free"
+    return mode, failures
+
+
+@given(oracle_models, st.integers(min_value=1, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_brute_force_min_matches_the_rational_reference(model, m):
+    value, delta = brute_force_min(model, m)
+    expected, minimizer = reference_min(model, m)
+    assert type(value) is type(expected)
+    assert value == expected
+    assert delta.prefix(m) == minimizer
+
+
+def test_brute_force_min_ties_keep_the_lexicographic_least():
+    # 1 2 5 tie at 1/4 and 4 7 9 at 1/8; zeros at 3 and 6 go last
+    value, delta = brute_force_min(TIED_ZEROS, 7)
+    assert (value, delta.prefix(7)) == reference_min(TIED_ZEROS, 7)
+    assert delta.prefix(7) == [1, 2, 5, 4, 7, 3, 6]
+
+
+@given(oracle_models, st.integers(min_value=1, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_dominance_matches_the_rational_reference(model, m):
+    if any(model.term(i) <= ZERO for i in range(1, m + 1)):
+        with pytest.raises(DomainError):
+            descending_partial_dominance(model, m=m)
+        return
+    report = descending_partial_dominance(model, m=m)
+    checked, minimum, failures = reference_dominance(model, m, 1000, 0)
+    assert report.mode == "exhaustive"
+    assert report.checked == checked
+    assert type(report.minimum) is type(minimum)
+    assert report.minimum == minimum
+    assert report.failures == failures
+
+
+@pytest.mark.parametrize("model", [INV, GEO_TWO_THIRDS, WIDE_LCM],
+                         ids=["inverse-square", "geometric-2/3", "wide-lcm"])
+def test_sampled_dominance_matches_the_rational_reference(model):
+    report = descending_partial_dominance(model, trials=300, m=12, seed=11)
+    checked, minimum, failures = reference_dominance(model, 12, 300, 11)
+    assert report.mode == "sampled"
+    assert report.checked == checked == 300
+    assert type(report.minimum) is type(minimum)
+    assert report.minimum == minimum
+    assert report.failures == failures
+
+
+@given(st.sampled_from(ORACLE_MODELS + [alternating_zero_model()]),
+       st.integers(min_value=1, max_value=5))
+@settings(max_examples=30, deadline=None)
+def test_zero_omission_matches_the_rational_reference(model, m):
+    trace = check_zero_omission(model, m)
+    mode, failures = reference_zero_omission(model, m)
+    assert trace.mode == mode
+    assert trace.permutations == math.factorial(m)
+    assert trace.failures == failures
+    assert trace.passed == (not failures)
+
+
+def test_zero_omission_covers_both_modes():
+    assert check_zero_omission(TIED_ZEROS, 4).mode == "even-embedding"
+    assert check_zero_omission(WIDE_LCM, 4).mode == "zero-free"
+
+
+@pytest.mark.parametrize("shift", [
+    lambda value: value + rat(1, 3), lambda value: value / 2,
+], ids=["lifted", "halved"])
+@pytest.mark.parametrize("model", [alternating_zero_model(), TIED_ZEROS,
+                                   GEO_TWO_THIRDS, WIDE_LCM],
+                         ids=["alternating", "tied-zeros", "geometric-2/3",
+                              "wide-lcm"])
+def test_perturbed_zero_omission_fails_like_the_reference(monkeypatch, model,
+                                                          shift):
+    plain = OmittedZerosModel.term
+
+    def perturbed(self, n):
+        value = plain(self, n)
+        return shift(value) if n == 2 else value
+
+    monkeypatch.setattr(OmittedZerosModel, "term", perturbed)
+    trace = check_zero_omission(model, 4)
+    mode, failures = reference_zero_omission(model, 4)
+    assert not trace.passed
+    assert trace.mode == mode
+    assert trace.failures == failures
+    kinds = {f["kind"] for f in failures}
+    assert kinds >= {"alpha", "identity" if mode == "zero-free"
+                     else "doubling"}
+    for found, expected in zip(trace.failures, failures):
+        for key in ("kind", "lhs", "rhs"):
+            assert found.get(key) == expected.get(key)

@@ -191,6 +191,25 @@ def test_verify_rejects_params_with_all(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["tail-sum-strategy", "plans=1/2"],
+    ["divergence-witness", "targets=5"],
+    ["scaled-gap", "cases=1"],
+    ["tail-sum-strategy", "bogus=3"],
+], ids=["rational-for-integer", "integer-for-tuple", "integer-for-cases",
+        "unknown-key"])
+def test_bad_verify_params_are_usage_errors_without_traceback(argv):
+    # a parameter the check cannot read must not crash (exit 1 means a
+    # failed check) or be ignored (exit 0 means the check ran as asked)
+    proc = subprocess.run(
+        [sys.executable, "-m", "prisoners.cli", "verify"] + argv,
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # adversary
 

@@ -7,14 +7,17 @@ good-index and two-cycle ends its stream with a note entry, which crashed
 the CLI when they were recorded; their digests are of the same cycle lines
 with note entries skipped, which is what the fixed CLI prints.  The
 window digests were recorded from the prisoner-by-prisoner walk, before
-closed-box variants were scored per cycle from prefix sums.
+closed-box variants were scored per cycle from prefix sums, and the
+analyzer digests from the per-arrangement rational loops, before the
+exhaustive scans summed integers over a common denominator.
 """
 import hashlib
+import json
 
 import pytest
 
 from prisoners import (
-    adversaries, engine, permutations, sequences, strategies,
+    adversaries, analyzer, engine, permutations, sequences, strategies,
 )
 from prisoners.cli import main
 from prisoners.numeric import rat
@@ -229,3 +232,115 @@ def test_v2b_certified_block_lines():
     assert lines[4].startswith("block 2^173+1..2^349: price > ")
     assert digest("\n".join(lines) + "\n") == (
         "6e9e5ff64f33c800ac736be8a391d5c8f0ad2a6135eb0f81ab3af940e30418ad")
+
+
+# ---------------------------------------------------------------------------
+# analyzer scans
+
+# (model, m, analysis_tsv digest of the exhaustive minimum)
+MINIMA = [
+    (INVSQ, 7,
+     "b4f7cb54e052fc26496d49461804752f55a2aa20d9cbe2e440896bfaf8a2be95"),
+    (INVSQ, 8,
+     "62083139ad943e761677ab8e8302dbf5b6591e1d89c2948ed232b4e2e6ab51da"),
+    (GEO, 7,
+     "816358a90ca05d898d1559161578d588868fead7351de1cae00cbdbe925fe464"),
+    (GEO, 8,
+     "945cca1c8c02f928b1e58f33f86fefa358ae7ca20d6f5282a81fdd20772ab953"),
+]
+
+
+@pytest.mark.parametrize("model, m, expected", MINIMA,
+                         ids=[f"{case[0].kind}-m{case[1]}" for case in MINIMA])
+def test_brute_force_min_tsv_bytes(model, m, expected):
+    value, delta = analyzer.brute_force_min(model, m)
+    assert digest(analyzer.analysis_tsv([(delta, value)])) == expected
+
+
+# (argv after "analyze", stdout digest)
+ANALYZE_REPORTS = [
+    (["--model", "inverse-square", "--mode", "dominance", "--m", "7"],
+     "ed61fbe0670e86492cf2acc6540977a7da1de2623d67b90d3353fa383e5d7557"),
+    (["--model", "geometric", "--mode", "dominance", "--m", "8"],
+     "03044b0ef8e62324b6cf28d970535c51a7dffdb1d3dcf7fc27667f2d3e74d006"),
+    (["--model", "inverse-square", "--mode", "dominance", "--m", "12",
+      "--trials", "300", "--seed", "7"],
+     "048af1ec70a20e30ee31b21dd7af9ea67570edbd4b10f1937a11a2ec8b20854f"),
+    (["--model", "geometric", "--mode", "zero-omission", "--m", "7"],
+     "956b23d7dbf99e9f36cf7840aa65f2fc22b0e5e1e7e797b9d4586254676ef5a6"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ANALYZE_REPORTS,
+                         ids=["dominance-inverse-square-m7",
+                              "dominance-geometric-m8",
+                              "dominance-sampled-m12",
+                              "zero-omission-geometric-m7"])
+def test_analyze_report_bytes(capsys, argv, expected):
+    assert main(["analyze"] + argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert digest(out) == expected
+
+
+def test_analyze_zero_omission_embedding_bytes(tmp_path, capsys):
+    model = tmp_path / "alternating.txt"
+    model.write_text("".join(f"{2 * k} 1/{2 ** k}\n" for k in range(1, 8))
+                     + "tail zero from 15\n")
+    assert main(["analyze", "--model", f"@{model}",
+                 "--mode", "zero-omission", "--m", "7"]) == 0
+    assert digest(capsys.readouterr().out) == (
+        "66cea42dc203a53e582359dc6be9275263632e7f91136726bc5fe8ba3eeeef4c")
+
+
+# (argv after "verify", stdout digest)
+VERIFY_LINES = [
+    (["identity-minimality"],
+     "2972c8c695dd2a5bff0239fe7404d13f93c50964de637a402c1f2e382c7ecf8a"),
+    (["identity-minimality", "m=8"],
+     "a508d86d672822374e5b69637c37f383b6d34989b65d2de46138338b3ea5c9db"),
+    (["descending-reduction"],
+     "e44e463ed92a68699224b0ef8f886fdd1f9e579803bb59df687dd97a9d780593"),
+    (["zero-omission"],
+     "5fd8fa2311fdd93b4dcc0100e33d7a7a15411eca668ab398a0de8eba16ba320e"),
+    (["zero-omission", "m=6"],
+     "5972dc437813caff89c3be57c95a167d9952b987dd7346bc5f1ab6ecc114fd47"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", VERIFY_LINES,
+                         ids=[" ".join(case[0]) for case in VERIFY_LINES])
+def test_verify_line_bytes(capsys, argv, expected):
+    assert main(["verify"] + argv) == 0
+    assert digest(capsys.readouterr().out) == expected
+
+
+def perturb_compressed_term(monkeypatch):
+    """Lift the second compressed price by 1/3, so the scans must fail."""
+    plain = sequences.OmittedZerosModel.term
+
+    def term(self, n):
+        value = plain(self, n)
+        return value + rat(1, 3) if n == 2 else value
+
+    monkeypatch.setattr(sequences.OmittedZerosModel, "term", term)
+
+
+# (model, m, number of failures, failure-dict JSON digest)
+PERTURBED_OMISSIONS = [
+    (GAPPY, 4, 33,
+     "30985a0c104bd1e4492e480adfb090010c940524a218988e72d69f8ce492b198"),
+    (GEO, 4, 25,
+     "19f880eb50f305caa1aaae4e7e56629b77925a4e3302a718ede42d7e958884cf"),
+]
+
+
+@pytest.mark.parametrize("model, m, count, expected", PERTURBED_OMISSIONS,
+                         ids=["even-embedding", "zero-free"])
+def test_perturbed_zero_omission_failure_bytes(monkeypatch, model, m, count,
+                                               expected):
+    perturb_compressed_term(monkeypatch)
+    trace = analyzer.check_zero_omission(model, m)
+    assert not trace.passed
+    assert len(trace.failures) == count
+    assert digest(json.dumps(trace.failures)) == expected
