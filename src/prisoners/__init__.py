@@ -45,9 +45,9 @@ from .analyzer import (
     cycle_notation, decide_existence, descending_partial_dominance,
 )
 from .engine import (
-    PrisonerOutcome, ReleaseVerdict, SimulationReport, THEOREM_KEYS,
-    VARIANTS, Variant, VerificationReport, evaluate_release, get_variant,
-    run_prisoner, simulate, verify_theorem,
+    PrisonerOutcome, ReleaseVerdict, SimulationReport, VARIANTS, Variant,
+    evaluate_release, get_variant, run_prisoner, simulate,
 )
+from .registry import THEOREM_KEYS, VerificationReport, verify_theorem
 
 __version__ = "0.1.0"

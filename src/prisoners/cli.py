@@ -24,12 +24,13 @@ from .analyzer import (
     analysis_tsv, brute_force_min, check_zero_omission, decide_existence,
     descending_partial_dominance,
 )
-from .engine import THEOREM_KEYS, simulate, verify_theorem
+from .engine import simulate
 from .errors import PrisonersError, UsageError
 from .numeric import rat, rat_str
 from .permutations import (
     parse_plan, random_bounded_diameter_plan, random_plan,
 )
+from .registry import THEOREM_KEYS, verify_theorem
 from .sequences import (
     Relabeling, builtin_model, load_allocation, load_model,
 )
@@ -203,8 +204,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
-        known = {f: payload[f] for f in payload}
-        return cls(**known)
+        return cls(**payload)
 
     def save(self, path) -> None:
         Path(path).write_text(
@@ -320,6 +320,8 @@ def cmd_adversary(args) -> int:
     alloc = parse_strategy(args.strategy, model)
     kind, raw = _split_spec(args.kind)
     params = {k: _value(v) for k, v in raw.items()}
+    if args.cycles < 1:
+        raise UsageError(f"--cycles must be at least 1, not {args.cycles}")
     plan = _adversary_plan(kind, model, alloc, params)
     cycles = plan.materialize(args.cycles)
     notes = {}

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from ._backend import BACKEND, Rat
 from .errors import DomainError, EmptyRangeError, UndecidedComparisonError
 
 __all__ = [
@@ -22,6 +22,8 @@ __all__ = [
     "harmonic_upper_ln", "harmonic_range_lower_ln",
 ]
 
+Rat = Fraction
+BACKEND = "fraction"  # the rational type's name, for benchmark env headers
 ZERO = Rat(0)
 ONE = Rat(1)
 

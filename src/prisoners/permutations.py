@@ -107,16 +107,14 @@ class Cycle:
             raise PlanViolationError(f"{n} is not in this cycle")
         return self.end if n == self.start else n - 1
 
-    def rotation_from(self, n: int) -> Iterator[int]:
-        """Members in walk order starting at n."""
+    def rotation_from(self, n: int) -> tuple:
+        """Members in walk order starting at n; ends at n's predecessor."""
         if not self.contains(n):
             raise PlanViolationError(f"{n} is not in this cycle")
-        cur = n
-        while True:
-            yield cur
-            cur = self.successor(cur)
-            if cur == n:
-                return
+        if self.members is not None:
+            i = self.members.index(n)
+            return self.members[i:] + self.members[:i]
+        return tuple(range(n, self.end + 1)) + tuple(range(self.start, n))
 
     def price(self, model) -> Rat:
         if self.members is not None:
@@ -129,8 +127,7 @@ class Cycle:
     def _canonical(self):
         if self.members is None:
             return ("range", self.start, self.end)
-        i = self.members.index(self.min_member)
-        rotated = self.members[i:] + self.members[:i]
+        rotated = self.rotation_from(self.start)
         if rotated == tuple(range(self.start, self.end + 1)):
             return ("range", self.start, self.end)
         return rotated

@@ -10,23 +10,22 @@ from prisoners import (
     ONE, ZERO, builtin_model, rat, rat_str, simulate,
 )
 from prisoners.adversaries import (
-    good_index_adversary, scaled_harmonic_gap, two_cycle_adversary,
-    v1b_ceiling_adversary, v2a_block_adversary, v2b_block_adversary,
+    good_index_adversary, two_cycle_adversary, v1b_ceiling_adversary,
+    v2b_block_adversary,
 )
 from prisoners.analyzer import (
     brute_force_min, check_zero_omission, descending_partial_dominance,
 )
 from prisoners.permutations import (
-    Cycle, CyclePlan, conjugate_plan, random_bounded_diameter_plan,
-    random_plan,
+    conjugate_plan, random_bounded_diameter_plan, random_plan,
 )
+from prisoners.registry import verify_theorem
 from prisoners.sequences import (
-    CustomModel, GeometricTail, PermutedModel, Relabeling, ScaledModel,
-    TableAllocation, ZeroTail,
+    CustomModel, PermutedModel, Relabeling, ScaledModel, TableAllocation,
+    ZeroTail,
 )
 from prisoners.strategies import (
     build_baseline_geometric, build_bounded_diameter_strategy,
-    build_bounded_length_strategy, build_cycle_informed_strategy,
     build_tail_sum_strategy, build_v2_strategy,
 )
 
@@ -66,19 +65,23 @@ def test_01_baseline_least_member_pattern():
 
 
 def test_02_tail_sum_strategy_and_smaller_total():
-    alloc, m = build_tail_sum_strategy(GEO)
-    assert m == 3
+    # total 1: the registry check re-checks the least member of every
+    # cycle past the cutoff on the same 200 plans
+    assert build_tail_sum_strategy(GEO)[1] == 3
+    report = verify_theorem("tail-sum-strategy",
+                            {"plans": 200, "horizon": 1000, "max_len": 20})
+    assert report.passed and report.checks == 200, report.witnesses
+    assert "cutoff 3" in report.details
     quarter, mq = build_tail_sum_strategy(GEO, total=rat(1, 4))
     assert mq == 5
     for seed in range(200):
         plan = random_plan(1000, 20, seed)
-        for amounts, cutoff in ((alloc, m), (quarter, mq)):
-            report = simulate("V1a", GEO, amounts, plan, 1000)
-            assert report.verdict == "PatternConfirmed", (seed, cutoff)
-            won = success_map(report)
-            for members in report.cycles:
-                if min(members) >= cutoff:
-                    assert won[min(members)], (seed, cutoff, members)
+        report = simulate("V1a", GEO, quarter, plan, 1000)
+        assert report.verdict == "PatternConfirmed", seed
+        won = success_map(report)
+        for members in report.cycles:
+            if min(members) >= mq:
+                assert won[min(members)], (seed, members)
     print("[02] PASS tail-sum amounts: cutoff 3 at total 1, cutoff 5 at "
           "total 1/4, 200 plans each")
 
@@ -157,33 +160,14 @@ def test_06_two_cycle_and_block_defeats_for_cofinite_release():
 
 
 def test_07_bounded_length_across_information_models():
-    alloc, m = build_bounded_length_strategy(GEO, 3)
-    for seed in range(200):
-        plan = random_plan(300, 3, seed)
-        report = simulate("V1a", GEO, alloc, plan, 300)
-        assert report.verdict == "PatternConfirmed", seed
-
-        informed = build_cycle_informed_strategy(GEO, plan, 3)
-        full = simulate("V1d", GEO, informed, random_plan(300, 3, seed),
-                        300)
-        assert full.verdict == "PatternConfirmed", seed
-        won = success_map(full)
-        for members in full.cycles:
-            if min(members) >= informed.descriptor.m:
-                assert all(won[x] for x in members), (seed, members)
-
-        shared = simulate("V1c", GEO, alloc, random_plan(300, 3, seed),
-                          300)
-        assert shared.verdict == "PatternConfirmed", seed
-        spent = {o.prisoner: o.spent for o in shared.outcomes}
-        swon = success_map(shared)
-        for members in shared.cycles:
-            if min(members) < m:
-                continue
-            assert all(swon[x] for x in members), (seed, members)
-            for x in members:
-                if x != min(members):
-                    assert spent[x] == ZERO, (seed, x)
+    # the three checks play random_plan(300, 3, seed) for seeds 0..199; the
+    # disclosed-set and shared-box checks re-check that every member of a
+    # late cycle succeeds, and the shared-box one that later members pay 0
+    params = {"k": 3, "plans": 200, "horizon": 300}
+    for key in ("bounded-length-v1a", "v1d-bounded", "open-boxes-v1c"):
+        report = verify_theorem(key, params)
+        assert report.passed and report.checks == 200, (key,
+                                                        report.witnesses)
     print("[07] PASS bounded-length k=3: closed boxes, disclosed sets, "
           "and shared boxes with free later members, 200 plans each")
 
@@ -215,29 +199,15 @@ def test_09_fixed_price_strategies_and_their_limits():
             for members in report.cycles:
                 if min(members) >= cutoff:
                     assert won[max(members)], (alloc.name, seed, members)
-    for kind, params in (("constant1", {}), ("scaled", {"c": rat(1, 2)})):
-        alloc = build_v2_strategy(kind, **params)
-        plan = v2a_block_adversary(alloc)
-        report = simulate("V2a", HARMONIC, alloc, plan, 200)
-        assert report.verdict == "CounterexampleFound", kind
-        blocks = plan.certified_blocks(50)
-        assert len(blocks) == 50
-        assert all(b.price_lower > b.amount_upper for b in blocks), kind
-    assert scaled_harmonic_gap(2, rat(1, 2)) == 4
+    # flat and scaled amounts losing their first 50 blocks, and
+    # gap(2,1/2) = 4, are the v2a-strategies and scaled-gap checks
     print("[09] PASS fixed prices, infinite release: prefix amounts win "
-          "at horizon 3000; flat and scaled amounts lose their first 50 "
-          "blocks; gap(2,1/2)=4")
+          "at horizon 3000")
 
 
 def test_10_fixed_price_cofinite_impossibility():
-    for alloc in (build_v2_strategy("constant1"),
-                  build_v2_strategy("harmonic-prefix")):
-        plan = v2b_block_adversary(alloc)
-        report = simulate("V2b", HARMONIC, alloc, plan, 520)
-        assert report.verdict == "CounterexampleFound", alloc.name
-        blocks = plan.certified_blocks(30)
-        assert len(blocks) == 30
-        assert all(b.price_lower > b.amount_upper for b in blocks)
+    # the named amounts constant1 and harmonic-prefix are the
+    # v2b-no-strategy check
     for seed in range(10):
         alloc = random_unit_table(seed, "fixedprice")
         plan = v2b_block_adversary(alloc)
@@ -250,8 +220,7 @@ def test_10_fixed_price_cofinite_impossibility():
         for cycle in emitted:
             assert not won[cycle.min_member], (seed, cycle)
     print("[10] PASS fixed prices, cofinite release: the first member of "
-          "each of the first 30 blocks fails for named and random "
-          "amounts")
+          "each of the first 30 blocks fails for random amounts")
 
 
 def test_11_relabeling_and_scaling_leave_reports_unchanged():

@@ -196,11 +196,17 @@ def test_verify_rejects_params_with_all(capsys):
     ["divergence-witness", "targets=5"],
     ["scaled-gap", "cases=1"],
     ["tail-sum-strategy", "bogus=3"],
+    ["tail-sum-strategy", "plans=-5"],
+    ["bounded-length-v1a", "plans=0"],
+    ["two-cycle-v1b", "pairs=0"],
+    ["v2b-no-strategy", "alloc=scaled:1/0"],
 ], ids=["rational-for-integer", "integer-for-tuple", "integer-for-cases",
-        "unknown-key"])
+        "unknown-key", "negative-plans", "zero-plans", "zero-pairs",
+        "zero-denominator-allocation"])
 def test_bad_verify_params_are_usage_errors_without_traceback(argv):
     # a parameter the check cannot read must not crash (exit 1 means a
-    # failed check) or be ignored (exit 0 means the check ran as asked)
+    # failed check) or be ignored (exit 0 means the check ran as asked),
+    # and a count below 1 must not pass a check that checked nothing
     proc = subprocess.run(
         [sys.executable, "-m", "prisoners.cli", "verify"] + argv,
         capture_output=True, text=True)
@@ -263,6 +269,21 @@ def test_adversary_dump_skips_stream_notes(capsys, kind, model, strategy,
 def test_unknown_adversary_exits_two(capsys):
     assert run(["adversary", "sideways"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["good-index", "--model", "inverse-square", "--cycles", "-1"],
+    ["v2b-blocks", "--cycles", "0"],
+], ids=["negative-cycles", "zero-cycles"])
+def test_adversary_cycle_counts_below_one_exit_two(argv):
+    # an empty dump with exit 0 would read as a guard that emitted nothing
+    proc = subprocess.run(
+        [sys.executable, "-m", "prisoners.cli", "adversary"] + argv,
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------

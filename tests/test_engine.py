@@ -1,24 +1,28 @@
 """Walk execution, window scoring, release verdicts, and the registry."""
+import ast
+import hashlib
 import json
 import random
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prisoners import engine
+from prisoners import engine, registry
 from prisoners.adversaries import (
     ALL_MEMBERS_FAIL, ANCHOR_FAILS, AdversaryClaim, FAILURE_IN_EVERY_CYCLE,
     NO_SUCCESS_AFTER_FIRST, good_index_adversary,
 )
 from prisoners.engine import (
-    THEOREM_KEYS, VARIANTS, _score_cycle, _walk_order, evaluate_release,
-    get_variant, run_prisoner, simulate, verify_theorem,
+    VARIANTS, _score_cycle, evaluate_release, get_variant, run_prisoner,
+    simulate,
 )
 from prisoners.errors import DomainError, UsageError
 from prisoners.numeric import ONE, ZERO, rat, rat_str
 from prisoners.permutations import Cycle, CyclePlan, conjugate_plan, random_plan
+from prisoners.registry import THEOREM_KEYS, verify_theorem
 from prisoners.sequences import (
     CustomModel, FnAllocation, PermutedModel, Relabeling, ScaledModel,
     TableAllocation, ZeroTail, builtin_model,
@@ -148,7 +152,7 @@ def _range_cycles():
        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 200)),
                 min_size=90, max_size=90))
 def test_cycle_scoring_matches_the_walk_exactly(model, cycle, kinds):
-    members = _walk_order(cycle, cycle.min_member)
+    members = cycle.rotation_from(cycle.min_member)
     amounts = {}
     for i, n in enumerate(members):
         rotation = members[i:] + members[:i]
@@ -539,11 +543,23 @@ def test_scaling_prices_and_amounts_changes_nothing():
 # ---------------------------------------------------------------------------
 # the registry
 
+# SHA-256 of the `prisoners verify all` stdout, recorded from the code
+# before the registry left the engine module
+VERIFY_ALL_DIGEST = (
+    "f7eb2edb55b6fa92443c257a07f129067a3e62549fdddef407725b98f99e0663")
+
+
 def test_every_registry_key_verifies():
+    lines = []
     for key in THEOREM_KEYS:
         report = verify_theorem(key)
         assert report.passed, (key, report.witnesses)
         assert report.checks > 0 and report.key == key
+        # the line cli verify prints for a passing check
+        lines.append(f"PASS {key}: {report.details} "
+                     f"[checks={report.checks}]\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        VERIFY_ALL_DIGEST)
 
 
 def test_registry_accepts_parameter_overrides():
@@ -563,3 +579,92 @@ def test_unknown_registry_key():
     with pytest.raises(DomainError):
         verify_theorem("perpetual-motion")
     assert len(THEOREM_KEYS) == 18
+
+
+@pytest.mark.parametrize("key, params", [
+    ("tail-sum-strategy", {"plans": -5}),
+    ("bounded-length-v1a", {"plans": 0}),
+    ("two-cycle-v1b", {"pairs": 0}),
+    ("identity-minimality", {"m": 0}),
+    ("open-boxes-v1c", {"k": 0}),
+    ("bounded-diameter-v1b", {"d": 0}),
+    ("good-index-adversary", {"cycles": 0}),
+    ("v2b-no-strategy", {"blocks": 0}),
+    ("tail-sum-strategy", {"max_len": 0}),
+    ("v1d-bounded", {"horizon": 0}),
+])
+def test_registry_counts_below_one_are_domain_errors(key, params):
+    # a check that ran no plan would otherwise report a vacuous pass
+    with pytest.raises(DomainError, match="at least 1"):
+        verify_theorem(key, params=params)
+
+
+@pytest.mark.parametrize("name", [
+    "scaled:abc", "scaled:1/0", "shifted-harmonic:x", "shifted-harmonic:",
+    "constant1:3", "flat",
+])
+def test_registry_rejects_unparsable_allocation_names(name):
+    with pytest.raises(DomainError, match="fixed-price allocation"):
+        verify_theorem("v2b-no-strategy", params={"allocs": (name,)})
+
+
+def test_registry_passes_on_the_builders_own_domain_errors():
+    with pytest.raises(DomainError, match="k >= 1"):
+        verify_theorem("v2b-no-strategy",
+                       params={"allocs": ("shifted-harmonic:-3",)})
+
+
+def test_registry_keeps_the_log_shift_domain():
+    # K is the log-shift builder's target, not a count: K = 0 is allowed
+    defaults = {"plans": 30, "K": 2}
+    assert registry._merge(defaults, {"K": 0}) == {"plans": 30, "K": 0}
+
+
+def test_a_check_that_checked_nothing_has_not_passed():
+    assert verify_theorem("scaled-gap", params={"cases": ()}).checks == 0
+    assert not verify_theorem("scaled-gap", params={"cases": ()}).passed
+    assert not verify_theorem("v2b-no-strategy",
+                              params={"allocs": ()}).passed
+    # a window with no cycle past the cutoff claims nobody: Inconclusive
+    for key in ("tail-sum-strategy", "rearranged-strategy"):
+        report = verify_theorem(key, params={"horizon": 2, "plans": 3})
+        assert not report.passed
+        assert report.witnesses == ("plan 0: Inconclusive",
+                                    "plan 1: Inconclusive",
+                                    "plan 2: Inconclusive")
+
+
+# ---------------------------------------------------------------------------
+# the simulation core's imports
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "prisoners"
+# the only names the core takes from each sibling module; None means any
+ENGINE_IMPORTS = {
+    "adversaries": {"AdversaryClaim", "ALL_MEMBERS_FAIL", "ANCHOR_FAILS",
+                    "FAILURE_IN_EVERY_CYCLE", "NO_SUCCESS_AFTER_FIRST"},
+    "strategies": {"StrategyDescriptor", "relabeling_from_pairs"},
+    "errors": None, "numeric": None, "permutations": None,
+    "sequences": None,
+}
+
+
+def test_engine_imports_no_registry_analyzer_or_builder_code():
+    tree = ast.parse((SRC / "engine.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+            assert not any(n.startswith("prisoners") for n in names), names
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("prisoners")):
+            module = (node.module or "").rpartition(".")[2]
+            assert module in ENGINE_IMPORTS, module
+            allowed = ENGINE_IMPORTS[module]
+            names = {alias.name for alias in node.names}
+            assert allowed is None or names <= allowed, (module, names)
+
+
+def test_no_module_names_another_rational_backend():
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "gmpy2" not in text, path.name
+        assert "PRISONERS_RATIONAL_BACKEND" not in text, path.name

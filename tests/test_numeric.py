@@ -6,6 +6,7 @@ Fraction loops) and frozen as literals where small.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,8 @@ def as_fraction(q) -> Fraction:
 
 
 def test_backend_identified():
-    assert BACKEND in ("gmpy2", "fraction")
+    assert BACKEND == "fraction"
+    assert Rat is Fraction
 
 
 def test_rat_construction_and_strings():
@@ -247,3 +249,42 @@ def test_harmonic_ln_bounds_against_exact_sums():
 def test_harmonic_range_lower_ln_is_sound(a, span):
     b = a + span
     assert harmonic_range_lower_ln(a, b) < harmonic_sum(a, b)
+
+
+# ---------------------------------------------------------------------------
+# logarithm brackets against a 200-digit oracle
+
+def _mp_ln():
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 200
+
+    def exact(q):
+        return ctx.mpf(q.numerator) / q.denominator
+
+    return ctx, exact
+
+
+def test_ln2_constants_bracket_ln2_at_200_digits():
+    ctx, exact = _mp_ln()
+    ln2 = ctx.log(2)
+    assert exact(LN2_LO) < ln2 < exact(LN2_HI)
+
+
+def test_ln_bounds_bracket_ln_at_200_digits():
+    ctx, exact = _mp_ln()
+    rng = random.Random("ln-oracle")
+    # small n; powers of two; odd neighbours of large powers, whose top
+    # mantissa bits are all ones (the rounded-up mantissa overflows); and
+    # random n up to 2^300, past the 48-bit mantissa shift
+    ns = list(range(1, 201))
+    ns += [1 << e for e in range(1, 301, 7)]
+    ns += [(1 << e) + d for e in (49, 50, 64, 200, 300) for d in (-1, 1)]
+    ns += [rng.randrange(1, 1 << rng.randrange(1, 301)) for _ in range(200)]
+    for n in ns:
+        lo, hi = ln_bounds(n)
+        ln = ctx.log(n)
+        if n == 1:
+            assert lo == hi == ZERO
+        else:
+            assert exact(lo) < ln < exact(hi), n

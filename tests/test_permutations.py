@@ -22,6 +22,22 @@ def test_cycle_successor_follows_member_order():
     assert list(c.rotation_from(5)) == [5, 4, 3]
 
 
+@pytest.mark.parametrize("cycle", [
+    Cycle((3, 5, 4)), Cycle((7,)), Cycle.of_range(4, 9),
+    Cycle.of_range(10, 90),
+], ids=["explicit", "fixed-point", "short-range", "range"])
+def test_rotation_matches_the_successor_walk(cycle):
+    members = cycle.members or range(cycle.start, cycle.end + 1)
+    for n in members:
+        walk = [n]
+        while cycle.successor(walk[-1]) != n:
+            walk.append(cycle.successor(walk[-1]))
+        assert cycle.rotation_from(n) == tuple(walk)
+    for outsider in (cycle.start - 1, cycle.end + 1):
+        with pytest.raises(PlanViolationError):
+            cycle.rotation_from(outsider)
+
+
 def test_cycle_rejects_bad_members():
     with pytest.raises(PlanViolationError):
         Cycle(())
