@@ -16,23 +16,21 @@ from typing import Callable, Iterator, Optional
 from .errors import (
     CapabilityError, DomainError, HorizonExhaustedError, PlanViolationError)
 from .numeric import (
-    Cmp, LN2_HI, LN2_LO, ONE, Rat, ZERO, ln_bounds, rat, rat_ceil, rat_floor,
-    rat_str, require_certified)
+    Cmp, LN2_HI, LN2_LO, ONE, Rat, ZERO, least_index, ln_bounds, rat,
+    rat_ceil, rat_floor, rat_str, require_certified)
 from .permutations import Cycle, CyclePlan
 from .sequences import (
-    AllocationPlan, BracketedTotal, ExactTotal, HarmonicModel,
-    NonIncreasingBeyond, PriceModel, Relabeling, WeightedCert, ZeroBeyond)
+    HARMONIC, AllocationPlan, BracketedTotal, ExactTotal, NonIncreasingBeyond,
+    PriceModel, Relabeling, WeightedCert, ZeroBeyond)
 
 __all__ = [
-    "ALL_MEMBERS_FAIL", "ANCHOR_FAILS", "AdversaryClaim", "AdversaryState",
+    "ALL_MEMBERS_FAIL", "ANCHOR_FAILS", "AdversaryClaim",
     "CertifiedBlock", "FAILURE_IN_EVERY_CYCLE", "GoodIndexPlan", "GuardPlan",
     "HarmonicBlockPlan", "NO_SUCCESS_AFTER_FIRST",
     "divergence_witness", "good_index_adversary", "scaled_harmonic_gap",
     "two_cycle_adversary", "v1b_ceiling_adversary", "v1d_cycle_chooser",
     "v2a_block_adversary", "v2b_block_adversary",
 ]
-
-_H = HarmonicModel()
 
 _DEFAULT_HORIZON = 1_000_000
 # largest index up to which harmonic block prices are summed exactly
@@ -56,24 +54,6 @@ class AdversaryClaim:
     kind: str
     detail: str = ""
     params: dict = field(default_factory=dict)
-
-
-@dataclass
-class AdversaryState:
-    """Mutable bookkeeping shared by an adversary and its cycle stream.
-
-    Consecutive streams record their coverage in `covered`; streams whose
-    cycles scatter across the index line keep the explicit consumed set,
-    which always equals the union of the cycles emitted so far.
-    """
-
-    adversary: str
-    covered: int = 0
-    consumed: Optional[set] = None
-
-    def consume(self, members) -> None:
-        if self.consumed is not None:
-            self.consumed.update(members)
 
 
 @dataclass(frozen=True)
@@ -119,20 +99,17 @@ class GuardPlan(CyclePlan):
     """A guard's lazy cycle stream together with the claim it certifies.
 
     stream(plan) returns the cycle generator.  As it runs it appends one
-    witness entry per cycle or note to plan.witness_log, advances
-    plan.state, and sets plan.covered_bound when the stream stops short of
-    the identity.
+    witness entry per cycle or note to plan.witness_log and sets
+    plan.covered_bound when the stream stops short of the identity.
     """
 
     def __init__(self, name: str, claim: AdversaryClaim,
-                 stream: Callable[["GuardPlan"], Iterator[Cycle]],
-                 state: AdversaryState):
+                 stream: Callable[["GuardPlan"], Iterator[Cycle]]):
         # the stream sees the plan through a weak proxy: a plan it held
         # strongly would form a cycle with its own generator and outlive
         # its last use, witness log included, until the cyclic collector ran
         super().__init__(name=name, source=stream(weakref.proxy(self)))
         self.claim = claim
-        self.state = state
 
 
 def _int_label(n) -> str:
@@ -281,28 +258,14 @@ class _DescendingMerge:
         """First zero of a nonincreasing tail without a positivity
         certificate; everything from it on is zero, so fills take over."""
         base = structure.index
-        if alloc.amount(base) == ZERO:
-            return base - 1, True
-        span = 1
-        last_positive = base
-        while True:
-            if span > _DEFAULT_HORIZON:
-                raise CapabilityError(
-                    f"{alloc.name}: a nonincreasing tail with no "
-                    "positivity certificate must vanish within the scan "
-                    "horizon for the zero fill to be exact")
-            probe = base + span
-            if alloc.amount(probe) == ZERO:
-                lo, hi = last_positive, probe
-                while lo + 1 < hi:
-                    mid = (lo + hi) // 2
-                    if alloc.amount(mid) == ZERO:
-                        hi = mid
-                    else:
-                        lo = mid
-                return hi - 1, True
-            last_positive = probe
-            span *= 2
+        zero = least_index(lambda n: alloc.amount(n) == ZERO, base,
+                           base + _DEFAULT_HORIZON)
+        if zero is None:
+            raise CapabilityError(
+                f"{alloc.name}: a nonincreasing tail with no "
+                "positivity certificate must vanish within the scan "
+                "horizon for the zero fill to be exact")
+        return zero - 1, True
 
     def enriched(self, index: int) -> Rat:
         """The amount at an original index after zero filling."""
@@ -347,8 +310,7 @@ class GoodIndexPlan(GuardPlan):
 
     def __init__(self, merge: _DescendingMerge, claim: AdversaryClaim,
                  stream: Callable[[GuardPlan], Iterator[Cycle]]):
-        super().__init__("good-index", claim, stream,
-                         AdversaryState("good-index", consumed=set()))
+        super().__init__("good-index", claim, stream)
         self._merge = merge
         self.enrichment_added = merge.added
 
@@ -461,8 +423,6 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
                 "bundled_bad_prefix": anchor - start,
                 "inequality": f"{_rat_label(cum)} > {_rat_label(target)}",
             })
-            plan.state.consume(members)
-            plan.state.covered = end
             yield Cycle(members)
             start = end + 1
             anchor = end + 1
@@ -488,6 +448,8 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
     singletons.  When the next leader index stops being representable the
     stream truncates and says so.
     """
+    if leader_cap < 1:
+        raise DomainError("leader_cap must be at least 1")
     bound = _total_upper(alloc)
 
     def stream(plan: GuardPlan) -> Iterator[Cycle]:
@@ -500,7 +462,7 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
                             "representable cap",
                     "next_leader_bits": leader.bit_length(),
                 })
-                plan.covered_bound = plan.state.covered
+                plan.covered_bound = leader - 1
                 return
             price = model.term(leader)
             if price == ZERO:
@@ -512,7 +474,6 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
                 cycle_no += 1
                 plan.witness_log.append({"cycle": cycle_no, "leader": leader,
                                          "skipped": True, "note": "free box"})
-                plan.state.covered = leader
                 yield Cycle((leader,))
                 leader += 1
                 continue
@@ -529,7 +490,6 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
                 "inequality": f"{_int_label(size)} * {_rat_label(price)} > "
                               f"{_rat_label(bound)}",
             })
-            plan.state.covered = end
             yield Cycle.of_range(leader, end)
             leader = end + 1
 
@@ -538,7 +498,7 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
         detail="in every unskipped block, some member's amount is below "
                "the leader price and so below the block price",
         params={"total_bound": bound}),
-        stream, AdversaryState("ceiling-blocks"))
+        stream)
 
 
 def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
@@ -551,7 +511,7 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
     cannot pay even the leader's box, let alone the pair.
     """
     def stream(plan: GuardPlan) -> Iterator[Cycle]:
-        consumed = plan.state.consumed
+        consumed: set = set()
         cycle_no = 0
         floor_index = 1
         while True:
@@ -596,7 +556,7 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
         "two-cycles", FAILURE_IN_EVERY_CYCLE,
         detail="the partner in every unskipped pair cannot pay the "
                "leader's box price"),
-        stream, AdversaryState("two-cycles", consumed=set()))
+        stream)
 
 
 def v1d_cycle_chooser(model: PriceModel, total=ONE,
@@ -610,6 +570,8 @@ def v1d_cycle_chooser(model: PriceModel, total=ONE,
     every allocation bounded by the given total, which is why it needs no
     look at the amounts.
     """
+    if leader_cap < 1:
+        raise DomainError("leader_cap must be at least 1")
     bound = Rat(total)
     if bound < ZERO:
         raise DomainError("the total bound cannot be negative")
@@ -663,7 +625,6 @@ def v1d_cycle_chooser(model: PriceModel, total=ONE,
                               f"{_rat_label(best_price)} > "
                               f"{_rat_label(bound)}",
             })
-            plan.state.covered = end
             yield Cycle.of_range(start, end)
             covered = end
 
@@ -673,7 +634,7 @@ def v1d_cycle_chooser(model: PriceModel, total=ONE,
                "the total, so against any allocation within the total "
                "some member cannot pay",
         params={"total_bound": bound}),
-        stream, AdversaryState("pigeonhole-blocks"))
+        stream)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +649,7 @@ def _least_block_end(anchor: int, target_fn, end_cap: int):
     step = 64
     while cursor < end_cap:
         upto = min(cursor + step, end_cap)
-        chunk = _H.range_sum(cursor + 1, upto)
+        chunk = HARMONIC.range_sum(cursor + 1, upto)
         if cum + chunk > target_fn(upto):
             # base is the price of [anchor, lo - 1] and found that of
             # [anchor, hi], so each probe sums only the terms past lo
@@ -696,7 +657,7 @@ def _least_block_end(anchor: int, target_fn, end_cap: int):
             base, found = cum, cum + chunk
             while lo < hi:
                 mid = (lo + hi) // 2
-                price = base + _H.range_sum(lo, mid)
+                price = base + HARMONIC.range_sum(lo, mid)
                 if price > target_fn(mid):
                     hi, found = mid, price
                 else:
@@ -723,8 +684,7 @@ class HarmonicBlockPlan(GuardPlan):
                  claim: AdversaryClaim, exact_end_cap: int,
                  exponent_cap: int):
         super().__init__(claim.adversary, claim,
-                         HarmonicBlockPlan._exact_stream,
-                         AdversaryState(claim.adversary))
+                         HarmonicBlockPlan._exact_stream)
         self.alloc = alloc
         self.per_member = per_member
         self.exact_end_cap = exact_end_cap
@@ -769,7 +729,6 @@ class HarmonicBlockPlan(GuardPlan):
                 "inequality": f"{_rat_label(price)} > "
                               f"{_rat_label(amount_bound)}",
             })
-            self.state.covered = end
             self.anchor = end + 1
             yield Cycle.of_range(anchor, end)
 
@@ -825,20 +784,11 @@ class HarmonicBlockPlan(GuardPlan):
         def beats(exp: int) -> bool:
             return exp * LN2_LO - ln_start_hi > amount_bound(exp)
 
-        exp = floor_exp
-        while not beats(exp):
-            exp *= 2
-            if exp > self.exponent_cap:
-                raise HorizonExhaustedError(
-                    f"{alloc.name}: no power-of-two block end is "
-                    "certifiable; the amounts keep pace with the price sums")
-        lo, hi = floor_exp, exp
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if beats(mid):
-                hi = mid
-            else:
-                lo = mid + 1
+        lo = least_index(beats, floor_exp, self.exponent_cap)
+        if lo is None:
+            raise HorizonExhaustedError(
+                f"{alloc.name}: no power-of-two block end is "
+                "certifiable; the amounts keep pace with the price sums")
         block = CertifiedBlock(
             end_exponent=lo,
             price_lower=lo * LN2_LO - ln_start_hi,
@@ -889,23 +839,12 @@ def scaled_harmonic_gap(k: int, c) -> int:
     """Smallest n >= k with harmonic_sum(k, n) > c * H_n, for 0 < c < 1.
 
     Exists because the head H_{k-1} is a vanishing share of H_n; found by
-    doubling and bisection over exact harmonic prefixes.
+    a least-index search over exact harmonic prefixes.
     """
     if k < 1:
         raise DomainError("k must be at least 1")
     c = Rat(c)
     if not ZERO < c < ONE:
         raise DomainError("the scale must lie strictly between 0 and 1")
-    goal = _H.prefix_sum(k - 1) / (ONE - c)
-    if _H.prefix_sum(k) > goal:
-        return k
-    lo, hi = k, 2 * k
-    while _H.prefix_sum(hi) <= goal:
-        lo, hi = hi, 2 * hi
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _H.prefix_sum(mid) > goal:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    goal = HARMONIC.prefix_sum(k - 1) / (ONE - c)
+    return least_index(lambda n: HARMONIC.prefix_sum(n) > goal, k)

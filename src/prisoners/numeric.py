@@ -18,7 +18,7 @@ __all__ = [
     "BACKEND", "Rat", "ZERO", "ONE", "rat", "parse_rat", "rat_str",
     "rat_ceil", "rat_floor", "harmonic_sum", "power_sum", "geometric_sum",
     "geometric_tail", "RatInterval", "power_tail_bounds", "Cmp",
-    "compare_certified", "PrefixSums", "LN2_LO", "LN2_HI", "ln_bounds",
+    "compare_certified", "least_index", "LN2_LO", "LN2_HI", "ln_bounds",
     "harmonic_upper_ln", "harmonic_range_lower_ln",
 ]
 
@@ -62,6 +62,38 @@ def rat_ceil(value) -> int:
 def rat_floor(value) -> int:
     q = Rat(value)
     return q.numerator // q.denominator
+
+
+def least_index(pred: Callable[[int], bool], lo: int,
+                cap: Optional[int] = None) -> Optional[int]:
+    """Least n in [lo, cap] with pred(n), or None when there is none.
+
+    pred must be monotone: false up to some index and true from it on.
+    Probes lo, lo + 1, lo + 3, lo + 7, ... (then cap itself) and bisects
+    the last gap, so a far answer costs about twice its bit length in
+    probes.  With no cap the search only ends once pred holds.
+    """
+    if cap is not None and cap < lo:
+        return None
+    below = lo - 1  # pred is false here, or it lies before lo
+    span = 1
+    while True:
+        probe = lo + span - 1
+        if cap is not None and probe >= cap:
+            probe = cap
+        if pred(probe):
+            break
+        if probe == cap:
+            return None
+        below = probe
+        span *= 2
+    while below + 1 < probe:
+        mid = (below + probe) // 2
+        if pred(mid):
+            probe = mid
+        else:
+            below = mid
+    return probe
 
 
 def _check_range(a: int, b: int) -> None:
@@ -193,19 +225,9 @@ def power_tail_bounds(exponent: int, n: int, width) -> RatInterval:
         raise DomainError("width must be positive")
     goal = goal / 2
 
-    lo_m, hi_m = n, n
-    while _power_tail_width(exponent, hi_m) > goal:
-        lo_m = hi_m + 1
-        hi_m *= 2
-    while lo_m < hi_m:
-        mid = (lo_m + hi_m) // 2
-        if _power_tail_width(exponent, mid) <= goal:
-            hi_m = mid
-        else:
-            lo_m = mid + 1
-    m = lo_m
+    m = least_index(lambda i: _power_tail_width(exponent, i) <= goal, n)
 
-    prefix = power_sum(exponent, n, m) if m >= n else ZERO
+    prefix = power_sum(exponent, n, m)
     e1 = exponent - 1
     lo = prefix + Rat(1, e1 * (m + 1) ** e1)
     hi = prefix + Rat(1, e1 * m ** e1)
@@ -265,30 +287,6 @@ def require_certified(value, target, max_refinements: int = 64) -> Cmp:
             f"could not separate interval from {rat_str(target)} "
             f"within {max_refinements} refinements")
     return verdict
-
-
-class PrefixSums:
-    """Growable cache of exact prefix sums S(n) = term(1) + ... + term(n).
-
-    Suited to sequences whose partial sums stay small enough to keep in a
-    list; heavy ranges should go through power_sum/harmonic_sum instead.
-    """
-
-    def __init__(self, term: Callable[[int], "Rat"]):
-        self._term = term
-        self._sums = [ZERO]
-
-    def prefix(self, n: int) -> Rat:
-        if n < 0:
-            raise DomainError("prefix length must be >= 0")
-        sums = self._sums
-        while len(sums) <= n:
-            sums.append(sums[-1] + Rat(self._term(len(sums))))
-        return sums[n]
-
-    def range_sum(self, a: int, b: int) -> Rat:
-        _check_range(a, b)
-        return self.prefix(b) - self.prefix(a - 1)
 
 
 def _atanh_series_bounds(z: Rat, terms: int) -> tuple[Rat, Rat]:

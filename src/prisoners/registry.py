@@ -27,9 +27,10 @@ from .errors import DomainError
 from .numeric import ONE, Rat, ZERO, rat, rat_str
 from .permutations import random_bounded_diameter_plan, random_plan
 from .sequences import (
-    AllocationPlan, BlackBoxModel, CustomModel, GeometricTail, PermutedModel,
-    TableAllocation, ZeroTail, builtin_model, descending_rearrangement,
-    omit_zeros, quasi_descending_rearrangement, weighted_partial_sum,
+    HARMONIC, AllocationPlan, BlackBoxModel, CustomModel, GeometricTail,
+    PermutedModel, TableAllocation, ZeroTail, builtin_model,
+    descending_rearrangement, omit_zeros, quasi_descending_rearrangement,
+    weighted_partial_sum,
 )
 from .strategies import (
     build_baseline_geometric, build_bounded_diameter_strategy,
@@ -51,7 +52,6 @@ class VerificationReport:
 
 GEO_HALF = builtin_model("geometric", ratio=rat(1, 2))
 INVSQ = builtin_model("inverse-square")
-HARMONIC = builtin_model("harmonic")
 
 
 _PARAM_KINDS = {int: "an integer", tuple: "a tuple", Rat: "a rational"}

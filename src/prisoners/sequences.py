@@ -17,16 +17,16 @@ from .errors import (
     CapabilityError, DomainError, PlanViolationError,
 )
 from .numeric import (
-    ONE, PrefixSums, Rat, RatInterval, ZERO, geometric_sum, geometric_tail,
-    harmonic_sum, power_sum, power_tail_bounds, rat, rat_str,
+    ONE, Rat, RatInterval, ZERO, geometric_sum, geometric_tail,
+    harmonic_sum, least_index, power_sum, power_tail_bounds, rat, rat_str,
 )
 
 __all__ = [
     "ExactTotal", "BracketedTotal", "DivergentTotal", "UnknownTotal",
     "WeightedCert", "ZeroTail", "GeometricTail", "InversePowerTail",
     "PriceModel", "GeometricModel", "InverseSquareModel", "HarmonicModel",
-    "CustomModel", "BlackBoxModel", "ScaledModel", "PermutedModel",
-    "builtin_model", "load_model", "dump_model",
+    "HARMONIC", "CustomModel", "BlackBoxModel", "ScaledModel",
+    "PermutedModel", "builtin_model", "load_model", "dump_model",
     "ZeroBeyond", "NonIncreasingBeyond", "Unstructured", "AllocationPlan",
     "TableAllocation", "FnAllocation", "load_allocation", "dump_allocation",
     "Relabeling", "descending_rearrangement",
@@ -288,7 +288,7 @@ class HarmonicModel(PriceModel):
     _PREFIX_LIST_CAP = 5000
 
     def __init__(self):
-        self._prefix = PrefixSums(lambda i: Rat(1, i))
+        self._prefix = [ZERO]  # H_0, H_1, ... up to the largest asked for
         self._big_prefix: dict[int, Rat] = {}
 
     def term(self, n: int) -> Rat:
@@ -307,8 +307,10 @@ class HarmonicModel(PriceModel):
     def range_sum(self, a: int, b: int) -> Rat:
         if b - a > 20_000_000:
             raise CapabilityError("harmonic range too large for exact sum")
-        if b <= self._PREFIX_LIST_CAP:
-            return self._prefix.range_sum(a, b)
+        if (isinstance(a, int) and isinstance(b, int)
+                and 1 <= a <= b <= self._PREFIX_LIST_CAP):
+            return self.prefix_sum(b) - self.prefix_sum(a - 1)
+        # harmonic_sum raises the range errors
         return harmonic_sum(a, b)
 
     def prefix_sum(self, n: int) -> Rat:
@@ -317,7 +319,10 @@ class HarmonicModel(PriceModel):
         if n > 20_000_000:
             raise CapabilityError("harmonic prefix too large for exact sum")
         if n <= self._PREFIX_LIST_CAP:
-            return self._prefix.prefix(n)
+            sums = self._prefix
+            while len(sums) <= n:
+                sums.append(sums[-1] + Rat(1, len(sums)))
+            return sums[n]
         cached = self._big_prefix.get(n)
         if cached is None:
             cached = harmonic_sum(1, n)
@@ -330,6 +335,10 @@ class HarmonicModel(PriceModel):
         while True:
             yield n
             n += 1
+
+
+# the one harmonic model: every caller shares its table of exact prefixes
+HARMONIC = HarmonicModel()
 
 
 class CustomModel(PriceModel):
@@ -624,7 +633,7 @@ def builtin_model(kind: str, **params) -> PriceModel:
     if kind == "inverse-square":
         return InverseSquareModel()
     if kind == "harmonic":
-        return HarmonicModel()
+        return HARMONIC
     raise DomainError(f"unknown builtin model {kind!r}")
 
 
@@ -919,14 +928,8 @@ class Relabeling:
     @staticmethod
     def _kth_free(k: int, used: list[int]) -> int:
         # smallest x with x - (number of used values <= x) == k
-        lo, hi = k, k + len(used)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid - bisect.bisect_right(used, mid) >= k:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return least_index(lambda x: x - bisect.bisect_right(used, x) >= k,
+                           k, k + len(used))
 
     def __call__(self, n: int) -> int:
         if n < 1:

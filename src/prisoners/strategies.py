@@ -12,14 +12,14 @@ from typing import Optional
 
 from .errors import CapabilityError, DomainError, PlanViolationError
 from .numeric import (
-    Cmp, LN2_HI, ONE, Rat, RatInterval, ZERO, ln_bounds, rat, rat_str,
-    require_certified,
+    Cmp, LN2_HI, ONE, Rat, RatInterval, ZERO, least_index, ln_bounds, rat,
+    rat_str, require_certified,
 )
 from .sequences import (
-    AllocationPlan, BracketedTotal, CustomModel, DivergentTotal, ExactTotal,
-    FnAllocation, GeometricModel, GeometricTail, HarmonicModel,
-    InversePowerTail, NonIncreasingBeyond, PriceModel, Relabeling,
-    UnknownTotal, ZeroBeyond, ZeroTail,
+    HARMONIC, AllocationPlan, BracketedTotal, CustomModel, DivergentTotal,
+    ExactTotal, FnAllocation, GeometricModel, GeometricTail, InversePowerTail,
+    NonIncreasingBeyond, PriceModel, Relabeling, UnknownTotal, ZeroBeyond,
+    ZeroTail,
 )
 
 __all__ = [
@@ -372,15 +372,6 @@ def build_cycle_informed_strategy(model: PriceModel, plan, k: int,
 # ---------------------------------------------------------------------------
 # fixed-price builders (prices 1/n, only the amounts vary)
 
-_SHARED_HARMONIC = HarmonicModel()
-
-
-def _hsum(n: int) -> Rat:
-    if n < 1:
-        return ZERO
-    return _SHARED_HARMONIC.prefix_sum(n)
-
-
 def _log_shift_cutoff(K: Rat) -> tuple[int, bool]:
     """Least k with 1 + ... + 1/(k+1) certified >= K + 1.
 
@@ -389,29 +380,14 @@ def _log_shift_cutoff(K: Rat) -> tuple[int, bool]:
     undershoots the guarantee.
     """
     goal = K + 1
-    if _hsum(4096) >= goal:
-        lo, hi = 1, 4096
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _hsum(mid + 1) >= goal:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo, True
-    # prefix from 1..k+1 exceeds ln(k+2); find the least such k by bisection
-    k = 4096
-    while ln_bounds(k + 2)[0] < goal:
-        k *= 2
-        if k > 1 << 200:
-            raise CapabilityError("shift constant out of tractable range")
-    lo, hi = k // 2, k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ln_bounds(mid + 2)[0] >= goal:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, False
+    k = least_index(lambda k: HARMONIC.prefix_sum(k + 1) >= goal, 1, 4095)
+    if k is not None:
+        return k, True
+    # prefix from 1..k+1 exceeds ln(k+2); find the least such k
+    k = least_index(lambda k: ln_bounds(k + 2)[0] >= goal, 4096, 1 << 200)
+    if k is None:
+        raise CapabilityError("shift constant out of tractable range")
+    return k, False
 
 
 # the keywords each fixed-price kind takes, all of them required
@@ -446,9 +422,9 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
 
     if kind == "harmonic-prefix":
         return FnAllocation(
-            "v2-harmonic-prefix", _hsum,
+            "v2-harmonic-prefix", HARMONIC.prefix_sum,
             total_cert=DivergentTotal(),
-            max_in_range_fn=lambda a, b: _hsum(b),
+            max_in_range_fn=lambda a, b: HARMONIC.prefix_sum(b),
             descriptor=StrategyDescriptor("v2", {"kind": kind, "k": 1}),
             amount_upper_pow2=lambda E: ONE + E * LN2_HI)
 
@@ -472,10 +448,12 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
         def amount(n: int) -> Rat:
             # the exact start-of-window sum is only ever needed past k,
             # so a huge k stays constructible
-            return ZERO if n < k else _hsum(n) - _hsum(k - 1)
+            if n < k:
+                return ZERO
+            return HARMONIC.prefix_sum(n) - HARMONIC.prefix_sum(k - 1)
 
         if k - 1 <= 100_000:
-            base_floor = _hsum(k - 1)
+            base_floor = HARMONIC.prefix_sum(k - 1)
         else:
             # certified: 1 + ... + 1/(k-1) exceeds ln(k)
             base_floor = ln_bounds(k)[0]
@@ -496,12 +474,12 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
         raise DomainError("the scale factor must be nonnegative")
 
     def amount(n: int) -> Rat:
-        return c * _hsum(n)
+        return c * HARMONIC.prefix_sum(n)
 
     return FnAllocation(
         f"v2-scaled[{rat_str(c)}]", amount,
         total_cert=DivergentTotal() if c > ZERO else ExactTotal(ZERO),
-        max_in_range_fn=lambda a, b: c * _hsum(b),
+        max_in_range_fn=lambda a, b: c * HARMONIC.prefix_sum(b),
         descriptor=StrategyDescriptor(
             "v2", {"kind": kind, "c": rat_str(c)}),
         amount_upper_pow2=lambda E: c * (ONE + E * LN2_HI))

@@ -86,7 +86,7 @@ def test_good_index_singleton_first_cycle_on_halving_amounts():
     assert tuple(cycles[0].members) == (1,)
     assert plan.claim.kind == NO_SUCCESS_AFTER_FIRST
     assert plan.enrichment_added == ZERO  # no zeros to fill
-    assert validate_plan(plan, plan.state.covered) == []
+    assert validate_plan(plan, plan.pulled_bound) == []
 
 
 def test_good_index_zero_fill_single_zero_gets_whole_unit():
@@ -130,12 +130,14 @@ def test_good_index_every_later_cycle_defeats_enriched_amounts():
         for member in cycle.members:
             assert plan.enriched_amount(member) < price
         assert entry["price_from_anchor"] <= price
-    assert validate_plan(plan, plan.state.covered) == []
-    # consumed set equals the union of emitted cycles
+    assert validate_plan(plan, plan.pulled_bound) == []
+    # the cycles are disjoint and, in the identity order of halving
+    # amounts, cover every index up to the last one pulled
     union = set()
     for cycle in cycles:
         union.update(cycle.members)
-    assert plan.state.consumed == union
+    assert sum(cycle.length for cycle in cycles) == len(union)
+    assert union == set(range(1, plan.pulled_bound + 1))
 
 
 def test_good_index_reorders_amounts_descending():
@@ -149,6 +151,28 @@ def test_good_index_reorders_amounts_descending():
     assert order == [2, 4, 3, 1, 5, 6]
     values = [plan.enriched_amount(i) for i in order]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("first_zero", [1, 2, 3, 5, 64, 1000])
+def test_good_index_finds_where_an_uncertified_tail_vanishes(first_zero):
+    # amounts 1/n until first_zero, then 0; the tail is declared
+    # nonincreasing but not positive, so the zero fill starts exactly there
+    alloc = FnAllocation(
+        "vanishing", lambda n: rat(1, n) if n < first_zero else ZERO,
+        tail_structure=NonIncreasingBeyond(1))
+    plan = good_index_adversary(INV, alloc)
+    assert plan.enrichment_added == ONE
+    if first_zero > 1:
+        assert plan.enriched_amount(first_zero - 1) == rat(1, first_zero - 1)
+    assert plan.enriched_amount(first_zero) == rat(1, 2)
+    assert plan.enriched_amount(first_zero + 1) == rat(1, 4)
+
+
+def test_good_index_rejects_an_uncertified_tail_that_never_vanishes():
+    alloc = FnAllocation("positive", lambda n: rat(1, n),
+                         tail_structure=NonIncreasingBeyond(1))
+    with pytest.raises(CapabilityError, match="must vanish"):
+        good_index_adversary(INV, alloc)
 
 
 def test_good_index_requires_divergence_certificate():
@@ -230,7 +254,7 @@ def test_two_cycle_pairs_match_hand_computation():
         (1, 2), (3, 4), (5, 6), (7, 8)]
     for entry in plan.witness_log:
         assert entry["partner_amount"] < entry["leader_price"]
-    assert plan.state.consumed == set(range(1, 9))
+    assert set().union(*(c.members for c in cycles)) == set(range(1, 9))
     assert validate_plan(plan, 8) == []
 
 
@@ -494,7 +518,7 @@ def test_v2b_small_table_allocation_stays_exact_for_many_blocks():
     assert len(cycles) == 30
     for cycle, entry in zip(cycles, plan.witness_log):
         assert alloc.amount(cycle.min_member) < entry["price"]
-    assert validate_plan(plan, plan.state.covered) == []
+    assert validate_plan(plan, plan.pulled_bound) == []
 
 
 def test_certified_block_rejects_non_strict_inequality():

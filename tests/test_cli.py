@@ -1,4 +1,5 @@
 """End-to-end command runs: exit codes, file outputs, determinism."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from prisoners.cli import ScenarioConfig, main
+from prisoners.registry import THEOREM_KEYS
 
 SIM = ["simulate", "--variant", "V1a", "--model", "geometric",
        "--strategy", "baseline", "--plan", "random", "--horizon", "40"]
@@ -179,11 +181,22 @@ def test_verify_unknown_key_exits_two(capsys):
     capsys.readouterr()
 
 
+# SHA-256 of the `prisoners verify all` stdout, recorded from the code
+# before the registry left the engine module
+VERIFY_ALL_DIGEST = (
+    "f7eb2edb55b6fa92443c257a07f129067a3e62549fdddef407725b98f99e0663")
+
+
 def test_verify_all_runs_the_whole_registry(capsys):
+    # one run of all 18 checks: each passes with checks > 0, and the
+    # digest pins every line's details and check count
     assert run(["verify", "all"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 18
-    assert all(line.startswith("PASS ") for line in lines)
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert len(lines) == len(THEOREM_KEYS) == 18
+    assert [line.split(":", 1)[0] for line in lines] == [
+        f"PASS {key}" for key in THEOREM_KEYS]
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
 
 
 def test_verify_rejects_params_with_all(capsys):
@@ -274,9 +287,14 @@ def test_unknown_adversary_exits_two(capsys):
 @pytest.mark.parametrize("argv", [
     ["good-index", "--model", "inverse-square", "--cycles", "-1"],
     ["v2b-blocks", "--cycles", "0"],
-], ids=["negative-cycles", "zero-cycles"])
+    ["v1b-ceiling:leader_cap=0", "--model", "inverse-square"],
+    ["v1b-ceiling:leader_cap=-1", "--model", "inverse-square"],
+    ["v1d-chooser:leader_cap=0", "--model", "inverse-square"],
+], ids=["negative-cycles", "zero-cycles", "zero-leader-cap",
+        "negative-leader-cap", "zero-chooser-leader-cap"])
 def test_adversary_cycle_counts_below_one_exit_two(argv):
-    # an empty dump with exit 0 would read as a guard that emitted nothing
+    # an empty dump with exit 0 would read as a guard that emitted nothing,
+    # and so would a stream capped before its first leader
     proc = subprocess.run(
         [sys.executable, "-m", "prisoners.cli", "adversary"] + argv,
         capture_output=True, text=True)
@@ -364,7 +382,12 @@ def test_argparse_usage_error_exits_two():
      "--plan", "random:max_len=abc"],
     ["--variant", "V1c", "--model", "geometric", "--strategy", "baseline",
      "--plan", "random", "--entry-order", "1,2,x"],
-], ids=["zero-denominator", "unknown-keyword", "non-number", "entry-order"])
+    ["--variant", "V1b", "--model", "inverse-square", "--strategy",
+     "baseline", "--plan", "v1b-ceiling:leader_cap=0"],
+    ["--variant", "V1d", "--model", "inverse-square", "--strategy",
+     "baseline", "--plan", "v1d-chooser:leader_cap=0"],
+], ids=["zero-denominator", "unknown-keyword", "non-number", "entry-order",
+        "zero-leader-cap", "zero-chooser-leader-cap"])
 def test_bad_specs_are_usage_errors_without_traceback(flags):
     # scripts read exit 1 as "counterexample found", so a bad spec must
     # never escape as a traceback

@@ -668,3 +668,23 @@ def test_no_module_names_another_rational_backend():
         text = path.read_text()
         assert "gmpy2" not in text, path.name
         assert "PRISONERS_RATIONAL_BACKEND" not in text, path.name
+
+
+# names whose duplicates the shared harmonic table and least_index replaced
+RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
+                 "_hsum"}
+
+
+def test_src_builds_one_harmonic_model_and_no_retired_helpers():
+    constructions = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "HarmonicModel"):
+                constructions.append(path.name)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                assert node.name not in RETIRED_NAMES, (path.name, node.name)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id not in RETIRED_NAMES, (path.name, node.id)
+    assert constructions == ["sequences.py"]

@@ -10,16 +10,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prisoners.errors import DomainError, EmptyRangeError
 from prisoners.numeric import (
-    BACKEND, Cmp, LN2_HI, LN2_LO, ONE, PrefixSums, Rat, RatInterval, ZERO,
+    BACKEND, Cmp, LN2_HI, LN2_LO, ONE, Rat, RatInterval, ZERO,
     compare_certified, geometric_sum, geometric_tail, harmonic_range_lower_ln,
-    harmonic_sum, harmonic_upper_ln, ln_bounds, parse_rat, power_sum,
-    power_tail_bounds, rat, rat_ceil, rat_floor, rat_str,
+    harmonic_sum, harmonic_upper_ln, least_index, ln_bounds, parse_rat,
+    power_sum, power_tail_bounds, rat, rat_ceil, rat_floor, rat_str,
 )
+from prisoners.sequences import HARMONIC, HarmonicModel, builtin_model
 
 
 def oracle_power_sum(exponent: int, a: int, b: int) -> Fraction:
@@ -196,11 +197,64 @@ def test_interval_shift_and_scale_preserve_refinement():
     assert scaled.refine().width < scaled.width
 
 
-def test_prefix_sums_cache_matches_loop():
-    ps = PrefixSums(lambda i: rat(1, i * i))
-    assert as_fraction(ps.prefix(30)) == oracle_power_sum(2, 1, 30)
-    assert as_fraction(ps.range_sum(7, 30)) == oracle_power_sum(2, 7, 30)
-    assert ps.prefix(0) == ZERO
+def test_harmonic_model_matches_plain_fraction_sums():
+    # plain H_0 .. H_5001, across the cached list's cap of 5000
+    plain = [Fraction(0)]
+    for i in range(1, 5002):
+        plain.append(plain[-1] + Fraction(1, i))
+    model = HarmonicModel()
+    for n in (0, 30, 4999, 5000, 5001):
+        assert model.prefix_sum(n) == plain[n]
+    assert model.prefix_sum(-4) == ZERO
+    for a, b in ((1, 5001), (4990, 5001), (5000, 5001), (5001, 5001),
+                 (2, 5000), (4999, 5000), (17, 30)):
+        assert model.range_sum(a, b) == plain[b] - plain[a - 1]
+        assert HARMONIC.range_sum(a, b) == plain[b] - plain[a - 1]
+    # bad ranges raise the same errors below and above the list's cap
+    for a, b, error in ((0, 10, DomainError), (-3, 6000, DomainError),
+                        (Fraction(3), 10, DomainError),
+                        (10, 9, EmptyRangeError),
+                        (5000, 4999, EmptyRangeError),
+                        (6001, 6000, EmptyRangeError)):
+        with pytest.raises(error):
+            model.range_sum(a, b)
+    assert builtin_model("harmonic") is HARMONIC
+
+
+def _probed_least_index(threshold: int, lo: int, cap):
+    probes = []
+
+    def pred(n: int) -> bool:
+        probes.append(n)
+        return n >= threshold
+
+    return least_index(pred, lo, cap), probes
+
+
+@settings(max_examples=300)
+@given(st.integers(-50, 10 ** 6), st.integers(-1, 3000),
+       st.sampled_from(["lo", "inside", "cap", "above", "far-below"]),
+       st.integers(0, 3000), st.booleans())
+@example(lo=1, width=0, where="lo", offset=0, capped=True)
+@example(lo=5, width=-1, where="lo", offset=0, capped=True)
+@example(lo=7, width=1000, where="cap", offset=0, capped=True)
+@example(lo=7, width=1000, where="above", offset=0, capped=True)
+@example(lo=7, width=1000, where="inside", offset=513, capped=False)
+def test_least_index_matches_a_linear_scan(lo, width, where, offset, capped):
+    cap = lo + width
+    threshold = {"lo": lo, "inside": lo + offset % max(width + 1, 1),
+                 "cap": cap, "above": cap + 1 + offset,
+                 "far-below": lo - 1 - offset}[where]
+    if not capped:
+        cap = None
+    found, probes = _probed_least_index(threshold, lo, cap)
+    last = cap if cap is not None else max(lo, threshold)
+    expected = next((n for n in range(lo, last + 1) if n >= threshold), None)
+    assert found == expected
+    assert all(lo <= n and (cap is None or n <= cap) for n in probes)
+    # a doubling search and one bisection: logarithmic, never a scan
+    span = (last if found is None else found) - lo + 1
+    assert len(probes) <= 2 * span.bit_length() + 2
 
 
 def test_ln2_bounds_match_known_digits():
