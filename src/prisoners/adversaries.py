@@ -80,8 +80,8 @@ class CertifiedBlock:
         if not self.price_lower > self.amount_upper:
             raise PlanViolationError(
                 "certified block fails its own inequality: "
-                f"{rat_str(self.price_lower)} must exceed "
-                f"{rat_str(self.amount_upper)}")
+                f"{_rat_label(self.price_lower)} must exceed "
+                f"{_rat_label(self.amount_upper)}")
 
     @property
     def start_label(self) -> str:
@@ -91,8 +91,8 @@ class CertifiedBlock:
 
     def describe(self) -> str:
         return (f"block {self.start_label}..2^{self.end_exponent}: "
-                f"price > {rat_str(self.price_lower)} > "
-                f"{rat_str(self.amount_upper)} >= amounts")
+                f"price > {_rat_label(self.price_lower)} > "
+                f"{_rat_label(self.amount_upper)} >= amounts")
 
 
 class GuardPlan(CyclePlan):
@@ -643,9 +643,31 @@ def v1d_cycle_chooser(model: PriceModel, total=ONE,
 def _least_block_end(anchor: int, target_fn, end_cap: int):
     """Smallest end in [anchor, end_cap] whose harmonic price from the
     anchor strictly exceeds target_fn(end), or None when even end_cap
-    cannot (the caller then switches representation)."""
-    cum = ZERO
-    cursor = anchor - 1
+    cannot (the caller then switches representation).
+
+    Certified log bounds skip the ends they already rule out.  The price
+    H(anchor..e) grows with e and lies strictly below
+    ln_hi(e) - ln_lo(anchor - 1), since H(a..e) < ln(e / (a - 1)); for
+    anchor 1 the bound is ln_hi(e) + 1, since H_e <= 1 + ln e.  The target
+    never falls as e grows (a fixed amount, or the largest amount in
+    [anchor, e]), so target_fn(e) >= floor = target_fn(anchor).
+    least_index returns start only when the bound at start - 1 is at most
+    floor (or start == anchor), and None only when the bound at end_cap
+    is.  Either way every end up to that index has
+    price <= bound <= floor <= target, so no block ends there; the bound
+    itself need not be monotone.  One exact sum covers [anchor, start - 1]
+    and the chunked search below runs from start.  When the block
+    predicate is monotone in e (fixed targets and every built-in
+    allocation), the end found is the least one, whatever the chunking.
+    """
+    floor = target_fn(anchor)
+    ln_below = ln_bounds(anchor - 1)[0] if anchor > 1 else -ONE
+    start = least_index(lambda e: ln_bounds(e)[1] - ln_below > floor,
+                        anchor, end_cap)
+    if start is None:
+        return None
+    cum = HARMONIC.range_sum(anchor, start - 1) if start > anchor else ZERO
+    cursor = start - 1
     step = 64
     while cursor < end_cap:
         upto = min(cursor + step, end_cap)

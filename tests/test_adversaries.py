@@ -406,19 +406,74 @@ def flat_alloc(value):
 def test_least_block_end_matches_plain_bisection(builder, alloc):
     plan = builder(alloc)
     for anchor in (1, 2, 5, 63, 64, 65, 200, 700):
+        assert_block_end_matches_oracle(anchor, plan._target_for(anchor))
+
+
+def assert_block_end_matches_oracle(anchor, target_fn, cap=5000):
+    """Same (end, price) as plain_block_end, probing targets only at
+    candidate ends; returns the oracle's answer."""
+    probes = []
+    got = _least_block_end(
+        anchor, lambda end: probes.append(end) or target_fn(end), cap)
+    want = plain_block_end(anchor, target_fn, cap)
+    assert all(anchor <= end <= cap for end in probes)
+    if want is None:
+        assert got is None
+    else:
+        assert (got[0], as_fraction(got[1])) == want
+    return want
+
+
+_V2_ALLOCS = [
+    build_v2_strategy("constant1"), build_v2_strategy("harmonic-prefix"),
+    build_v2_strategy("scaled", c=rat(1, 3)),
+    build_v2_strategy("scaled", c=rat(1, 2)),
+    build_v2_strategy("scaled", c=rat(9, 10)),
+    build_v2_strategy("shifted-harmonic", k=3),
+    build_v2_strategy("shifted-harmonic", k=40),
+    build_v2_strategy("log-shift", K=1), build_v2_strategy("log-shift", K=2),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(anchor=st.integers(1, 3000), data=st.data())
+def test_least_block_end_matches_plain_search_on_random_targets(anchor,
+                                                                 data):
+    kind = data.draw(st.sampled_from(["fixed", "per-member", "never"]))
+    if kind == "per-member":
+        builder = data.draw(st.sampled_from([v2a_block_adversary,
+                                             v2b_block_adversary]))
+        plan = builder(data.draw(st.sampled_from(_V2_ALLOCS)))
         target_fn = plan._target_for(anchor)
-        got_probes, want_probes = [], []
+    elif kind == "fixed":
+        # from nothing to about the price of [1, 5000]
+        value = rat(data.draw(st.integers(0, 9000)),
+                    data.draw(st.integers(1, 1000)))
+        target_fn = lambda end: value
+    else:
+        # H_5000 < 9.1, so no block from any anchor closes by the cap
+        value = rat(91, 10) + rat(data.draw(st.integers(0, 100)), 7)
+        target_fn = lambda end: value
+    want = assert_block_end_matches_oracle(anchor, target_fn)
+    if kind == "never":
+        assert want is None
 
-        def recorded(probes):
-            return lambda end: probes.append(end) or target_fn(end)
 
-        got = _least_block_end(anchor, recorded(got_probes), 5000)
-        want = plain_block_end(anchor, recorded(want_probes), 5000)
-        assert got_probes == want_probes
-        if want is None:
-            assert got is None
-        else:
-            assert (got[0], as_fraction(got[1])) == want
+def test_block_search_proves_the_scaled_half_transition_without_sums(
+        monkeypatch):
+    # the v2a scaled-1/2 stream ends after anchor 2374: the log bound at
+    # the exact cap already stays below that anchor's amount
+    plan = v2a_block_adversary(build_v2_strategy("scaled", c=rat(1, 2)))
+    plan.materialize(4)
+    assert plan.anchor == 2374 and not plan.transitioned
+    sums = []
+    real = HarmonicModel.range_sum
+    monkeypatch.setattr(
+        HarmonicModel, "range_sum",
+        lambda self, a, b: sums.append((a, b)) or real(self, a, b))
+    assert len(plan.materialize(5)) == 4
+    assert plan.transitioned and plan.covered_bound == 2373
+    assert sums == []
 
 
 def test_v2a_constant_blocks_match_hand_computation():
@@ -527,6 +582,20 @@ def test_certified_block_rejects_non_strict_inequality():
                        start_index=3)
     with pytest.raises(DomainError):
         CertifiedBlock(end_exponent=4, price_lower=ONE, amount_upper=ZERO)
+
+
+def test_certified_block_labels_huge_bounds_by_size():
+    # the v2b scaled-1/2 stream ends at anchor 12989, whose exact amount is
+    # an 18768-bit rational: too long for str(), so it is labelled by size
+    plan = v2b_block_adversary(build_v2_strategy("scaled", c=rat(1, 2)))
+    block = plan.certified_blocks(1)[0]
+    assert block.start_index == 12989
+    assert block.describe().endswith(
+        "> <18768/18765-bit rational> >= amounts")
+    with pytest.raises(PlanViolationError,
+                       match="1 must exceed <18768/18765-bit rational>"):
+        CertifiedBlock(end_exponent=4, price_lower=ONE,
+                       amount_upper=block.amount_upper, start_index=3)
 
 
 # ---------------------------------------------------------------------------
