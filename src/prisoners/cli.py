@@ -235,7 +235,7 @@ def cmd_simulate(args) -> int:
         config = ScenarioConfig.load(args.config)
     else:
         if not (args.variant and args.model and args.strategy and args.plan
-                and args.horizon):
+                and args.horizon is not None):
             raise UsageError("simulate needs --variant, --model, "
                              "--strategy, --plan and --horizon "
                              "(or a --config file)")

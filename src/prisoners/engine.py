@@ -19,6 +19,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .adversaries import (
@@ -130,7 +131,7 @@ def run_prisoner(n: int, budget, plan: CyclePlan, model: PriceModel,
 
 
 def _score_cycle(members: tuple, alloc: AllocationPlan, model: PriceModel,
-                 outcomes: dict) -> None:
+                 outcomes: dict) -> tuple:
     """Score every member of one closed-box cycle, as run_prisoner would.
 
     members is the cycle in walk order.  Prices are nonnegative, so what a
@@ -138,34 +139,44 @@ def _score_cycle(members: tuple, alloc: AllocationPlan, model: PriceModel,
     exactly the largest j whose payment the amount covers.  The cyclic
     prefix sums are built once per cycle, as integers over the common
     denominator of the prices, and only once some member's amount covers
-    the box its walk starts at; each member then needs one bisection.
+    the box its walk starts at; from then on each member costs one floor
+    division, integer compares and at most one bisection.  Returns the
+    members whose price is the cycle's highest.
     """
     size = len(members)
     prices = [model.term(box) for box in members]
-    scale = sums = None
+    sums = None
     for i, n in enumerate(members):
         amount = alloc.amount(n)
-        if amount < ZERO:
+        num, den = amount.numerator, amount.denominator
+        if num < 0:
             raise DomainError("amounts cannot be negative")
-        if amount < prices[i]:
-            outcomes[n] = PrisonerOutcome(n, (), ZERO, False,
-                                          "BudgetExhausted")
-            continue
         if sums is None:
+            price = prices[i]
+            if num * price.denominator < price.numerator * den:
+                outcomes[n] = PrisonerOutcome(n, (), ZERO, False,
+                                              "BudgetExhausted")
+                continue
             scale = math.lcm(*(price.denominator for price in prices))
-            sums = [0]
-            for price in prices:
-                if price.numerator < 0:
-                    raise DomainError("prices must be nonnegative")
-                sums.append(sums[-1]
-                            + price.numerator * (scale // price.denominator))
-        total = sums[size]
+            units = [price.numerator * (scale // price.denominator)
+                     for price in prices]
+            if min(units) < 0:
+                raise DomainError("prices must be nonnegative")
+            sums = list(accumulate(units, initial=0))
+            total = sums[size]
+            whole = None  # Rat(total, scale), shared by every success
         # sums are whole multiples of 1/scale, so the walk can pay exactly
         # the payments of at most floor(amount * scale) such units
-        budget = amount.numerator * scale // amount.denominator
+        budget = num * scale // den
         if budget >= total:
+            if whole is None:
+                whole = Rat(total, scale)
             outcomes[n] = PrisonerOutcome(n, members[i:] + members[:i],
-                                          Rat(total, scale), True)
+                                          whole, True)
+            continue
+        if budget < units[i]:
+            outcomes[n] = PrisonerOutcome(n, (), ZERO, False,
+                                          "BudgetExhausted")
             continue
         # the walk has paid sums[k] - sums[i] on reaching position k before
         # it wraps, and total - sums[i] + sums[k] after
@@ -179,6 +190,13 @@ def _score_cycle(members: tuple, alloc: AllocationPlan, model: PriceModel,
             paid = total - sums[i] + sums[k]
         outcomes[n] = PrisonerOutcome(n, opened, Rat(paid, scale), False,
                                       "BudgetExhausted")
+    return _top_priced(members, prices if sums is None else units)
+
+
+def _top_priced(members: tuple, prices: list) -> tuple:
+    """The members whose price (in any one exact unit) is the highest."""
+    top = max(prices)
+    return tuple(m for m, price in zip(members, prices) if price == top)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +214,8 @@ class SimulationReport:
     witnesses: tuple
     cycles: tuple            # scored cycles, members in walk order
     not_simulated: tuple     # indices whose cycle leaves the window
+    top_priced: tuple        # per scored cycle, its members of top price
     claim: object = None
-    model: object = None
 
     def to_json(self) -> str:
         return json.dumps({
@@ -289,9 +307,12 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
         for n in order:
             outcomes[n] = run_prisoner(n, alloc.amount(n), plan, model,
                                        open_boxes)
+        top_priced = tuple(
+            _top_priced(members, [model.term(m) for m in members])
+            for members in cycles)
     else:
-        for members in cycles:
-            _score_cycle(members, alloc, model, outcomes)
+        top_priced = tuple(_score_cycle(members, alloc, model, outcomes)
+                           for members in cycles)
 
     ordered = tuple(outcomes[n] for n in scored)
     claim = plan.claim if plan.claim is not None else alloc.descriptor
@@ -300,7 +321,7 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
         success_count=sum(1 for o in ordered if o.success),
         verdict="Inconclusive", witnesses=(),
         cycles=cycles, not_simulated=tuple(not_simulated),
-        claim=claim, model=model)
+        top_priced=top_priced, claim=claim)
     release = evaluate_release(v, report, claim)
     report.verdict = release.verdict
     report.witnesses = release.witnesses
@@ -356,7 +377,7 @@ def _pattern_verdict(v: Variant, report, pattern: dict) -> ReleaseVerdict:
             (claimed if coord > threshold else exempt).add(o.prisoner)
     else:
         cutoff = pattern.get("cutoff") or 1
-        for members in report.cycles:
+        for members, top in zip(report.cycles, report.top_priced):
             least = min(members)
             if least < cutoff:
                 exempt.update(members)
@@ -367,10 +388,7 @@ def _pattern_verdict(v: Variant, report, pattern: dict) -> ReleaseVerdict:
             elif scope == "last-member":
                 claimed.add(max(members))
             elif scope == "max-price-member":
-                prices = [report.model.term(m) for m in members]
-                top = max(prices)
-                claimed.update(
-                    m for m, price in zip(members, prices) if price == top)
+                claimed.update(top)
             else:
                 raise DomainError(f"unknown claim scope {scope!r}")
     failures = [o.prisoner for o in report.outcomes if not o.success]

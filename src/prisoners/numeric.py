@@ -7,6 +7,7 @@ UndecidedComparisonError is raised.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -16,10 +17,10 @@ from .errors import DomainError, EmptyRangeError, UndecidedComparisonError
 
 __all__ = [
     "BACKEND", "Rat", "ZERO", "ONE", "rat", "parse_rat", "rat_str",
-    "rat_ceil", "rat_floor", "harmonic_sum", "power_sum", "geometric_sum",
-    "geometric_tail", "RatInterval", "power_tail_bounds", "Cmp",
-    "compare_certified", "least_index", "LN2_LO", "LN2_HI", "ln_bounds",
-    "harmonic_upper_ln", "harmonic_range_lower_ln",
+    "rat_sum", "rat_ceil", "rat_floor", "harmonic_sum", "power_sum",
+    "geometric_sum", "geometric_tail", "RatInterval", "power_tail_bounds",
+    "Cmp", "compare_certified", "least_index", "LN2_LO", "LN2_HI",
+    "ln_bounds", "harmonic_upper_ln", "harmonic_range_lower_ln",
 ]
 
 Rat = Fraction
@@ -50,8 +51,25 @@ def parse_rat(text: str) -> Rat:
 
 def rat_str(value) -> str:
     """Canonical "num/den" form in lowest terms, denominator always shown."""
-    q = Rat(value)
+    q = value if isinstance(value, Rat) else Rat(value)
     return f"{q.numerator}/{q.denominator}"
+
+
+def rat_sum(values) -> Rat:
+    """Exact sum of rationals and integers, reduced once at the end.
+
+    Numerators are added over a common denominator that grows to the lcm
+    of the denominators seen, so no partial sum pays for a gcd.
+    """
+    num, den = 0, 1
+    for value in values:
+        d = value.denominator
+        if den % d:
+            grown = den // math.gcd(den, d) * d
+            num *= grown // den
+            den = grown
+        num += value.numerator * (den // d)
+    return Rat(num, den)
 
 
 def rat_ceil(value) -> int:
@@ -289,30 +307,40 @@ def require_certified(value, target, max_refinements: int = 64) -> Cmp:
     return verdict
 
 
-def _atanh_series_bounds(z: Rat, terms: int) -> tuple[Rat, Rat]:
-    """Bounds for 2*atanh(z) = ln((1+z)/(1-z)), exact for 0 <= z < 1."""
-    partial = ZERO
-    zsq = z * z
-    power = z
+def _atanh_series_bounds(p: int, q: int, terms: int) -> tuple[Rat, Rat]:
+    """Bounds for 2*atanh(z) = ln((1+z)/(1-z)), exact for z = p/q in [0, 1).
+
+    The partial sum of 2*z**(2i+1)/(2i+1) over i < terms is added in
+    integers over L * q**(2*terms - 1), with L = lcm(1, 3, ..., 2*terms - 1),
+    and reduced once; the remaining terms are dominated by a geometric
+    series with ratio z**2.
+    """
+    top = 2 * terms - 1
+    odd_lcm = math.lcm(*range(1, top + 1, 2))
+    psq, qsq = p * p, q * q
+    acc = 0
+    p_pow, q_pow = p, q ** (top - 1)  # p**(2i+1) and q**(top - 2i - 1)
     for i in range(terms):
-        partial += power / (2 * i + 1)
-        power *= zsq
-    partial *= 2
-    # power is now z**(2*terms+1); remaining terms are dominated by a
-    # geometric series with ratio z**2.
-    tail = 2 * power / ((2 * terms + 1) * (ONE - zsq))
-    return partial, partial + tail
+        acc += p_pow * q_pow * (odd_lcm // (2 * i + 1))
+        p_pow *= psq
+        q_pow //= qsq
+    den = odd_lcm * q ** top
+    # p_pow is now p**(2*terms+1); the tail bound 2*z**(2*terms+1) /
+    # ((2*terms+1)*(1 - z**2)) is 2*p_pow*L / (den * width)
+    width = (top + 2) * (qsq - psq)
+    return (Rat(2 * acc, den),
+            Rat(2 * (acc * width + p_pow * odd_lcm), den * width))
 
 
-def _ln_bounds_mantissa(r: Rat, terms: int = 16) -> tuple[Rat, Rat]:
-    """Bounds for ln(r) with 1 <= r <= 2."""
-    if r == ONE:
+def _ln_bounds_mantissa(num: int, den: int,
+                        terms: int = 16) -> tuple[Rat, Rat]:
+    """Bounds for ln(num/den) with 1 <= num/den <= 2."""
+    if num == den:
         return ZERO, ZERO
-    z = (r - ONE) / (r + ONE)
-    return _atanh_series_bounds(z, terms)
+    return _atanh_series_bounds(num - den, num + den, terms)
 
 
-_LN2_BOUNDS = _atanh_series_bounds(Rat(1, 3), 28)
+_LN2_BOUNDS = _atanh_series_bounds(1, 3, 28)
 LN2_LO, LN2_HI = _LN2_BOUNDS
 
 _MANTISSA_BITS = 48
@@ -330,20 +358,19 @@ def ln_bounds(n: int) -> tuple[Rat, Rat]:
         return ZERO, ZERO
     e = n.bit_length() - 1
     if e <= _MANTISSA_BITS:
-        r = Rat(n, 1 << e)
-        m_lo, m_hi = _ln_bounds_mantissa(r)
+        m_lo, m_hi = _ln_bounds_mantissa(n, 1 << e)
         return e * LN2_LO + m_lo, e * LN2_HI + m_hi
     shift = e - _MANTISSA_BITS
     top = n >> shift
-    r_lo = Rat(top, 1 << _MANTISSA_BITS)
-    lo = e * LN2_LO + _ln_bounds_mantissa(r_lo)[0]
+    unit = 1 << _MANTISSA_BITS
+    m_lo, m_hi = _ln_bounds_mantissa(top, unit)
+    lo = e * LN2_LO + m_lo
     if n == top << shift:
-        hi = e * LN2_HI + _ln_bounds_mantissa(r_lo)[1]
+        hi = e * LN2_HI + m_hi
     elif (top + 1) >> (_MANTISSA_BITS + 1):
         hi = (e + 1) * LN2_HI
     else:
-        r_hi = Rat(top + 1, 1 << _MANTISSA_BITS)
-        hi = e * LN2_HI + _ln_bounds_mantissa(r_hi)[1]
+        hi = e * LN2_HI + _ln_bounds_mantissa(top + 1, unit)[1]
     return lo, hi
 
 

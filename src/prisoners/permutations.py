@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import (
     CapabilityError, DomainError, NotMaterializedError, PlanViolationError,
 )
-from .numeric import Rat, ZERO
+from .numeric import Rat, rat_sum
 
 __all__ = [
     "Cycle", "CyclePlan", "conjugate_plan", "random_plan",
@@ -118,10 +118,7 @@ class Cycle:
 
     def price(self, model) -> Rat:
         if self.members is not None:
-            total = ZERO
-            for m in self.members:
-                total += model.term(m)
-            return total
+            return rat_sum(model.term(m) for m in self.members)
         return model.range_sum(self.start, self.end)
 
     def _canonical(self):

@@ -846,8 +846,10 @@ class FnAllocation(AllocationPlan):
             raise DomainError("indices start at 1")
         v = self._cache.get(n)
         if v is None:
-            v = Rat(self._fn(n))
-            if v < ZERO:
+            v = self._fn(n)
+            if not isinstance(v, Rat):
+                v = Rat(v)
+            if v.numerator < 0:
                 raise DomainError("amounts must be nonnegative")
             if len(self._cache) < 200_000:
                 self._cache[n] = v

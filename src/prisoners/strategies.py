@@ -13,7 +13,7 @@ from typing import Optional
 from .errors import CapabilityError, DomainError, PlanViolationError
 from .numeric import (
     Cmp, LN2_HI, ONE, Rat, RatInterval, ZERO, least_index, ln_bounds, rat,
-    rat_str, require_certified,
+    rat_str, rat_sum, require_certified,
 )
 from .sequences import (
     HARMONIC, AllocationPlan, BracketedTotal, CustomModel, DivergentTotal,
@@ -344,15 +344,17 @@ def build_cycle_informed_strategy(model: PriceModel, plan, k: int,
     total_cert = UnknownTotal()
     if not any(c.is_range for c in plan.cycles):
         # exact: charged cycles at length*price, plus every unlisted
-        # singleton's own price, which is tail(m) minus listed members
-        charged = ZERO
-        listed = ZERO
+        # singleton's own price, which is tail(m) minus listed members;
+        # each member is priced once, and amount() reuses the cycle prices
+        charged = []
+        listed = []
         for c in plan.cycles:
+            prices = [model.term(x) for x in c.members if x >= m]
+            listed.extend(prices)
             if c.min_member >= m:
-                charged += c.length * c.price(model)
-            for x in c.members:
-                if x >= m:
-                    listed += model.term(x)
+                price = price_cache[c.min_member] = rat_sum(prices)
+                charged.append(c.length * price)
+        charged, listed = rat_sum(charged), rat_sum(listed)
         t = model.tail(m)
         if isinstance(t, RatInterval):
             base_iv = t

@@ -77,6 +77,18 @@ def test_missing_flags_exit_two(capsys):
     assert "--horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_non_positive_horizon_is_a_usage_error(tmp_path, capsys, horizon):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("1 2\n3\n")
+    code = run(["simulate", "--variant", "V1a", "--model", "geometric",
+                "--strategy", "baseline", "--plan", f"@{plan}",
+                "--horizon", horizon])
+    assert code == 2
+    assert "the horizon must be a positive integer" in \
+        capsys.readouterr().err
+
+
 def test_identical_seeds_write_identical_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(SIM + ["--seed", "7", "--out", str(a)])

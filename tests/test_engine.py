@@ -176,6 +176,34 @@ def test_cycle_scoring_matches_the_walk_exactly(model, cycle, kinds):
         assert got.reason == want.reason
 
 
+# prices 1, 1/2, 1/3 repeating: every cycle of three or more members ties
+TIED_PRICES = CustomModel({i: rat(1, 1 + i % 3) for i in range(1, 491)},
+                          ZeroTail(491), name="tied-prices")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_MODELS + [TIED_PRICES]),
+       st.one_of(_explicit_cycles(), _range_cycles()),
+       st.booleans(),
+       st.lists(st.integers(0, 2), min_size=90, max_size=90))
+def test_cycle_scoring_returns_the_plain_top_priced_members(model, cycle,
+                                                           broke, choices):
+    # broke: every pocket is empty, so against positive prices no member
+    # pays its first box and the kernel never builds its prefix sums
+    members = cycle.rotation_from(cycle.min_member)
+    prices = [model.term(m) for m in members]
+    total = sum(prices, ZERO)
+    amounts = {n: ZERO if broke else [ZERO, price, total][choice]
+               for n, price, choice in zip(members, prices, choices)}
+    outcomes = {}
+    top = _score_cycle(members, FnAllocation("drawn", amounts.__getitem__),
+                       model, outcomes)
+    assert list(top) == [m for m in members
+                         if model.term(m) == max(prices)]
+    if broke and min(prices) > ZERO:
+        assert not any(o.opened for o in outcomes.values())
+
+
 def test_cycle_scoring_stops_exactly_at_a_prefix_boundary():
     # boxes 3, 5, 4 cost 1/8, 1/32, 1/16 from prisoner 3
     plan = plan_of((3, 5, 4))

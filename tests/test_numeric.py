@@ -19,6 +19,7 @@ from prisoners.numeric import (
     compare_certified, geometric_sum, geometric_tail, harmonic_range_lower_ln,
     harmonic_sum, harmonic_upper_ln, least_index, ln_bounds, parse_rat,
     power_sum, power_tail_bounds, rat, rat_ceil, rat_floor, rat_str,
+    rat_sum,
 )
 from prisoners.sequences import HARMONIC, HarmonicModel, builtin_model
 
@@ -53,6 +54,21 @@ def test_rat_construction_and_strings():
 def test_rat_string_roundtrip(num, den):
     q = rat(num, den)
     assert parse_rat(rat_str(q)) == q
+
+
+@settings(max_examples=60)
+@given(st.lists(st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(max_denominator=10 ** 6),
+    st.builds(Fraction, st.integers(-2 ** 90, 2 ** 90),
+              st.integers(1, 2 ** 120))), max_size=40))
+def test_rat_sum_matches_a_plain_fraction_fold(values):
+    total = Fraction(0)
+    for value in values:
+        total += value
+    got = rat_sum(values)
+    assert got == total and type(got) is Fraction
+    assert got.denominator == total.denominator
 
 
 def test_harmonic_sum_frozen_values():
@@ -342,3 +358,68 @@ def test_ln_bounds_bracket_ln_at_200_digits():
             assert lo == hi == ZERO
         else:
             assert exact(lo) < ln < exact(hi), n
+
+
+# ---------------------------------------------------------------------------
+# the integer atanh series against the Fraction series it replaced
+
+def _fraction_atanh_bounds(z: Fraction, terms: int):
+    partial = Fraction(0)
+    zsq = z * z
+    power = z
+    for i in range(terms):
+        partial += power / (2 * i + 1)
+        power *= zsq
+    partial *= 2
+    tail = 2 * power / ((2 * terms + 1) * (1 - zsq))
+    return partial, partial + tail
+
+
+_ORACLE_LN2 = _fraction_atanh_bounds(Fraction(1, 3), 28)
+
+
+def _fraction_ln_bounds(n: int):
+    def mantissa(r: Fraction):
+        if r == 1:
+            return Fraction(0), Fraction(0)
+        return _fraction_atanh_bounds((r - 1) / (r + 1), 16)
+
+    ln2_lo, ln2_hi = _ORACLE_LN2
+    if n == 1:
+        return Fraction(0), Fraction(0)
+    e = n.bit_length() - 1
+    if e <= 48:
+        m_lo, m_hi = mantissa(Fraction(n, 1 << e))
+        return e * ln2_lo + m_lo, e * ln2_hi + m_hi
+    shift = e - 48
+    top = n >> shift
+    lo = e * ln2_lo + mantissa(Fraction(top, 1 << 48))[0]
+    if n == top << shift:
+        hi = e * ln2_hi + mantissa(Fraction(top, 1 << 48))[1]
+    elif (top + 1) >> 49:
+        hi = (e + 1) * ln2_hi
+    else:
+        hi = e * ln2_hi + mantissa(Fraction(top + 1, 1 << 48))[1]
+    return lo, hi
+
+
+def test_ln2_constants_equal_the_fraction_series():
+    assert (LN2_LO, LN2_HI) == _ORACLE_LN2
+
+
+def test_ln_bounds_equal_the_fraction_series():
+    rng = random.Random("ln-series")
+    # 2^k - 1 past 2^50 has all-ones top mantissa bits, so its rounded-up
+    # mantissa overflows into the (top + 1) branch
+    ns = list(range(1, 3001))
+    ns += [1 << k for k in range(1, 301)]
+    ns += [(1 << k) - 1 for k in range(2, 301)]
+    ns += [rng.randrange(1, 1 << 200) for _ in range(300)]
+    def overflows(n: int) -> bool:
+        shift = n.bit_length() - 49
+        return (shift > 0 and n != (n >> shift) << shift
+                and bool(((n >> shift) + 1) >> 49))
+
+    assert any(overflows(n) for n in ns)
+    for n in ns:
+        assert ln_bounds(n) == _fraction_ln_bounds(n), n

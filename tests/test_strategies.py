@@ -1,4 +1,6 @@
 """Builder outputs against hand-computed and independently summed values."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,7 @@ from prisoners.errors import (
     CapabilityError, DomainError, PlanViolationError,
 )
 from prisoners.numeric import ONE, ZERO, rat
-from prisoners.permutations import Cycle, CyclePlan
+from prisoners.permutations import Cycle, CyclePlan, random_plan
 from prisoners.sequences import (
     CustomModel, ExactTotal, GeometricTail, NonIncreasingBeyond, Relabeling,
     ZeroBeyond, ZeroTail, builtin_model,
@@ -166,6 +168,48 @@ def test_cycle_informed_prices_disclosed_plan():
     assert alloc.amount(5) == rat(1, 32)
     assert alloc.total_cert == ExactTotal(rat(21, 64))
     assert alloc.descriptor.m == 3
+
+
+def _fraction_informed_shift(model, plan, m: int) -> Fraction:
+    """charged - listed of the informed total, in plain Fraction adds."""
+    charged = listed = Fraction(0)
+    for c in plan.cycles:
+        if c.min_member >= m:
+            price = Fraction(0)
+            for x in c.members:
+                price += model.term(x)
+            charged += c.length * price
+        for x in c.members:
+            if x >= m:
+                listed += model.term(x)
+    return charged - listed
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([GEO, builtin_model("inverse-square")]),
+       st.integers(1, 80), st.integers(1, 4), st.integers(0, 10 ** 6))
+def test_cycle_informed_total_matches_a_fraction_fold(model, horizon, k,
+                                                      seed):
+    plan = random_plan(horizon, k, seed)
+    alloc = build_cycle_informed_strategy(model, plan, k)
+    m = alloc.descriptor.m
+    shift = _fraction_informed_shift(model, plan, m)
+    tail = model.tail(m)
+    if model is GEO:
+        assert alloc.total_cert == ExactTotal(tail + shift)
+    else:
+        width = rat(1, 10 ** 6)
+        got = alloc.total_cert.interval(width)
+        while tail.width > width and tail.refinable:
+            tail = tail.refine()
+        assert (got.lo, got.hi) == (tail.lo + shift, tail.hi + shift)
+    for c in plan.cycles:
+        want = ZERO
+        if c.min_member >= m:
+            for x in c.members:
+                want += model.term(x)
+        for x in c.members:
+            assert alloc.amount(x) == want
 
 
 def test_cycle_informed_rejects_long_cycles():
