@@ -16,8 +16,8 @@ from typing import Callable, Iterator, Optional
 from .errors import (
     CapabilityError, DomainError, HorizonExhaustedError, PlanViolationError)
 from .numeric import (
-    Cmp, LN2_HI, LN2_LO, ONE, Rat, ZERO, least_index, ln_bounds, rat,
-    rat_ceil, rat_floor, rat_str, require_certified)
+    Cmp, LN2_HI, LN2_LO, ONE, Rat, RatInterval, ZERO, least_index, ln_bounds,
+    rat, rat_ceil, rat_floor, rat_str, require_certified)
 from .permutations import Cycle, CyclePlan
 from .sequences import (
     HARMONIC, AllocationPlan, BracketedTotal, ExactTotal, NonIncreasingBeyond,
@@ -323,6 +323,21 @@ class GoodIndexPlan(GuardPlan):
         return self._merge.pair(position)[0]
 
 
+def _refined_once(iv: RatInterval) -> RatInterval:
+    """iv whose chain of refinements is computed once, however often it is
+    walked from here."""
+    if not iv.refinable:
+        return iv
+    finer: list = []
+
+    def refine() -> RatInterval:
+        if not finer:
+            finer.append(_refined_once(iv.refine()))
+        return finer[0]
+
+    return RatInterval(iv.lo, iv.hi, refine)
+
+
 def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
                          search_horizon: int = _DEFAULT_HORIZON
                          ) -> GoodIndexPlan:
@@ -365,12 +380,16 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
         extend_prices(position)
         return prices[position - 1]
 
+    bracket: list = []  # the total's bracket, refinements computed once
+
     def price_tail(position: int):
         extend_prices(position - 1)
         base = prefix[position - 1]
         if exact_total is not None:
             return exact_total - base
-        return total.interval(rat(1, 64)).shift(-base)
+        if not bracket:
+            bracket.append(_refined_once(total.interval(rat(1, 64))))
+        return bracket[0].shift(-base)
 
     goodness: dict = {}
 

@@ -16,7 +16,6 @@ oracle the per-cycle scoring is tested against.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -27,7 +26,7 @@ from .adversaries import (
     NO_SUCCESS_AFTER_FIRST,
 )
 from .errors import DomainError, NotMaterializedError, UsageError
-from .numeric import ONE, Rat, ZERO, rat_str
+from .numeric import ONE, Rat, ZERO, int_str, rat_str
 from .permutations import CyclePlan
 from .sequences import (
     AllocationPlan, DivergentTotal, ExactTotal, HarmonicModel, PriceModel,
@@ -136,38 +135,34 @@ def _score_cycle(members: tuple, alloc: AllocationPlan, model: PriceModel,
 
     members is the cycle in walk order.  Prices are nonnegative, so what a
     walk has paid after j boxes never decreases in j, and the walk opens
-    exactly the largest j whose payment the amount covers.  The cyclic
-    prefix sums are built once per cycle, as integers over the common
-    denominator of the prices, and only once some member's amount covers
-    the box its walk starts at; from then on each member costs one floor
-    division, integer compares and at most one bisection.  Returns the
-    members whose price is the cycle's highest.
+    exactly the largest j whose payment the amount covers.  The prices come
+    from model.cycle_units as integers over one common scale; the cyclic
+    prefix sums of those integers are built once per cycle, and only once
+    some member's amount covers the box its walk starts at.  Each member
+    costs one floor division, integer compares and at most one bisection.
+    Returns the members whose price is the cycle's highest.
     """
     size = len(members)
-    prices = [model.term(box) for box in members]
+    units, scale = model.cycle_units(members)
     sums = None
     for i, n in enumerate(members):
         amount = alloc.amount(n)
         num, den = amount.numerator, amount.denominator
         if num < 0:
             raise DomainError("amounts cannot be negative")
+        # prices are whole multiples of 1/scale, so the walk can pay exactly
+        # the payments of at most floor(amount * scale) such units
+        budget = num * scale // den
         if sums is None:
-            price = prices[i]
-            if num * price.denominator < price.numerator * den:
+            if budget < units[i]:
                 outcomes[n] = PrisonerOutcome(n, (), ZERO, False,
                                               "BudgetExhausted")
                 continue
-            scale = math.lcm(*(price.denominator for price in prices))
-            units = [price.numerator * (scale // price.denominator)
-                     for price in prices]
             if min(units) < 0:
                 raise DomainError("prices must be nonnegative")
             sums = list(accumulate(units, initial=0))
             total = sums[size]
             whole = None  # Rat(total, scale), shared by every success
-        # sums are whole multiples of 1/scale, so the walk can pay exactly
-        # the payments of at most floor(amount * scale) such units
-        budget = num * scale // den
         if budget >= total:
             if whole is None:
                 whole = Rat(total, scale)
@@ -190,7 +185,7 @@ def _score_cycle(members: tuple, alloc: AllocationPlan, model: PriceModel,
             paid = total - sums[i] + sums[k]
         outcomes[n] = PrisonerOutcome(n, opened, Rat(paid, scale), False,
                                       "BudgetExhausted")
-    return _top_priced(members, prices if sums is None else units)
+    return _top_priced(members, units)
 
 
 def _top_priced(members: tuple, prices: list) -> tuple:
@@ -201,6 +196,12 @@ def _top_priced(members: tuple, prices: list) -> tuple:
 
 # ---------------------------------------------------------------------------
 # whole-window simulation
+
+# SimulationReport.to_json's text, in json.dumps' default separators
+_ROW = '{"prisoner": %d, "spent": "%s/%s", "success": %s, "opened": %s}'
+_REPORT = ('{"variant": %s, "horizon": %s, "outcomes": [%s], '
+           '"verdict": %s, "witnesses": %s}')
+
 
 @dataclass
 class SimulationReport:
@@ -218,13 +219,27 @@ class SimulationReport:
     claim: object = None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "variant": self.variant,
-            "horizon": self.horizon,
-            "outcomes": [o.to_dict() for o in self.outcomes],
-            "verdict": self.verdict,
-            "witnesses": list(self.witnesses),
-        })
+        """json.dumps of the report dict, written one outcome row at a time.
+
+        Each distinct numerator and denominator is converted to decimal
+        once, and a list of ints reprs as its JSON text.
+        """
+        digits: dict[int, str] = {}
+        rows = []
+        for o in self.outcomes:
+            num, den = o.spent.numerator, o.spent.denominator
+            num_text = digits.get(num)
+            if num_text is None:
+                num_text = digits[num] = int_str(num)
+            den_text = digits.get(den)
+            if den_text is None:
+                den_text = digits[den] = int_str(den)
+            rows.append(_ROW % (o.prisoner, num_text, den_text,
+                                "true" if o.success else "false",
+                                list(o.opened)))
+        return _REPORT % (json.dumps(self.variant), json.dumps(self.horizon),
+                          ", ".join(rows), json.dumps(self.verdict),
+                          json.dumps(list(self.witnesses)))
 
 
 def _pull_to_horizon(plan: CyclePlan, horizon: int) -> None:
@@ -308,7 +323,7 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
             outcomes[n] = run_prisoner(n, alloc.amount(n), plan, model,
                                        open_boxes)
         top_priced = tuple(
-            _top_priced(members, [model.term(m) for m in members])
+            _top_priced(members, model.cycle_units(members)[0])
             for members in cycles)
     else:
         top_priced = tuple(_score_cycle(members, alloc, model, outcomes)

@@ -8,6 +8,7 @@ UndecidedComparisonError is raised.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -16,7 +17,7 @@ from typing import Callable, Optional, Union
 from .errors import DomainError, EmptyRangeError, UndecidedComparisonError
 
 __all__ = [
-    "BACKEND", "Rat", "ZERO", "ONE", "rat", "parse_rat", "rat_str",
+    "BACKEND", "Rat", "ZERO", "ONE", "rat", "parse_rat", "int_str", "rat_str",
     "rat_sum", "rat_ceil", "rat_floor", "harmonic_sum", "power_sum",
     "geometric_sum", "geometric_tail", "RatInterval", "power_tail_bounds",
     "Cmp", "compare_certified", "least_index", "LN2_LO", "LN2_HI",
@@ -49,10 +50,30 @@ def parse_rat(text: str) -> Rat:
     return Rat(int(body))
 
 
+def int_str(n: int) -> str:
+    """Decimal digits of n, also past the interpreter's digit limit.
+
+    An int whose decimal form would pass sys.get_int_max_str_digits() is
+    split by a power of ten into halves that are converted on their own,
+    so the digits stay exact without raising the limit.
+    """
+    # 0 means no limit; interpreters before 3.10.7 have no limit and no getter
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # a decimal digit carries more than 3 bits, so this many bits stays
+    # under the limit
+    if not limit or n.bit_length() <= 3 * limit:
+        return str(n)
+    if n < 0:
+        return "-" + int_str(-n)
+    half = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, low = divmod(n, 10 ** half)
+    return int_str(high) + int_str(low).rjust(half, "0")
+
+
 def rat_str(value) -> str:
     """Canonical "num/den" form in lowest terms, denominator always shown."""
     q = value if isinstance(value, Rat) else Rat(value)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
 
 
 def rat_sum(values) -> Rat:

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import (
     CapabilityError, DomainError, NotMaterializedError, PlanViolationError,
 )
-from .numeric import Rat, rat_sum
+from .numeric import Rat
 
 __all__ = [
     "Cycle", "CyclePlan", "conjugate_plan", "random_plan",
@@ -118,7 +118,8 @@ class Cycle:
 
     def price(self, model) -> Rat:
         if self.members is not None:
-            return rat_sum(model.term(m) for m in self.members)
+            units, scale = model.cycle_units(self.members)
+            return Rat(sum(units), scale)
         return model.range_sum(self.start, self.end)
 
     def _canonical(self):

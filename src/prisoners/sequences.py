@@ -9,6 +9,7 @@ the positive integers.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional, Union
@@ -134,6 +135,18 @@ class PriceModel:
     def term(self, n: int) -> Rat:
         raise NotImplementedError
 
+    def cycle_units(self, members) -> tuple[list, int]:
+        """Integer prices of the boxes in members over one common scale.
+
+        Returns (units, scale) with units[i] / scale == term(members[i])
+        exactly and scale > 0; scale need not be the least such
+        denominator.  The default is the lcm of the terms' denominators.
+        """
+        prices = [self.term(n) for n in members]
+        scale = math.lcm(*(price.denominator for price in prices))
+        return [price.numerator * (scale // price.denominator)
+                for price in prices], scale
+
     @property
     def total_cert(self):
         return UnknownTotal()
@@ -219,6 +232,14 @@ class GeometricModel(PriceModel):
             raise DomainError("indices start at 1")
         return self.ratio ** n
 
+    def cycle_units(self, members) -> tuple[list, int]:
+        # p**n / q**n == p**n * q**(top - n) / q**top, with no division
+        if min(members) < 1:
+            raise DomainError("indices start at 1")
+        p, q = self.ratio.numerator, self.ratio.denominator
+        top = max(members)
+        return [p ** n * q ** (top - n) for n in members], q ** top
+
     @property
     def total_cert(self):
         return ExactTotal(geometric_tail(self.ratio, 1))
@@ -295,6 +316,13 @@ class HarmonicModel(PriceModel):
         if n < 1:
             raise DomainError("indices start at 1")
         return Rat(1, n)
+
+    def cycle_units(self, members) -> tuple[list, int]:
+        # 1/n == (scale // n) / scale, with no Fraction built per member
+        if min(members) < 1:
+            raise DomainError("indices start at 1")
+        scale = math.lcm(*members)
+        return [scale // n for n in members], scale
 
     @property
     def total_cert(self):

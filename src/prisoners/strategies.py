@@ -349,10 +349,14 @@ def build_cycle_informed_strategy(model: PriceModel, plan, k: int,
         charged = []
         listed = []
         for c in plan.cycles:
-            prices = [model.term(x) for x in c.members if x >= m]
-            listed.extend(prices)
+            members = [x for x in c.members if x >= m]
+            if not members:
+                continue
+            units, scale = model.cycle_units(members)
+            price = Rat(sum(units), scale)
+            listed.append(price)
             if c.min_member >= m:
-                price = price_cache[c.min_member] = rat_sum(prices)
+                price_cache[c.min_member] = price
                 charged.append(c.length * price)
         charged, listed = rat_sum(charged), rat_sum(listed)
         t = model.tail(m)

@@ -11,19 +11,21 @@ from prisoners.adversaries import (
     NO_SUCCESS_AFTER_FIRST, divergence_witness, good_index_adversary,
     scaled_harmonic_gap, two_cycle_adversary, v1b_ceiling_adversary,
     v1d_cycle_chooser, v2a_block_adversary, v2b_block_adversary,
-    _least_block_end,
+    _least_block_end, _refined_once,
 )
 from prisoners.errors import (
     CapabilityError, DomainError, HorizonExhaustedError, NotMaterializedError,
     PlanViolationError,
 )
 from prisoners.numeric import (
-    LN2_LO, ONE, ZERO, harmonic_sum, ln_bounds, rat,
+    LN2_LO, ONE, RatInterval, ZERO, harmonic_sum, ln_bounds,
+    power_tail_bounds, rat,
 )
 from prisoners.permutations import validate_plan
 from prisoners.sequences import (
-    CustomModel, ExactTotal, FnAllocation, GeometricTail, HarmonicModel,
-    NonIncreasingBeyond, TableAllocation, ZeroTail, builtin_model,
+    BracketedTotal, CustomModel, ExactTotal, FnAllocation, GeometricTail,
+    HarmonicModel, InverseSquareModel, NonIncreasingBeyond, TableAllocation,
+    ZeroTail, builtin_model,
     weighted_partial_sum,
 )
 from prisoners.strategies import build_baseline_geometric, build_v2_strategy
@@ -138,6 +140,46 @@ def test_good_index_every_later_cycle_defeats_enriched_amounts():
         union.update(cycle.members)
     assert sum(cycle.length for cycle in cycles) == len(union)
     assert union == set(range(1, plan.pulled_bound + 1))
+
+
+@pytest.mark.parametrize("alloc", [pow2_alloc(), build_baseline_geometric()],
+                         ids=["halving", "baseline"])
+def test_good_index_builds_the_total_bracket_and_each_refinement_once(alloc):
+    widths = []
+
+    def bracket(width):
+        # the inverse-square total's bracket chain, counting each link
+        widths.append(width)
+        iv = power_tail_bounds(2, 1, width)
+        return RatInterval(iv.lo, iv.hi, lambda: bracket(iv.width))
+
+    class CountedInverseSquare(InverseSquareModel):
+        total_cert = BracketedTotal(bracket)
+
+    plan = good_index_adversary(CountedInverseSquare(), alloc)
+    plain = good_index_adversary(INV, alloc)
+    assert plan.materialize(40) == plain.materialize(40)
+    assert plan.witness_log == plain.witness_log
+    assert widths[0] == rat(1, 64)
+    assert len(widths) == len(set(widths))
+
+
+def test_refined_once_walks_the_plain_chain_and_computes_it_once():
+    widths = []
+
+    def bracket(width):
+        widths.append(width)
+        iv = power_tail_bounds(2, 3, width)
+        return RatInterval(iv.lo, iv.hi, lambda: bracket(iv.width))
+
+    plain = power_tail_bounds(2, 3, rat(1, 8))
+    cached = _refined_once(bracket(rat(1, 8)))
+    for _ in range(2):
+        want, got = plain, cached.shift(-ONE)
+        for _ in range(6):
+            assert (got.lo, got.hi) == (want.lo - ONE, want.hi - ONE)
+            want, got = want.refine(), got.refine()
+    assert len(widths) == 7 == len(set(widths))
 
 
 def test_good_index_reorders_amounts_descending():

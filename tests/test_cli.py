@@ -410,3 +410,23 @@ def test_bad_specs_are_usage_errors_without_traceback(flags):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_spends_past_the_int_digit_limit_keep_the_exit_code_contract(
+        tmp_path):
+    # at ratio 1/1024 and horizon 1500 a spend's denominator has about
+    # 4500 decimal digits, past the interpreter's default limit of 4300
+    out = tmp_path / "r.json"
+    argv = ["simulate", "--variant", "V1a", "--model",
+            "geometric:ratio=1/1024", "--strategy", "bounded-length:k=3",
+            "--plan", "random:max_len=3", "--horizon", "1500",
+            "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "prisoners.cli"] + argv,
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(out.read_text())
+    assert proc.returncode == (0 if payload["verdict"] == "PatternConfirmed"
+                               else 1)
+    assert f"verdict={payload['verdict']}" in proc.stdout
+    assert max(len(part) for o in payload["outcomes"]
+               for part in o["spent"].split("/")) > 4300

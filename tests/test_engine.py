@@ -1,9 +1,12 @@
 """Walk execution, window scoring, release verdicts, and the registry."""
 import ast
+import decimal
 import hashlib
 import json
 import random
 import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,8 +19,8 @@ from prisoners.adversaries import (
     NO_SUCCESS_AFTER_FIRST, good_index_adversary,
 )
 from prisoners.engine import (
-    VARIANTS, _score_cycle, evaluate_release, get_variant, run_prisoner,
-    simulate,
+    VARIANTS, PrisonerOutcome, SimulationReport, _score_cycle,
+    evaluate_release, get_variant, run_prisoner, simulate,
 )
 from prisoners.errors import DomainError, UsageError
 from prisoners.numeric import ONE, ZERO, rat, rat_str
@@ -123,7 +126,8 @@ def test_brute_force_walk_agreement():
 # zero prices at every odd index below 13 and from 13 on
 ZERO_PRICES = CustomModel({2 * k: rat(1, 2 ** k) for k in range(1, 7)},
                           ZeroTail(13), name="zero-prices")
-KERNEL_MODELS = [HARMONIC, GEO, builtin_model("inverse-square"), ZERO_PRICES]
+KERNEL_MODELS = [HARMONIC, GEO, builtin_model("inverse-square"), ZERO_PRICES,
+                 builtin_model("geometric", ratio=rat(2, 3))]
 NANO = rat(1, 10 ** 9)
 
 
@@ -354,6 +358,60 @@ def test_guard_claims_outrank_builder_descriptors():
 def test_no_claim_means_no_verdict():
     report = simulate("V1a", GEO, table({1: "1/2"}), plan_of((1, 2)), 2)
     assert report.verdict == "Inconclusive" and report.witnesses == ()
+
+
+def _plain_json(report) -> str:
+    """The report text as json.dumps writes it from the outcome dicts."""
+    return json.dumps({
+        "variant": report.variant,
+        "horizon": report.horizon,
+        "outcomes": [o.to_dict() for o in report.outcomes],
+        "verdict": report.verdict,
+        "witnesses": list(report.witnesses),
+    })
+
+
+# one spend object shared by several outcomes, as a cycle's successes share
+# their whole-cycle spend
+SHARED_SPEND = rat(7, 64)
+SPENDS = st.one_of(
+    st.just(ZERO), st.just(SHARED_SPEND),
+    st.builds(rat, st.integers(0, 2 ** 300), st.integers(1, 2 ** 300)))
+OPENED = st.one_of(st.just(()), st.just(tuple(range(1, 201))),
+                   st.lists(st.integers(1, 10 ** 6), max_size=6).map(tuple))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.builds(PrisonerOutcome, st.integers(1, 10 ** 6), OPENED,
+                          SPENDS, st.booleans()), max_size=12),
+       st.sampled_from(["PatternConfirmed", "CounterexampleFound",
+                        "Inconclusive"]),
+       st.lists(st.integers(1, 10 ** 6), max_size=4).map(tuple),
+       st.sampled_from(sorted(VARIANTS)), st.integers(1, 10 ** 9))
+def test_report_writer_matches_json_dumps_of_the_outcome_dicts(
+        outcomes, verdict, witnesses, variant, horizon):
+    report = SimulationReport(variant, horizon, tuple(outcomes), 0, verdict,
+                              witnesses, (), (), ())
+    assert report.to_json() == _plain_json(report)
+
+
+def _digit_limit() -> int:
+    # interpreters before 3.10.7 have no digit limit and no getter
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_report_writer_renders_spends_past_the_digit_limit():
+    limit = _digit_limit()
+    num = random.Random(10).getrandbits(20000) | 1 << 19999
+    spent = Fraction(num, 1 << 20001)
+    report = SimulationReport("V1a", 3, (
+        PrisonerOutcome(1, (1, 2), spent, False, "BudgetExhausted"),
+        PrisonerOutcome(2, (2,), spent, False, "BudgetExhausted")),
+        0, "Inconclusive", (), (), (), ())
+    payload = json.loads(report.to_json())
+    want = f"{decimal.Decimal(num)}/{decimal.Decimal(1 << 20001)}"
+    assert [o["spent"] for o in payload["outcomes"]] == [want, want]
+    assert _digit_limit() == limit
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +749,15 @@ def test_engine_imports_no_registry_analyzer_or_builder_code():
             allowed = ENGINE_IMPORTS[module]
             names = {alias.name for alias in node.names}
             assert allowed is None or names <= allowed, (module, names)
+
+
+def test_no_module_raises_the_int_digit_limit():
+    # the limit guards the whole interpreter, so the package reads it only
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            assert name != "set_int_max_str_digits", path.name
 
 
 def test_no_module_names_another_rational_backend():

@@ -5,8 +5,10 @@ Fraction loops) and frozen as literals where small.
 """
 from __future__ import annotations
 
+import decimal
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,9 +19,9 @@ from prisoners.errors import DomainError, EmptyRangeError
 from prisoners.numeric import (
     BACKEND, Cmp, LN2_HI, LN2_LO, ONE, Rat, RatInterval, ZERO,
     compare_certified, geometric_sum, geometric_tail, harmonic_range_lower_ln,
-    harmonic_sum, harmonic_upper_ln, least_index, ln_bounds, parse_rat,
-    power_sum, power_tail_bounds, rat, rat_ceil, rat_floor, rat_str,
-    rat_sum,
+    harmonic_sum, harmonic_upper_ln, int_str, least_index, ln_bounds,
+    parse_rat, power_sum, power_tail_bounds, rat, rat_ceil, rat_floor,
+    rat_str, rat_sum,
 )
 from prisoners.sequences import HARMONIC, HarmonicModel, builtin_model
 
@@ -48,6 +50,33 @@ def test_rat_construction_and_strings():
     assert rat_ceil(rat(7, 2)) == 4
     assert rat_ceil(rat(4)) == 4
     assert rat_floor(rat(7, 2)) == 3
+
+
+def _digit_limit() -> int:
+    # interpreters before 3.10.7 have no digit limit and no getter
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 60000), st.booleans(), st.integers(0, 2 ** 64))
+def test_int_str_gives_every_digit_past_the_limit(bits, negative, low):
+    limit = _digit_limit()
+    n = (1 << bits) + low
+    n = -n if negative else n
+    assert int_str(n) == str(decimal.Decimal(n))
+    assert _digit_limit() == limit
+
+
+def test_int_str_without_a_digit_limit_getter(monkeypatch):
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert int_str(-(3 ** 50)) == str(-(3 ** 50))
+    assert rat_str(Fraction(7, 2 ** 70)) == f"7/{2 ** 70}"
+
+
+def test_rat_str_of_a_value_past_the_digit_limit():
+    q = Fraction(3 ** 12000, 2 ** 30001)
+    assert rat_str(q) == (f"{decimal.Decimal(3 ** 12000)}/"
+                          f"{decimal.Decimal(2 ** 30001)}")
 
 
 @given(st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6))

@@ -12,6 +12,7 @@ from prisoners.numeric import (
     Cmp, ONE, Rat, RatInterval, ZERO, compare_certified, power_tail_bounds,
     rat,
 )
+from prisoners.permutations import Cycle
 from prisoners.sequences import (
     BlackBoxModel, BracketedTotal, CustomModel, DivergentTotal, ExactTotal,
     GeometricModel, GeometricTail, HarmonicModel, InversePowerTail,
@@ -214,6 +215,44 @@ def test_permuted_model():
     assert m.term(5) == rat(1, 32)
     assert isinstance(m.total_cert, ExactTotal)
     assert m.weighted_cert is WeightedCert.CONVERGES_SOME
+
+
+# ---------------------------------------------------------------------------
+# integer cycle prices
+
+# 1/2 and 3/4 take the power-of-two branch of the geometric override, 2/3
+# and 5/7 the general one; 3/4 and 2/3 have p != 1
+UNIT_MODELS = [
+    geom("1/2"), geom("2/3"), geom("3/4"), geom("5/7"), InverseSquareModel(),
+    builtin_model("harmonic"), ScaledModel(geom("3/4"), rat(2, 5)),
+    ScaledModel(builtin_model("harmonic"), rat(7, 3)),
+    PermutedModel(geom("2/3"), Relabeling.swap(2, 9)),
+    CustomModel({2: rat(1, 3), 5: rat(1, 6), 7: rat(2, 7)}, ZeroTail(10)),
+    CustomModel({1: rat(1, 4)}, GeometricTail(rat(1, 3), 4)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(UNIT_MODELS),
+       st.lists(st.integers(1, 300), min_size=1, max_size=9, unique=True))
+def test_cycle_units_equal_the_terms_exactly(model, members):
+    units, scale = model.cycle_units(members)
+    assert type(scale) is int and scale > 0
+    assert len(units) == len(members)
+    for n, unit in zip(members, units):
+        assert type(unit) is int
+        assert Fraction(unit, scale) == model.term(n)
+    plain = Fraction(0)
+    for n in members:
+        plain += model.term(n)
+    assert Cycle(members).price(model) == plain
+
+
+@pytest.mark.parametrize("model", [geom("1/2"), geom("2/3"),
+                                   builtin_model("harmonic")])
+def test_cycle_units_reject_indices_below_one(model):
+    with pytest.raises(DomainError):
+        model.cycle_units((3, 0))
 
 
 # ---------------------------------------------------------------------------
