@@ -26,8 +26,8 @@ from .sequences import (
     weighted_partial_sum,
 )
 from .permutations import (
-    Cycle, CyclePlan, conjugate_plan, dump_plan, parse_plan,
-    random_bounded_diameter_plan, random_plan, validate_plan,
+    Cycle, CyclePlan, dump_plan, parse_plan, random_bounded_diameter_plan,
+    random_plan,
 )
 from .strategies import (
     StrategyDescriptor, build_baseline_geometric,

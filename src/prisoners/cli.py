@@ -28,7 +28,7 @@ from .engine import simulate
 from .errors import PrisonersError, UsageError
 from .numeric import rat, rat_str
 from .permutations import (
-    parse_plan, random_bounded_diameter_plan, random_plan,
+    cycle_line, parse_plan, random_bounded_diameter_plan, random_plan,
 )
 from .registry import THEOREM_KEYS, verify_theorem
 from .sequences import (
@@ -143,25 +143,27 @@ def parse_strategy(spec: str, model, plan=None):
     raise UsageError(f"unknown strategy {spec!r}")
 
 
-_ADVERSARIES = ("good-index", "v1b-ceiling", "two-cycle", "v1d-chooser",
-                "v2a-blocks", "v2b-blocks")
+# adversary kind -> (builder, the arguments it takes before its keywords)
+_ADVERSARIES = {
+    "good-index": (good_index_adversary, ("model", "alloc")),
+    "v1b-ceiling": (v1b_ceiling_adversary, ("model", "alloc")),
+    "two-cycle": (two_cycle_adversary, ("model", "alloc")),
+    "v1d-chooser": (v1d_cycle_chooser, ("model",)),
+    "v2a-blocks": (v2a_block_adversary, ("alloc",)),
+    "v2b-blocks": (v2b_block_adversary, ("alloc",)),
+}
 
 
 def _adversary_plan(kind: str, model, alloc, params):
-    if kind == "good-index":
-        return _build(kind, good_index_adversary, (model, alloc), params)
-    if kind == "v1b-ceiling":
-        return _build(kind, v1b_ceiling_adversary, (model, alloc), params)
-    if kind == "two-cycle":
-        return _build(kind, two_cycle_adversary, (model, alloc), params)
-    if kind == "v1d-chooser":
-        return _build(kind, v1d_cycle_chooser, (model,), params)
-    if kind == "v2a-blocks":
-        return _build(kind, v2a_block_adversary, (alloc,), params)
-    if kind == "v2b-blocks":
-        return _build(kind, v2b_block_adversary, (alloc,), params)
-    raise UsageError(f"unknown adversary {kind!r}; choose from "
-                     f"{', '.join(_ADVERSARIES)}")
+    if kind not in _ADVERSARIES:
+        raise UsageError(f"unknown adversary {kind!r}; choose from "
+                         f"{', '.join(_ADVERSARIES)}")
+    builder, takes = _ADVERSARIES[kind]
+    if alloc is None and "alloc" in takes:
+        raise UsageError(f"{kind} is built against the amounts, and "
+                         "cycle-informed amounts are built from the plan")
+    given = {"model": model, "alloc": alloc}
+    return _build(kind, builder, tuple(given[a] for a in takes), params)
 
 
 def parse_plan_source(spec: str, horizon: int, seed: int, model, alloc):
@@ -330,8 +332,7 @@ def cmd_adversary(args) -> int:
             notes[entry["cycle"]] = entry.get("inequality", "")
     lines = []
     for i, cycle in enumerate(cycles, 1):
-        base = (f"range {cycle.start} {cycle.end}" if cycle.is_range
-                else " ".join(str(m) for m in cycle.members))
+        base = cycle_line(cycle)
         note = notes.get(i)
         lines.append(f"{base}  # {note}" if note else base)
     _emit("\n".join(lines) + "\n", args.out,

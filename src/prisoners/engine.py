@@ -288,8 +288,7 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
     _pull_to_horizon(plan, horizon)
     scored: list[int] = []
     not_simulated: list[int] = []
-    # id(cycle) -> (cycle, members in walk order from the least); the cycle
-    # is kept so its id cannot be reused by a later fixed-point cycle
+    # least member -> the cycle's members in walk order from it
     seen_cycles: dict[int, tuple] = {}
     for n in range(1, horizon + 1):
         try:
@@ -300,11 +299,11 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
         if cycle.max_member > horizon:
             not_simulated.append(n)
             continue
-        if id(cycle) not in seen_cycles:
-            seen_cycles[id(cycle)] = (
-                cycle, cycle.rotation_from(cycle.min_member))
+        least = cycle.min_member
+        if least not in seen_cycles:
+            seen_cycles[least] = cycle.rotation_from(least)
         scored.append(n)
-    cycles = tuple(members for _, members in seen_cycles.values())
+    cycles = tuple(seen_cycles.values())
 
     outcomes: dict[int, PrisonerOutcome] = {}
     if v.info == "OpenBoxesPersist":

@@ -2,7 +2,9 @@
 
 A plan lists explicit cycles and treats every unlisted index as a fixed
 point, or pulls cycles lazily from an adversary stream.  Cycles over huge
-consecutive blocks are kept as ranges instead of member tuples.
+consecutive blocks are kept as ranges instead of member tuples.  Every
+cycle enters a plan through `CyclePlan._admit`, which keeps the plan's one
+membership index and rejects any index claimed by two cycles.
 """
 from __future__ import annotations
 
@@ -15,9 +17,8 @@ from .errors import (
 from .numeric import Rat
 
 __all__ = [
-    "Cycle", "CyclePlan", "conjugate_plan", "random_plan",
-    "random_bounded_diameter_plan", "validate_plan", "parse_plan",
-    "dump_plan",
+    "Cycle", "CyclePlan", "random_plan", "random_bounded_diameter_plan",
+    "parse_plan", "dump_plan", "cycle_line",
 ]
 
 
@@ -177,22 +178,42 @@ class CyclePlan:
         return cls((), name=name, source=source)
 
     def _admit(self, cycle: Cycle) -> None:
+        """Index a cycle's members, or raise if another cycle holds one.
+
+        Explicit cycles of any length go into the owner map and only range
+        cycles into the range list.  A range is checked against the owned
+        members at O(min(its length, owned members)).
+        """
         if not isinstance(cycle, Cycle):
             cycle = Cycle(cycle)
-        if cycle.is_range or cycle.length > 4096:
+        start, end = cycle.start, cycle.end
+        owner, members = self._owner, cycle.members
+        if members is None:
             for other in self._ranges:
-                if cycle.start <= other.end and other.start <= cycle.end:
+                if start <= other.end and other.start <= end:
                     raise PlanViolationError(
                         "cycle ranges overlap in this plan")
+            # scan the shorter side: the range or the owned members
+            taken = ([m for m in range(start, end + 1) if m in owner]
+                     if end - start < len(owner)
+                     else [m for m in owner if start <= m <= end])
+        else:
+            taken = ([] if owner.keys().isdisjoint(members)
+                     else [m for m in members if m in owner])
+            for other in self._ranges:
+                if start <= other.end and other.start <= end:
+                    taken += [m for m in members
+                              if other.start <= m <= other.end]
+        if taken:
+            raise PlanViolationError(
+                f"index {_index_repr(min(taken))} appears in two cycles")
+        if members is None:
             self._ranges.append(cycle)
         else:
-            for m in cycle.members:
-                if m in self._owner:
-                    raise PlanViolationError(
-                        f"index {m} appears in two cycles")
-                self._owner[m] = cycle
+            for m in members:
+                owner[m] = cycle
         self._cycles.append(cycle)
-        self._pulled_bound = max(self._pulled_bound, cycle.max_member)
+        self._pulled_bound = max(self._pulled_bound, end)
 
     @property
     def is_lazy(self) -> bool:
@@ -259,36 +280,6 @@ class CyclePlan:
         return CyclePlan(mapped, name=name or f"{self.name}@{delta.name}")
 
 
-def conjugate_plan(plan: CyclePlan, delta) -> CyclePlan:
-    return plan.conjugate(delta)
-
-
-def validate_plan(plan: CyclePlan, horizon: int) -> list[str]:
-    """Structural violations among members up to the horizon."""
-    problems: list[str] = []
-    seen: dict[int, int] = {}
-    for pos, cycle in enumerate(plan.cycles, start=1):
-        if cycle.min_member > horizon:
-            continue
-        if cycle.is_range:
-            for pos2, other in enumerate(plan.cycles, start=1):
-                if pos2 >= pos or not other.is_range:
-                    continue
-                if cycle.start <= other.end and other.start <= cycle.end:
-                    problems.append(
-                        f"cycles {pos2} and {pos} overlap as ranges")
-            continue
-        for m in cycle.members:
-            if m > horizon:
-                continue
-            if m in seen:
-                problems.append(
-                    f"index {m} appears in cycles {seen[m]} and {pos}")
-            else:
-                seen[m] = pos
-    return problems
-
-
 def random_plan(horizon: int, max_len: int, seed: int,
                 name: Optional[str] = None) -> CyclePlan:
     """Random partition of [1, horizon] into cycles of length <= max_len."""
@@ -326,14 +317,21 @@ def random_bounded_diameter_plan(horizon: int, diameter: int, seed: int,
     return CyclePlan(cycles, name=name or f"banded[{seed}]")
 
 
+def cycle_line(cycle: Cycle) -> str:
+    """The plan-file line of one cycle: its members in cycle order, or
+    `range start end` for a range cycle."""
+    try:
+        if cycle.is_range:
+            return f"range {cycle.start} {cycle.end}"
+        return " ".join(str(m) for m in cycle.members)
+    except ValueError:  # past the interpreter's limit on decimal digits
+        raise CapabilityError(f"{cycle!r} has an index too large to write "
+                              "in decimal") from None
+
+
 def dump_plan(plan: CyclePlan, identity_from: Optional[int] = None) -> str:
     """One cycle per line, members in cycle order."""
-    lines = []
-    for c in plan.cycles:
-        if c.is_range:
-            lines.append(f"range {c.start} {c.end}")
-        else:
-            lines.append(" ".join(str(m) for m in c.members))
+    lines = [cycle_line(c) for c in plan.cycles]
     if identity_from is not None:
         lines.append(f"identity-from {identity_from}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import (
-    CapabilityError, DomainError, PlanViolationError,
+    CapabilityError, DomainError, PlanViolationError, PrisonersError,
 )
 from .numeric import (
     ONE, Rat, RatInterval, ZERO, geometric_sum, geometric_tail,
@@ -207,9 +207,6 @@ class PriceModel:
             return self.term(a)
         return max(self.term(i) for i in range(a, b + 1))
 
-    def scaled(self, factor) -> "ScaledModel":
-        return ScaledModel(self, factor)
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
@@ -258,12 +255,6 @@ class GeometricModel(PriceModel):
     def range_sum(self, a: int, b: int) -> Rat:
         return geometric_sum(self.ratio, a, b)
 
-    def positive_indices(self) -> Iterator[int]:
-        n = 1
-        while True:
-            yield n
-            n += 1
-
 
 class InverseSquareModel(PriceModel):
     """Prices 1/n**2; summable but every rearranged weighted sum diverges."""
@@ -292,12 +283,6 @@ class InverseSquareModel(PriceModel):
         if b - a > 2_000_000:
             raise CapabilityError("inverse-square range too large for exact sum")
         return power_sum(2, a, b)
-
-    def positive_indices(self) -> Iterator[int]:
-        n = 1
-        while True:
-            yield n
-            n += 1
 
 
 class HarmonicModel(PriceModel):
@@ -357,12 +342,6 @@ class HarmonicModel(PriceModel):
             if len(self._big_prefix) < 4096:
                 self._big_prefix[n] = cached
         return cached
-
-    def positive_indices(self) -> Iterator[int]:
-        n = 1
-        while True:
-            yield n
-            n += 1
 
 
 # the one harmonic model: every caller shares its table of exact prefixes
@@ -683,24 +662,30 @@ def _parse_table_text(text: str):
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "tail":
-            if rule is not None:
-                raise DomainError("multiple tail lines")
-            if parts[1] == "zero" and parts[2] == "from":
-                rule = ZeroTail(int(parts[3]))
-            elif parts[1] == "geometric" and parts[3] == "from":
-                rule = GeometricTail(rat(parts[2]), int(parts[4]))
-            elif parts[1] == "inverse-power" and parts[3] == "from":
-                rule = InversePowerTail(int(parts[2]), int(parts[4]))
-            else:
-                raise DomainError(f"bad tail line: {raw!r}")
-            continue
-        if len(parts) != 2:
-            raise DomainError(f"bad table line: {raw!r}")
-        idx = int(parts[0])
-        if idx in entries:
-            raise DomainError(f"duplicate table index {idx}")
-        entries[idx] = rat(parts[1])
+        try:
+            if parts[0] == "tail":
+                if rule is not None:
+                    raise DomainError("multiple tail lines")
+                if parts[1] == "zero" and parts[2] == "from":
+                    rule = ZeroTail(int(parts[3]))
+                elif parts[1] == "geometric" and parts[3] == "from":
+                    rule = GeometricTail(rat(parts[2]), int(parts[4]))
+                elif parts[1] == "inverse-power" and parts[3] == "from":
+                    rule = InversePowerTail(int(parts[2]), int(parts[4]))
+                else:
+                    raise DomainError(f"bad tail line: {raw!r}")
+                continue
+            if len(parts) != 2:
+                raise DomainError(f"bad table line: {raw!r}")
+            idx = int(parts[0])
+            if idx in entries:
+                raise DomainError(f"duplicate table index {idx}")
+            entries[idx] = rat(parts[1])
+        except PrisonersError:
+            raise
+        except (IndexError, ValueError, ZeroDivisionError):
+            # a missing field or a malformed number
+            raise DomainError(f"bad table line: {raw!r}") from None
     if rule is None:
         raise DomainError("missing tail line")
     return entries, rule

@@ -16,9 +16,7 @@ from prisoners.adversaries import (
 from prisoners.analyzer import (
     brute_force_min, check_zero_omission, descending_partial_dominance,
 )
-from prisoners.permutations import (
-    conjugate_plan, random_bounded_diameter_plan, random_plan,
-)
+from prisoners.permutations import random_bounded_diameter_plan, random_plan
 from prisoners.registry import verify_theorem
 from prisoners.sequences import (
     CustomModel, PermutedModel, Relabeling, ScaledModel, TableAllocation,
@@ -245,7 +243,7 @@ def test_11_relabeling_and_scaling_leave_reports_unchanged():
             "V1a", PermutedModel(GEO, delta_inv),
             TableAllocation({delta(n): v for n, v in amounts.items()},
                             ZeroTail(horizon + 1)),
-            conjugate_plan(plan, delta), horizon)
+            plan.conjugate(delta), horizon)
         expected = sorted(
             (dict(o.to_dict(), prisoner=delta(o.prisoner),
                   opened=[delta(b) for b in o.opened])

@@ -1,12 +1,23 @@
 """End-to-end command runs: exit codes, file outputs, determinism."""
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import traceback
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from prisoners.cli import ScenarioConfig, main
+from prisoners.cli import (
+    _ADVERSARIES, ScenarioConfig, _adversary_plan, _split_spec, _value,
+    main, parse_model, parse_strategy,
+)
+from prisoners.engine import VARIANTS
+from prisoners.permutations import parse_plan
 from prisoners.registry import THEOREM_KEYS
 
 SIM = ["simulate", "--variant", "V1a", "--model", "geometric",
@@ -291,6 +302,40 @@ def test_adversary_dump_skips_stream_notes(capsys, kind, model, strategy,
     assert len(out.splitlines()) == lines
 
 
+# (kind spec, model, strategy, cycles): every adversary kind once
+ROUND_TRIPS = [
+    ("good-index", "inverse-square", "baseline", 6),
+    ("v1b-ceiling", "inverse-square", "baseline", 6),
+    ("two-cycle", "geometric", "baseline", 6),
+    ("v1d-chooser", "inverse-square", "baseline", 6),
+    ("v2a-blocks:exact_end_cap=2000", "harmonic", "constant1", 20),
+    ("v2b-blocks", "harmonic", "harmonic-prefix", 6),
+]
+
+
+def test_round_trips_cover_every_adversary_kind():
+    assert [_split_spec(case[0])[0] for case in ROUND_TRIPS] == \
+        list(_ADVERSARIES)
+
+
+@pytest.mark.parametrize("kind, model, strategy, count", ROUND_TRIPS,
+                         ids=[case[0] for case in ROUND_TRIPS])
+def test_adversary_output_parses_back_to_the_materialized_cycles(
+        tmp_path, capsys, kind, model, strategy, count):
+    out = tmp_path / "plan.txt"
+    assert run(["adversary", kind, "--model", model, "--strategy",
+                strategy, "--cycles", str(count), "--out", str(out)]) == 0
+    capsys.readouterr()
+    name, raw = _split_spec(kind)
+    prices = parse_model(model)
+    plan = _adversary_plan(name, prices, parse_strategy(strategy, prices),
+                           {k: _value(v) for k, v in raw.items()})
+    expected = plan.materialize(count)
+    back = parse_plan(out.read_text()).cycles
+    assert [(c.members, c.start, c.end) for c in back] == \
+        [(c.members, c.start, c.end) for c in expected]
+
+
 def test_unknown_adversary_exits_two(capsys):
     assert run(["adversary", "sideways"]) == 2
     capsys.readouterr()
@@ -430,3 +475,247 @@ def test_spends_past_the_int_digit_limit_keep_the_exit_code_contract(
     assert f"verdict={payload['verdict']}" in proc.stdout
     assert max(len(part) for o in payload["outcomes"]
                for part in o["spent"].split("/")) > 4300
+
+
+# ---------------------------------------------------------------------------
+# plan files: every cycle in one membership index
+
+ODD = " ".join(str(n) for n in range(1, 10_000, 2)) + "\n"
+EVEN = " ".join(str(n) for n in range(2, 10_001, 2)) + "\n"
+
+
+def simulate_plan_file(tmp_path, text, horizon, model="geometric"):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(text)
+    out = tmp_path / "r.json"
+    code = run(["simulate", "--variant", "V1a", "--model", model,
+                "--strategy", "baseline", "--plan", f"@{plan}",
+                "--horizon", str(horizon), "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("text", [ODD, ODD + EVEN],
+                         ids=["odd-line", "odd-and-even-lines"])
+def test_cycles_of_more_than_4096_members_are_scored(tmp_path, capsys,
+                                                     text):
+    # geometric prices would write every walk of a 5000-member cycle, a
+    # 200 MB report; at harmonic prices each walk stops at its first box
+    code, out = simulate_plan_file(tmp_path, text, 10_000, "harmonic")
+    payload = json.loads(out.read_text())
+    assert code == (0 if payload["verdict"] == "PatternConfirmed" else 1)
+    assert [o["prisoner"] for o in payload["outcomes"]] == \
+        list(range(1, 10_001))
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("text, horizon", [
+    (ODD + "3 4\n", 20),
+    ("range 100 1000\n150 151\n", 1000),
+    ("150 151\nrange 100 1000\n", 1000),
+], ids=["long-explicit-and-short", "range-then-explicit",
+        "explicit-then-range"])
+def test_plan_files_with_an_index_in_two_cycles_exit_two(tmp_path, capsys,
+                                                         text, horizon):
+    code, out = simulate_plan_file(tmp_path, text, horizon)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over generated command lines
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--variant", "V1a", "--model", "geometric", "--strategy",
+     "cycle-informed:k=3", "--plan", "two-cycle", "--horizon", "20"],
+    ["adversary", "v1d-chooser", "--model", "geometric", "--cycles", "4"],
+], ids=["cycle-informed-against-an-adversary", "index-past-digit-limit"])
+def test_generated_failures_are_usage_errors(capsys, argv):
+    # the fourth v1d-chooser block against halving prices ends at an index
+    # of about two million bits, which has no decimal plan line
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--model", "--strategy"])
+@pytest.mark.parametrize("table", [
+    "tail\n", "tail zero from x\n", "1 abc\ntail zero from 2\n",
+    "1 1/0\ntail zero from 2\n",
+], ids=["bare-tail", "non-integer-tail-start", "non-number-price",
+        "zero-denominator"])
+def test_malformed_table_files_exit_two(tmp_path, capsys, flag, table):
+    path = tmp_path / "table.txt"
+    path.write_text(table)
+    flags = {"--model": "geometric", "--strategy": "baseline",
+             flag: f"@{path}"}
+    assert run(["simulate", "--variant", "V1a", "--plan", "random",
+                "--horizon", "5", *(x for kv in flags.items() for x in kv)
+                ]) == 2
+    assert capsys.readouterr().err.startswith("error: bad table line")
+
+
+_VALUES = st.one_of(
+    st.integers(1, 6).map(str),
+    st.sampled_from(["0", "-1", "1/2", "3/4", "5/4", "-1/2", "1/0", "abc",
+                     ""]))
+
+
+def _spec(names, keys):
+    return st.builds("{}:{}={}".format, st.sampled_from(names),
+                     st.sampled_from(keys), _VALUES)
+
+
+def _specs(table: dict):
+    """Spec strings over the names and keys in table: 'name', 'name:key=
+    value' with a key the name takes, or any name with any key."""
+    keys = sorted({key for keys in table.values() for key in keys})
+    return st.one_of(
+        st.sampled_from(list(table)),
+        *(_spec([name], keys) for name, keys in table.items() if keys),
+        _spec([*table, "sideways"], [*keys, "bogus"]))
+
+
+_MODELS = st.one_of(
+    st.sampled_from(["geometric", "inverse-square", "harmonic"]),
+    st.sampled_from(["1/2", "2/3", "1/5", "1/1024", "3/2", "0", "1/0"]).map(
+        "geometric:ratio={}".format),
+    st.sampled_from(["quartic", "harmonic:ratio=1/2", "geometric:bogus=1"]))
+_STRATEGIES = _specs({
+    "baseline": [], "tail-sum": ["total"], "bounded-length": ["k", "total"],
+    "bounded-diameter": ["d", "total"], "cycle-informed": ["k", "total"],
+    "constant1": [], "harmonic-prefix": [], "shifted-harmonic": ["k"],
+    "scaled": ["c"], "log-shift": ["K"]})
+# variant, model and strategy that fit together, so that generated runs get
+# past the configuration checks
+_SCENARIOS = [
+    ("V1a", "geometric", "baseline"), ("V1a", "geometric", "tail-sum"),
+    ("V1a", "inverse-square", "bounded-length:k=2"),
+    ("V1b", "geometric", "bounded-diameter:d=2"),
+    ("V1b", "inverse-square", "baseline"),
+    ("V1c", "geometric", "bounded-length:k=3"),
+    ("V1d", "inverse-square", "cycle-informed:k=2"),
+    ("V2a", "harmonic", "harmonic-prefix"), ("V2a", "harmonic", "constant1"),
+    ("V2a", "harmonic", "log-shift:K=2"),
+    ("V2b", "harmonic", "shifted-harmonic:k=3"),
+    ("V2b", "harmonic", "scaled:c=1/2"),
+]
+_ADVERSARY_KINDS = st.one_of(
+    _specs({"v1b-ceiling": ["leader_cap"],
+            "v1d-chooser": ["leader_cap", "total"],
+            "v2a-blocks": ["exact_end_cap", "exponent_cap"],
+            "v2b-blocks": ["exact_end_cap", "exponent_cap"]}),
+    # the default search of a million candidates takes minutes when no
+    # amount falls below the price (two-cycle against log-shift amounts)
+    _spec(["good-index", "two-cycle"], ["search_horizon"]))
+_PLAN_SOURCES = st.one_of(
+    _specs({"random": ["max_len"], "banded": ["d"]}), _ADVERSARY_KINDS)
+_PLAN_LINES = st.lists(st.one_of(
+    st.lists(st.integers(-1, 40), min_size=1, max_size=5).map(
+        lambda ms: " ".join(map(str, ms))),
+    st.builds(lambda a, b: f"range {a} {b}",
+              st.integers(-1, 200), st.integers(-1, 400)),
+    st.sampled_from(["identity-from 30", "# note", "", "range 5",
+                     "1 x", "range a b", "2 1  # swap"])), max_size=5)
+
+
+# registry key -> the parameters its check reads
+_VERIFY_PARAMS = {
+    "tail-sum-strategy": ["plans", "horizon", "max_len"],
+    "rearranged-strategy": ["plans", "horizon", "max_len"],
+    "divergence-witness": ["targets"],
+    "identity-minimality": ["m"],
+    "good-index-adversary": ["cycles"],
+    "existence-criterion": ["plans", "horizon"],
+    "descending-reduction": ["m"],
+    "zero-omission": ["m"],
+    "bounded-length-v1a": ["k", "plans", "horizon"],
+    "v1b-no-strategy": ["horizon"],
+    "bounded-diameter-v1b": ["d", "plans", "horizon"],
+    "two-cycle-v1b": ["pairs"],
+    "open-boxes-v1c": ["k", "plans", "horizon"],
+    "v1d-no-strategy": ["horizon"],
+    "v1d-bounded": ["k", "plans", "horizon"],
+    "v2a-strategies": ["plans", "horizon", "blocks", "K"],
+    "scaled-gap": ["cases"],
+    "v2b-no-strategy": ["alloc", "horizon", "blocks"],
+}
+
+
+def test_fuzzed_verify_parameters_name_every_registry_key():
+    assert list(_VERIFY_PARAMS) == list(THEOREM_KEYS)
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, plan file text or None) for one bounded CLI run."""
+    command = draw(st.sampled_from(["simulate", "verify", "adversary",
+                                    "analyze"]))
+    if command == "simulate":
+        plan_text = draw(st.none() | _PLAN_LINES.map(
+            lambda lines: "".join(line + "\n" for line in lines)))
+        if draw(st.booleans()):
+            variant, model, strategy = draw(st.sampled_from(_SCENARIOS))
+        else:
+            variant = draw(st.sampled_from([*VARIANTS, "V9"]))
+            model, strategy = draw(_MODELS), draw(_STRATEGIES)
+        argv = ["simulate", "--variant", variant, "--model", model,
+                "--strategy", strategy,
+                "--plan", "@PLAN" if plan_text is not None
+                else draw(_PLAN_SOURCES),
+                "--horizon", str(draw(st.integers(-1, 30))),
+                "--seed", str(draw(st.integers(0, 3)))]
+        order = draw(st.none() | st.lists(st.integers(0, 12), max_size=4))
+        if order is not None:
+            argv += ["--entry-order", ",".join(map(str, order))]
+        return argv, plan_text
+    if command == "verify":
+        key = draw(st.sampled_from([*_VERIFY_PARAMS, "sideways"]))
+        params = draw(st.lists(st.builds(
+            lambda k, v: f"{k}={v}",
+            st.sampled_from([*_VERIFY_PARAMS.get(key, ()), "bogus"]),
+            st.one_of(st.integers(-1, 9).map(str),
+                      st.sampled_from(["1/2", "constant1", "scaled:1/2",
+                                       "abc"]))),
+            max_size=3))
+        return ["verify", key, *params,
+                "--seed", str(draw(st.integers(0, 3)))], None
+    if command == "adversary":
+        return ["adversary", draw(_ADVERSARY_KINDS), "--model", draw(_MODELS),
+                "--strategy", draw(_STRATEGIES),
+                "--cycles", str(draw(st.integers(-1, 6)))], None
+    return ["analyze", "--model", draw(_MODELS),
+            "--mode", draw(st.sampled_from(["min", "existence", "dominance",
+                                            "zero-omission", "sideways"])),
+            "--m", str(draw(st.integers(-1, 9))),
+            "--trials", str(draw(st.integers(0, 40))),
+            "--seed", str(draw(st.integers(0, 3)))], None
+
+
+@given(_command_lines())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_every_command_line_keeps_the_exit_code_contract(case):
+    # 0 confirmed, 1 only after a verdict or failed check was printed,
+    # 2 for usage errors, and never a traceback
+    argv, plan_text = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if plan_text is not None:
+            plan = Path(tmp) / "plan.txt"
+            plan.write_text(plan_text)
+            argv = [f"@{plan}" if a == "@PLAN" else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:  # argparse rejects the flags
+                code = stop.code
+            except Exception:
+                pytest.fail(f"{argv} raised\n{traceback.format_exc()}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        printed = out.getvalue()
+        assert ('"verdict":' in printed or "\nFAIL " in "\n" + printed
+                or printed.startswith("fail\t")), (argv, printed[:200])

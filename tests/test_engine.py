@@ -24,7 +24,7 @@ from prisoners.engine import (
 )
 from prisoners.errors import DomainError, UsageError
 from prisoners.numeric import ONE, ZERO, rat, rat_str
-from prisoners.permutations import Cycle, CyclePlan, conjugate_plan, random_plan
+from prisoners.permutations import Cycle, CyclePlan, random_plan
 from prisoners.registry import THEOREM_KEYS, verify_theorem
 from prisoners.sequences import (
     CustomModel, FnAllocation, PermutedModel, Relabeling, ScaledModel,
@@ -598,7 +598,7 @@ def test_relabeling_both_boxes_and_amounts_changes_nothing():
 
         renamed = {delta(n): v for n, v in amounts.items()}
         after = simulate("V1a", PermutedModel(GEO, delta_inv),
-                         table(renamed), conjugate_plan(plan, delta),
+                         table(renamed), plan.conjugate(delta),
                          horizon)
 
         spent_before = {o.prisoner: o.spent for o in before.outcomes}

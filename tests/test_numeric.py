@@ -389,6 +389,55 @@ def test_ln_bounds_bracket_ln_at_200_digits():
             assert exact(lo) < ln < exact(hi), n
 
 
+@pytest.mark.parametrize("exponent", [2, 3, 5])
+def test_power_tail_bounds_bracket_hurwitz_zeta_at_200_digits(exponent):
+    ctx, exact = _mp_ln()
+    for n in (1, 2, 7, 63, 64, 65, 1000):
+        tail = ctx.zeta(exponent, n)  # sum of 1/i**exponent for i >= n
+        for width in (Rat(1, 8), Rat(1, 10 ** 6)):
+            bracket = power_tail_bounds(exponent, n, width)
+            # each refinement at least halves the width, so the split
+            # point and its exact prefix sum grow geometrically
+            for _ in range(3):
+                assert exact(bracket.lo) < tail < exact(bracket.hi), (n, width)
+                bracket = bracket.refine()
+
+
+def test_harmonic_ln_bounds_bracket_harmonic_numbers_at_200_digits():
+    ctx, exact = _mp_ln()
+    rng = random.Random("harmonic-oracle")
+    ns = [1, 2, 3, 64, 65, 1000, 2 ** 50 + 1, 2 ** 200]
+    ns += [rng.randrange(1, 1 << rng.randrange(1, 200)) for _ in range(40)]
+    for n in ns:
+        # H(n) <= 1 + ln(n) <= harmonic_upper_ln(n)
+        assert ctx.harmonic(n) <= 1 + ctx.log(n) <= exact(
+            harmonic_upper_ln(n)), n
+    for a in ns:
+        for b in (a, a + 63, 2 * a, a + rng.randrange(1, 1 << 100)):
+            # harmonic_range_lower_ln(a, b) <= ln((b+1)/a) < H(b) - H(a-1)
+            lower = exact(harmonic_range_lower_ln(a, b))
+            assert lower <= ctx.log(b + 1) - ctx.log(a), (a, b)
+            assert lower < ctx.harmonic(b) - ctx.harmonic(a - 1), (a, b)
+
+
+# ranges that stay in one 64-term leaf, fill it, and cross into more leaves
+LEAF_RANGES = [(1, 1), (1, 64), (1, 65), (5, 68), (5, 69), (64, 128),
+               (100, 228), (63, 320), (1000, 1400)]
+
+
+@pytest.mark.parametrize("exponent", [1, 2, 3])
+def test_power_sums_equal_sympy_generalized_harmonic_numbers(exponent):
+    sympy = pytest.importorskip("sympy")
+    for a, b in LEAF_RANGES:
+        want = (sympy.harmonic(b, exponent)
+                - sympy.harmonic(a - 1, exponent))
+        assert power_sum(exponent, a, b) == Fraction(int(want.p),
+                                                     int(want.q)), (a, b)
+        if exponent == 1:
+            assert harmonic_sum(a, b) == Fraction(int(want.p),
+                                                  int(want.q)), (a, b)
+
+
 # ---------------------------------------------------------------------------
 # the integer atanh series against the Fraction series it replaced
 

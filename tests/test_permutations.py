@@ -7,8 +7,8 @@ from prisoners.errors import (
 )
 from prisoners.numeric import rat
 from prisoners.permutations import (
-    Cycle, CyclePlan, conjugate_plan, dump_plan, parse_plan, random_plan,
-    random_bounded_diameter_plan, validate_plan,
+    Cycle, CyclePlan, dump_plan, parse_plan, random_plan,
+    random_bounded_diameter_plan,
 )
 from prisoners.sequences import Relabeling, builtin_model
 
@@ -94,6 +94,117 @@ def test_plan_rejects_overlaps():
                    Cycle.of_range(2_999_999, 4_000_000)])
 
 
+@pytest.mark.parametrize("first, second", [
+    (Cycle.of_range(100, 1000), Cycle((150, 151))),
+    (Cycle((151, 150)), Cycle.of_range(100, 1000)),
+    (Cycle(range(1, 10_000, 2)), Cycle((3, 4))),
+    (Cycle((1000, 999)), Cycle.of_range(1, 10 ** 12)),
+    (Cycle((7, 100)), Cycle.of_range(100, 1000)),
+    (Cycle((1000, 7)), Cycle.of_range(100, 1000)),
+    (Cycle(range(1, 10_000, 2)), Cycle.of_range(9999, 10_100)),
+    (Cycle(range(200, 10_000, 2)), Cycle.of_range(1, 200)),
+], ids=["explicit-after-range", "range-after-explicit",
+        "long-explicit-then-short", "huge-range-after-explicit",
+        "range-starts-at-owned", "range-ends-at-owned",
+        "short-range-starts-at-owned", "short-range-ends-at-owned"])
+def test_plan_rejects_overlaps_between_explicit_and_range_cycles(
+        first, second):
+    with pytest.raises(PlanViolationError, match="appears in two cycles"):
+        CyclePlan([first, second])
+    lazy = CyclePlan.lazy(iter([first, second]))
+    assert lazy.materialize(1) == [first]
+    with pytest.raises(PlanViolationError):
+        lazy.materialize(2)
+    # the rejected cycle left nothing behind in the index
+    assert lazy.cycles == [first]
+    assert all(lazy.cycle_containing(n) is first
+               for n in (first.start, first.end))
+
+
+def test_long_explicit_cycles_are_indexed_member_by_member():
+    odd = Cycle(range(1, 10_000, 2))
+    even = Cycle(range(2, 10_001, 2))
+    plan = CyclePlan([odd, even])
+    assert plan.cycle_containing(2) is even
+    assert plan.cycle_containing(9999) is odd
+    assert plan.sigma(9999) == 1
+    assert plan.cycle_containing(10_001) == Cycle((10_001,))
+
+
+def _long_cycle(start: int, step: int, count: int, turn: int) -> list:
+    members = list(range(start, start + step * count, step))
+    return members[turn:] + members[:turn]
+
+
+# a plan text's lines: lists are explicit lines (some of more than 4096
+# members) and ranges are `range a b` lines with b - a >= 64, which stay
+# range cycles
+_PIECES = st.lists(st.one_of(
+    st.lists(st.integers(1, 9000), min_size=1, max_size=5, unique=True),
+    st.builds(_long_cycle, st.integers(1, 3000), st.integers(1, 3),
+              st.integers(4097, 4200), st.integers(0, 4096)),
+    st.builds(lambda a, span: range(a, a + span + 1),
+              st.integers(1, 9000), st.integers(64, 1500)),
+), min_size=1, max_size=5)
+
+
+def _line(piece) -> str:
+    if isinstance(piece, range):
+        return f"range {piece[0]} {piece[-1]}"
+    return " ".join(str(m) for m in piece)
+
+
+def _cycle(piece) -> Cycle:
+    if isinstance(piece, range):
+        return Cycle.of_range(piece[0], piece[-1])
+    return Cycle(piece)
+
+
+def _oracle(pieces):
+    """index -> position of the piece holding it, or None on any clash."""
+    owner = {}
+    for pos, piece in enumerate(pieces):
+        for m in piece:
+            if m in owner:
+                return None
+            owner[m] = pos
+    return owner
+
+
+@given(_PIECES)
+@settings(max_examples=60, deadline=None)
+def test_parse_plan_accepts_exactly_the_disjoint_texts(pieces):
+    text = "".join(_line(p) + "\n" for p in pieces)
+    owner = _oracle(pieces)
+    if owner is None:
+        with pytest.raises(PlanViolationError):
+            parse_plan(text)
+        return
+    plan = parse_plan(text)
+    cycles = plan.cycles
+    for n in range(1, max(owner) + 1):
+        hit = plan.cycle_containing(n)
+        if n in owner:
+            assert hit is cycles[owner[n]]
+        else:
+            assert hit.members == (n,)
+
+
+@given(_PIECES)
+@settings(max_examples=40, deadline=None)
+def test_lazy_stream_raises_on_the_first_overlapping_cycle(pieces):
+    clash = next((k for k in range(1, len(pieces) + 1)
+                  if _oracle(pieces[:k]) is None), None)
+    cycles = [_cycle(p) for p in pieces]
+    plan = CyclePlan.lazy(iter(cycles))
+    if clash is None:
+        assert len(plan.materialize(len(cycles) + 1)) == len(cycles)
+        return
+    assert len(plan.materialize(clash - 1)) == clash - 1
+    with pytest.raises(PlanViolationError):
+        plan.materialize(clash)
+
+
 def test_lazy_plan_pulls_on_demand():
     def stream():
         n = 1
@@ -163,17 +274,11 @@ def test_random_bounded_diameter_plan_respects_band():
     assert max(c.diameter for c in plan.cycles) <= 9
 
 
-def test_validate_plan_reports_duplicates():
-    plan = CyclePlan.__new__(CyclePlan)
-    plan.name = "broken"
-    plan._source = None
-    plan._exhausted = True
-    plan._owner = {}
-    plan._ranges = []
-    plan._cycles = [Cycle((1, 2)), Cycle((2, 3))]
-    problems = validate_plan(plan, horizon=10)
-    assert problems == ["index 2 appears in cycles 1 and 2"]
-    assert validate_plan(random_plan(50, 4, seed=1), horizon=50) == []
+def test_plan_rejects_duplicates_at_construction():
+    with pytest.raises(PlanViolationError,
+                       match="index 2 appears in two cycles"):
+        CyclePlan([Cycle((1, 2)), Cycle((2, 3))])
+    assert len(random_plan(50, 4, seed=1).cycles) > 1
 
 
 def test_plan_text_round_trip():
