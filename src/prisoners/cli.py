@@ -94,10 +94,17 @@ def _build(label: str, builder, args: tuple, params: dict, allowed=None):
     return builder(*args, **params)
 
 
+def _read_text(path) -> str:
+    """A plan, table or config file's text, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path} is not UTF-8 text: {err}") from None
+
+
 def parse_model(spec: str):
     if spec.startswith("@"):
-        path = Path(spec[1:])
-        return load_model(path.read_text(), name=path.stem)
+        return load_model(_read_text(spec[1:]), name=Path(spec[1:]).stem)
     name, params = _split_spec(spec)
     if name == "geometric":
         ratio = _value(params.pop("ratio", "1/2"))
@@ -116,8 +123,7 @@ def parse_strategy(spec: str, model, plan=None):
     so it is resolved last; everything else depends only on the model.
     """
     if spec.startswith("@"):
-        path = Path(spec[1:])
-        return load_allocation(path.read_text(), name=path.stem)
+        return load_allocation(_read_text(spec[1:]), name=Path(spec[1:]).stem)
     name, raw = _split_spec(spec)
     params = {k: _value(v) for k, v in raw.items()}
     if name == "baseline":
@@ -168,8 +174,7 @@ def _adversary_plan(kind: str, model, alloc, params):
 
 def parse_plan_source(spec: str, horizon: int, seed: int, model, alloc):
     if spec.startswith("@"):
-        path = Path(spec[1:])
-        return parse_plan(path.read_text(), name=path.stem)
+        return parse_plan(_read_text(spec[1:]), name=Path(spec[1:]).stem)
     name, raw = _split_spec(spec)
     params = {k: _value(v) for k, v in raw.items()}
     if name == "random":
@@ -214,8 +219,9 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
+        text = _read_text(path)
         try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
+            return cls.from_dict(json.loads(text))
         except (TypeError, ValueError) as err:
             raise UsageError(f"bad config file {path}: {err}")
 

@@ -1,31 +1,33 @@
 """Pointer-following execution, whole-window simulation, release verdicts.
 
-A prisoner walks his pointer chain box by box, paying each closed box's
-price out of his own amount; the walk either closes his whole cycle or dies
-where the money runs out.  Simulation scores every prisoner whose cycle is
-fully inside the window and renders a verdict against whatever success
+A prisoner walks their pointer chain box by box, paying each closed box's
+price out of their own amount; the walk either closes their whole cycle or
+dies where the money runs out.  Simulation scores every prisoner whose cycle
+is fully inside the window and renders a verdict against whatever success
 pattern was claimed (by a builder descriptor or by a guard construction).
 
-Under closed boxes (V1a, V1b, V1d, V2a, V2b) prices are nonnegative, so a
-walk opens exactly the longest prefix of its rotation that the amount
-covers; those variants are scored a cycle at a time from the cycle's prefix
-sums.  run_prisoner is the box-by-box walk: it plays the open-boxes variant
-V1c, whose shared open boxes make walks depend on each other, and it is the
-oracle the per-cycle scoring is tested against.
+A walk never leaves its cycle, so every variant is scored a cycle at a time
+from the cycle's prices as integers over one scale.  Under closed boxes
+(V1a, V1b, V1d, V2a, V2b) prices are nonnegative, so a walk opens exactly
+the longest prefix of its rotation that the amount covers.  Under open
+boxes (V1c) opened boxes stay open for later walks, so each cycle's members
+walk box by box in the entry order.  run_prisoner is the public single
+walk and the oracle both kernels are tested against.
 """
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .adversaries import (
     ALL_MEMBERS_FAIL, ANCHOR_FAILS, AdversaryClaim, FAILURE_IN_EVERY_CYCLE,
     NO_SUCCESS_AFTER_FIRST,
 )
-from .errors import DomainError, NotMaterializedError, UsageError
+from .errors import DomainError, UsageError
 from .numeric import ONE, Rat, ZERO, int_str, rat_str
 from .permutations import CyclePlan
 from .sequences import (
@@ -76,8 +78,7 @@ def get_variant(v) -> Variant:
 # ---------------------------------------------------------------------------
 # one prisoner
 
-@dataclass(frozen=True)
-class PrisonerOutcome:
+class PrisonerOutcome(NamedTuple):
     """What one walk did: boxes paid for, money gone, label found or not."""
 
     prisoner: int
@@ -153,11 +154,11 @@ def _score_cycle(members: tuple, alloc: AllocationPlan, model: PriceModel,
         # prices are whole multiples of 1/scale, so the walk can pay exactly
         # the payments of at most floor(amount * scale) such units
         budget = num * scale // den
+        if budget < units[i]:
+            outcomes[n] = PrisonerOutcome(n, (), ZERO, False,
+                                          "BudgetExhausted")
+            continue
         if sums is None:
-            if budget < units[i]:
-                outcomes[n] = PrisonerOutcome(n, (), ZERO, False,
-                                              "BudgetExhausted")
-                continue
             if min(units) < 0:
                 raise DomainError("prices must be nonnegative")
             sums = list(accumulate(units, initial=0))
@@ -168,10 +169,6 @@ def _score_cycle(members: tuple, alloc: AllocationPlan, model: PriceModel,
                 whole = Rat(total, scale)
             outcomes[n] = PrisonerOutcome(n, members[i:] + members[:i],
                                           whole, True)
-            continue
-        if budget < units[i]:
-            outcomes[n] = PrisonerOutcome(n, (), ZERO, False,
-                                          "BudgetExhausted")
             continue
         # the walk has paid sums[k] - sums[i] on reaching position k before
         # it wraps, and total - sums[i] + sums[k] after
@@ -185,6 +182,42 @@ def _score_cycle(members: tuple, alloc: AllocationPlan, model: PriceModel,
             paid = total - sums[i] + sums[k]
         outcomes[n] = PrisonerOutcome(n, opened, Rat(paid, scale), False,
                                       "BudgetExhausted")
+    return _top_priced(members, units)
+
+
+def _walk_open_cycle(members: tuple, entries: list, alloc: AllocationPlan,
+                     model: PriceModel, outcomes: dict) -> tuple:
+    """Walk one cycle's members, in entry order, as run_prisoner does with
+    one open-box set shared by the window; returns the top-priced members.
+
+    The prices are model.cycle_units, integers of any sign over one scale,
+    so after paying `paid` units an amount covers u more exactly when
+    floor(amount * scale) - paid >= u.
+    """
+    units, scale = model.cycle_units(members)
+    is_open = [False] * len(members)
+    for n in entries:
+        amount = alloc.amount(n)
+        num, den = amount.numerator, amount.denominator
+        if num < 0:
+            raise DomainError("amounts cannot be negative")
+        i = members.index(n)
+        if is_open[i - 1]:  # the box holding label n is on view
+            outcomes[n] = PrisonerOutcome(n, (), ZERO, True)
+            continue
+        budget = num * scale // den
+        paid, opened, reason = 0, [], None
+        for j in (*range(i, len(members)), *range(i)):
+            if is_open[j]:
+                continue
+            if budget - paid < units[j]:
+                reason = "BudgetExhausted"
+                break
+            paid += units[j]
+            is_open[j] = True
+            opened.append(members[j])
+        outcomes[n] = PrisonerOutcome(n, tuple(opened), Rat(paid, scale),
+                                      reason is None, reason)
     return _top_priced(members, units)
 
 
@@ -286,55 +319,37 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
                 f"declares {rat_str(cert.value)}")
 
     _pull_to_horizon(plan, horizon)
-    scored: list[int] = []
-    not_simulated: list[int] = []
-    # least member -> the cycle's members in walk order from it
-    seen_cycles: dict[int, tuple] = {}
-    for n in range(1, horizon + 1):
-        try:
-            cycle = plan.cycle_containing(n)
-        except NotMaterializedError:
-            not_simulated.append(n)
-            continue
-        if cycle.max_member > horizon:
-            not_simulated.append(n)
-            continue
-        least = cycle.min_member
-        if least not in seen_cycles:
-            seen_cycles[least] = cycle.rotation_from(least)
-        scored.append(n)
-    cycles = tuple(seen_cycles.values())
-
+    cycles, not_simulated = plan.window(horizon)
     outcomes: dict[int, PrisonerOutcome] = {}
     if v.info == "OpenBoxesPersist":
-        order = scored
+        cycle_of = {n: i for i, members in enumerate(cycles) for n in members}
+        order = scored = sorted(cycle_of)
         if entry_order is not None:
             try:
-                order = [int(x) for x in entry_order]
-            except (TypeError, ValueError):
+                order = [operator.index(x) for x in entry_order]
+            except TypeError:
                 raise UsageError("the entry order must list prisoner "
                                  "indices") from None
             if sorted(order) != scored:
                 raise UsageError("the entry order must be a permutation "
                                  "of the simulated prisoners")
-        open_boxes: set[int] = set()
+        entries = [[] for _ in cycles]
         for n in order:
-            outcomes[n] = run_prisoner(n, alloc.amount(n), plan, model,
-                                       open_boxes)
+            entries[cycle_of[n]].append(n)
         top_priced = tuple(
-            _top_priced(members, model.cycle_units(members)[0])
-            for members in cycles)
+            _walk_open_cycle(members, mine, alloc, model, outcomes)
+            for members, mine in zip(cycles, entries))
     else:
         top_priced = tuple(_score_cycle(members, alloc, model, outcomes)
                            for members in cycles)
 
-    ordered = tuple(outcomes[n] for n in scored)
+    ordered = tuple(outcomes[n] for n in sorted(outcomes))
     claim = plan.claim if plan.claim is not None else alloc.descriptor
     report = SimulationReport(
         variant=v.id, horizon=horizon, outcomes=ordered,
         success_count=sum(1 for o in ordered if o.success),
         verdict="Inconclusive", witnesses=(),
-        cycles=cycles, not_simulated=tuple(not_simulated),
+        cycles=tuple(cycles), not_simulated=tuple(not_simulated),
         top_priced=top_priced, claim=claim)
     release = evaluate_release(v, report, claim)
     report.verdict = release.verdict

@@ -4,10 +4,12 @@ A plan lists explicit cycles and treats every unlisted index as a fixed
 point, or pulls cycles lazily from an adversary stream.  Cycles over huge
 consecutive blocks are kept as ranges instead of member tuples.  Every
 cycle enters a plan through `CyclePlan._admit`, which keeps the plan's one
-membership index and rejects any index claimed by two cycles.
+membership index and rejects any index claimed by two cycles, except the
+random generators' disjoint cycles, which fill the same index unchecked.
 """
 from __future__ import annotations
 
+import operator
 import random
 from typing import Iterable, Iterator, Optional
 
@@ -41,7 +43,11 @@ class Cycle:
     __slots__ = ("members", "start", "end")
 
     def __init__(self, members: Iterable[int]):
-        tup = tuple(int(m) for m in members)
+        try:
+            tup = tuple(map(operator.index, members))
+        except TypeError:
+            raise PlanViolationError(
+                "cycle members must be integers") from None
         if not tup:
             raise PlanViolationError("empty cycle")
         if any(m < 1 for m in tup):
@@ -53,16 +59,20 @@ class Cycle:
         self.end = max(tup)
 
     @classmethod
+    def _trusted(cls, members: Optional[tuple], start: int,
+                 end: int) -> "Cycle":
+        """A cycle whose distinct members >= 1 span [start, end]."""
+        obj = object.__new__(cls)
+        obj.members, obj.start, obj.end = members, start, end
+        return obj
+
+    @classmethod
     def of_range(cls, start: int, end: int) -> "Cycle":
         if start < 1 or end < start:
             raise PlanViolationError(f"bad cycle range [{start}, {end}]")
         if end - start < 64:
             return cls(range(start, end + 1))
-        obj = object.__new__(cls)
-        obj.members = None
-        obj.start = start
-        obj.end = end
-        return obj
+        return cls._trusted(None, start, end)
 
     @property
     def is_range(self) -> bool:
@@ -177,6 +187,15 @@ class CyclePlan:
     def lazy(cls, source: Iterator[Cycle], name: str = "stream") -> "CyclePlan":
         return cls((), name=name, source=source)
 
+    @classmethod
+    def _of_disjoint(cls, cycles: list, name: str) -> "CyclePlan":
+        """A plan of explicit disjoint cycles, indexed as _admit would."""
+        plan = cls((), name=name)
+        plan._cycles = cycles
+        plan._owner = {m: c for c in cycles for m in c.members}
+        plan._pulled_bound = max(c.end for c in cycles)
+        return plan
+
     def _admit(self, cycle: Cycle) -> None:
         """Index a cycle's members, or raise if another cycle holds one.
 
@@ -237,21 +256,15 @@ class CyclePlan:
         """Largest index known to be covered by pulled cycles."""
         return self._pulled_bound
 
-    def _lookup(self, n: int) -> Optional[Cycle]:
+    def cycle_containing(self, n: int) -> Cycle:
+        if n < 1:
+            raise DomainError("indices start at 1")
         hit = self._owner.get(n)
         if hit is not None:
             return hit
         for c in self._ranges:
             if c.start <= n <= c.end:
                 return c
-        return None
-
-    def cycle_containing(self, n: int) -> Cycle:
-        if n < 1:
-            raise DomainError("indices start at 1")
-        hit = self._lookup(n)
-        if hit is not None:
-            return hit
         if self.is_lazy and not self._exhausted and n > self.pulled_bound:
             raise NotMaterializedError(
                 f"index {_index_repr(n)} lies beyond the "
@@ -262,6 +275,31 @@ class CyclePlan:
                 f"{_index_repr(self.covered_bound)}; the stream continues "
                 "in a non-materializable form")
         return Cycle((n,))
+
+    def window(self, horizon: int) -> tuple:
+        """(cycles, not_simulated) of [1, horizon]: each cycle inside it in
+        walk order from its least member, least members ascending, and the
+        ascending indices whose cycle crosses the horizon or which
+        cycle_containing cannot place (an unlisted index it can place is a
+        fixed point)."""
+        cycles, cut = [], []
+        for c in self._cycles:
+            if c.end <= horizon:
+                cycles.append(c.rotation_from(c.start))
+            elif c.start <= horizon:
+                cut += [m for m in c.members or range(c.start, horizon + 1)
+                        if m <= horizon]
+        free = set(range(1, horizon + 1)).difference(self._owner)
+        for c in self._ranges:
+            free.difference_update(range(c.start, min(c.end, horizon) + 1))
+        known = horizon
+        if self.is_lazy and not self._exhausted:
+            known = min(known, self._pulled_bound)
+        if self.covered_bound is not None:
+            known = min(known, self.covered_bound)
+        cycles += [(n,) for n in free if n <= known]
+        cut += [n for n in free if n > known]
+        return sorted(cycles, key=operator.itemgetter(0)), sorted(cut)
 
     def sigma(self, n: int) -> int:
         return self.cycle_containing(n).successor(n)
@@ -291,11 +329,12 @@ def random_plan(horizon: int, max_len: int, seed: int,
     rng.shuffle(pool)
     cycles = []
     i = 0
-    while i < len(pool):
-        k = rng.randint(1, min(max_len, len(pool) - i))
-        cycles.append(Cycle(pool[i:i + k]))
+    while i < horizon:
+        k = rng.randint(1, min(max_len, horizon - i))
+        members = tuple(pool[i:i + k])
+        cycles.append(Cycle._trusted(members, min(members), max(members)))
         i += k
-    return CyclePlan(cycles, name=name or f"random[{seed}]")
+    return CyclePlan._of_disjoint(cycles, name or f"random[{seed}]")
 
 
 def random_bounded_diameter_plan(horizon: int, diameter: int, seed: int,
@@ -312,9 +351,9 @@ def random_bounded_diameter_plan(horizon: int, diameter: int, seed: int,
         size = rng.randint(1, min(diameter + 1, horizon - n + 1))
         members = list(range(n, n + size))
         rng.shuffle(members)
-        cycles.append(Cycle(members))
+        cycles.append(Cycle._trusted(tuple(members), n, n + size - 1))
         n += size
-    return CyclePlan(cycles, name=name or f"banded[{seed}]")
+    return CyclePlan._of_disjoint(cycles, name or f"banded[{seed}]")
 
 
 def cycle_line(cycle: Cycle) -> str:

@@ -184,6 +184,32 @@ def test_config_with_a_non_integer_entry_order_exits_two(tmp_path, capsys):
     assert "entry order" in capsys.readouterr().err
 
 
+def test_config_with_a_fractional_entry_order_exits_two(tmp_path, capsys):
+    # 1.5 is not an index, so it is rejected rather than read as 1
+    path = tmp_path / "config.json"
+    ScenarioConfig("V1c", "geometric", "baseline", "random", 10,
+                   entry_order=[1.5, *range(2, 11)]).save(path)
+    assert run(["simulate", "--config", str(path)]) == 2
+    assert "entry order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--plan", "--model", "--strategy",
+                                  "--config"])
+def test_files_that_are_not_utf8_exit_two(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe1 2")
+    flags = {"--variant": "V1a", "--model": "geometric",
+             "--strategy": "baseline", "--plan": "random", "--horizon": "10"}
+    if flag == "--config":
+        flags = {"--config": str(bad)}
+    else:
+        flags[flag] = f"@{bad}"
+    assert run(["simulate", *(x for kv in flags.items() for x in kv)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    assert "not UTF-8" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -618,6 +644,23 @@ _PLAN_LINES = st.lists(st.one_of(
               st.integers(-1, 200), st.integers(-1, 400)),
     st.sampled_from(["identity-from 30", "# note", "", "range 5",
                      "1 x", "range a b", "2 1  # swap"])), max_size=5)
+# model and allocation table files: index and value lines and tail lines
+_TABLE_LINES = st.lists(st.one_of(
+    st.builds("{} {}".format, st.integers(-1, 12),
+              st.sampled_from(["1/2", "1/8", "0", "3/2", "-1/4", "1/0",
+                               "x"])),
+    st.sampled_from(["tail zero from 9", "tail geometric 1/2 from 9",
+                     "tail geometric 3/2 from 4",
+                     "tail inverse-power 2 from 9", "tail zero from 0",
+                     "tail zero", "tail", "# note", ""])), max_size=5)
+
+
+def _file_bytes(lines):
+    """The lines as file bytes, sometimes cut by bytes that are not UTF-8."""
+    return st.builds(
+        lambda lines, bad: "".join(line + "\n" for line in lines).encode()
+        + (b"\xff\xfe" if bad else b""),
+        lines, st.booleans())
 
 
 # registry key -> the parameters its check reads
@@ -649,27 +692,36 @@ def test_fuzzed_verify_parameters_name_every_registry_key():
 
 @st.composite
 def _command_lines(draw):
-    """(argv, plan file text or None) for one bounded CLI run."""
+    """(argv, {placeholder: file bytes}) for one bounded CLI run."""
     command = draw(st.sampled_from(["simulate", "verify", "adversary",
                                     "analyze"]))
+    files = {}
+
+    def table_file(spec, placeholder):
+        # a quarter of the model and strategy specs name a table file
+        if draw(st.integers(0, 3)):
+            return spec
+        files[placeholder] = draw(_file_bytes(_TABLE_LINES))
+        return placeholder
+
     if command == "simulate":
-        plan_text = draw(st.none() | _PLAN_LINES.map(
-            lambda lines: "".join(line + "\n" for line in lines)))
+        if draw(st.booleans()):
+            files["@PLAN"] = draw(_file_bytes(_PLAN_LINES))
         if draw(st.booleans()):
             variant, model, strategy = draw(st.sampled_from(_SCENARIOS))
         else:
             variant = draw(st.sampled_from([*VARIANTS, "V9"]))
             model, strategy = draw(_MODELS), draw(_STRATEGIES)
-        argv = ["simulate", "--variant", variant, "--model", model,
-                "--strategy", strategy,
-                "--plan", "@PLAN" if plan_text is not None
-                else draw(_PLAN_SOURCES),
+        argv = ["simulate", "--variant", variant,
+                "--model", table_file(model, "@MODEL"),
+                "--strategy", table_file(strategy, "@ALLOC"),
+                "--plan", "@PLAN" if "@PLAN" in files else draw(_PLAN_SOURCES),
                 "--horizon", str(draw(st.integers(-1, 30))),
                 "--seed", str(draw(st.integers(0, 3)))]
         order = draw(st.none() | st.lists(st.integers(0, 12), max_size=4))
         if order is not None:
             argv += ["--entry-order", ",".join(map(str, order))]
-        return argv, plan_text
+        return argv, files
     if command == "verify":
         key = draw(st.sampled_from([*_VERIFY_PARAMS, "sideways"]))
         params = draw(st.lists(st.builds(
@@ -680,17 +732,18 @@ def _command_lines(draw):
                                        "abc"]))),
             max_size=3))
         return ["verify", key, *params,
-                "--seed", str(draw(st.integers(0, 3)))], None
+                "--seed", str(draw(st.integers(0, 3)))], files
     if command == "adversary":
-        return ["adversary", draw(_ADVERSARY_KINDS), "--model", draw(_MODELS),
-                "--strategy", draw(_STRATEGIES),
-                "--cycles", str(draw(st.integers(-1, 6)))], None
-    return ["analyze", "--model", draw(_MODELS),
+        return ["adversary", draw(_ADVERSARY_KINDS),
+                "--model", table_file(draw(_MODELS), "@MODEL"),
+                "--strategy", table_file(draw(_STRATEGIES), "@ALLOC"),
+                "--cycles", str(draw(st.integers(-1, 6)))], files
+    return ["analyze", "--model", table_file(draw(_MODELS), "@MODEL"),
             "--mode", draw(st.sampled_from(["min", "existence", "dominance",
                                             "zero-omission", "sideways"])),
             "--m", str(draw(st.integers(-1, 9))),
             "--trials", str(draw(st.integers(0, 40))),
-            "--seed", str(draw(st.integers(0, 3)))], None
+            "--seed", str(draw(st.integers(0, 3)))], files
 
 
 @given(_command_lines())
@@ -699,13 +752,13 @@ def _command_lines(draw):
 def test_every_command_line_keeps_the_exit_code_contract(case):
     # 0 confirmed, 1 only after a verdict or failed check was printed,
     # 2 for usage errors, and never a traceback
-    argv, plan_text = case
+    argv, files = case
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        if plan_text is not None:
-            plan = Path(tmp) / "plan.txt"
-            plan.write_text(plan_text)
-            argv = [f"@{plan}" if a == "@PLAN" else a for a in argv]
+        for placeholder, data in files.items():
+            path = Path(tmp) / f"{placeholder[1:].lower()}.txt"
+            path.write_bytes(data)
+            argv = [f"@{path}" if a == placeholder else a for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)

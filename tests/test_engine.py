@@ -13,22 +13,22 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prisoners import engine, registry
+from prisoners import registry
 from prisoners.adversaries import (
     ALL_MEMBERS_FAIL, ANCHOR_FAILS, AdversaryClaim, FAILURE_IN_EVERY_CYCLE,
     NO_SUCCESS_AFTER_FIRST, good_index_adversary,
 )
 from prisoners.engine import (
     VARIANTS, PrisonerOutcome, SimulationReport, _score_cycle,
-    evaluate_release, get_variant, run_prisoner, simulate,
+    _walk_open_cycle, evaluate_release, get_variant, run_prisoner, simulate,
 )
 from prisoners.errors import DomainError, UsageError
 from prisoners.numeric import ONE, ZERO, rat, rat_str
 from prisoners.permutations import Cycle, CyclePlan, random_plan
 from prisoners.registry import THEOREM_KEYS, verify_theorem
 from prisoners.sequences import (
-    CustomModel, FnAllocation, PermutedModel, Relabeling, ScaledModel,
-    TableAllocation, ZeroTail, builtin_model,
+    CustomModel, FnAllocation, PermutedModel, PriceModel, Relabeling,
+    ScaledModel, TableAllocation, ZeroTail, builtin_model,
 )
 from prisoners.strategies import (
     build_baseline_geometric, build_bounded_length_strategy,
@@ -228,23 +228,76 @@ def test_cycle_scoring_rejects_negative_amounts():
     alloc = SimpleNamespace(amount=lambda n: rat(-1, 2))
     with pytest.raises(DomainError):
         _score_cycle((1, 2), alloc, GEO, {})
+    with pytest.raises(DomainError, match="amounts cannot be negative"):
+        _walk_open_cycle((1, 2), [2, 1], alloc, GEO, {})
 
 
-def test_only_the_open_box_variant_walks_box_by_box(monkeypatch):
-    calls = []
+class SignedPrices(PriceModel):
+    """Prices (-1)**n / n: the open-box walk sets no sign requirement."""
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return run_prisoner(*args, **kwargs)
+    name = "signed-prices"
 
-    monkeypatch.setattr(engine, "run_prisoner", counted)
-    alloc, _ = build_bounded_length_strategy(GEO, 3)
-    plan = random_plan(30, 3, 1)
-    for variant in ("V1a", "V1b", "V1d"):
-        simulate(variant, GEO, alloc, plan, 30)
-    assert calls == []
-    simulate("V1c", GEO, alloc, plan, 30)
-    assert sorted(calls) == list(range(1, 31))
+    def term(self, n):
+        return rat((-1) ** n, n)
+
+
+def _open_box_plan(rnd, sizes, gaps, with_range):
+    """Explicit cycles of the drawn sizes over a shuffle of their indices,
+    gaps indices left as fixed points, and maybe a range cycle after."""
+    count = sum(sizes) + gaps
+    pool = list(range(1, count + 1))
+    rnd.shuffle(pool)
+    cycles, i = [], 0
+    for size in sizes:
+        cycles.append(Cycle(pool[i:i + size]))
+        i += size
+    if with_range:
+        cycles.append(Cycle.of_range(count + 1, count + rnd.randint(64, 70)))
+    return CyclePlan(cycles, name="drawn")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_MODELS + [TIED_PRICES, SignedPrices()]),
+       st.randoms(), st.lists(st.integers(1, 6), min_size=1, max_size=12),
+       st.integers(0, 3), st.booleans(), st.booleans(), st.booleans())
+def test_open_box_scoring_matches_the_shared_walk_exactly(
+        model, rnd, sizes, gaps, with_range, shuffled, cut):
+    plan = _open_box_plan(rnd, sizes, gaps, with_range)
+    top = max(c.max_member for c in plan.cycles)
+    horizon = top if not cut else rnd.randint(1, top)
+    scored = [n for n in range(1, horizon + 1)
+              if plan.cycle_containing(n).max_member <= horizon]
+    order = list(scored)
+    if shuffled:
+        rnd.shuffle(order)
+    # walk the entry order with one shared open set; each amount sits at or
+    # next to a prefix sum of the boxes still closed when its turn comes
+    open_boxes, amounts, want = set(), {}, {}
+    for n in order:
+        paid = [ZERO]
+        for box in plan.cycle_containing(n).rotation_from(n):
+            if box not in open_boxes:
+                paid.append(paid[-1] + model.term(box))
+        amounts[n] = max(ZERO, _amount((rnd.randrange(6),
+                                        rnd.randrange(200)), paid))
+        want[n] = run_prisoner(n, amounts[n], plan, model, open_boxes)
+    alloc = FnAllocation("drawn", amounts.__getitem__)
+    report = simulate("V1c", model, alloc, plan, horizon,
+                      entry_order=order if shuffled else None)
+    assert [o.prisoner for o in report.outcomes] == scored
+    for got in report.outcomes:
+        expected = want[got.prisoner]
+        assert got.opened == expected.opened
+        assert got.spent == expected.spent
+        assert type(got.spent) is type(expected.spent)
+        assert got.spent.denominator == expected.spent.denominator
+        assert got.success == expected.success
+        assert got.reason == expected.reason
+        assert got == expected
+    assert report.top_priced == tuple(
+        tuple(m for m in members
+              if model.term(m) == max(model.term(b) for b in members))
+        for members in report.cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +494,14 @@ def test_entry_order_must_cover_exactly_the_scored_prisoners():
         simulate("V1c", GEO, alloc, plan_of((1, 2)), 2, entry_order=[1, 1])
     with pytest.raises(UsageError):
         simulate("V1c", GEO, alloc, plan_of((1, 2)), 2, entry_order=[1, 2, 3])
+
+
+@pytest.mark.parametrize("order", [[1.5, 2], ["1", 2], [rat(1), 2]])
+def test_entry_orders_of_non_indices_are_usage_errors(order):
+    # 1.5 must not be read as prisoner 1
+    alloc = table({1: "1/2"})
+    with pytest.raises(UsageError, match="entry order"):
+        simulate("V1c", GEO, alloc, plan_of((1, 2)), 2, entry_order=order)
 
 
 def test_shared_boxes_never_hurt():

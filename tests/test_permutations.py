@@ -1,7 +1,14 @@
 """Cycle and plan behavior, random generators, text round-trips."""
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prisoners.adversaries import (
+    good_index_adversary, two_cycle_adversary, v1b_ceiling_adversary,
+    v1d_cycle_chooser,
+)
 from prisoners.errors import (
     CapabilityError, NotMaterializedError, PlanViolationError,
 )
@@ -11,6 +18,7 @@ from prisoners.permutations import (
     random_bounded_diameter_plan,
 )
 from prisoners.sequences import Relabeling, builtin_model
+from prisoners.strategies import build_baseline_geometric
 
 
 def test_cycle_successor_follows_member_order():
@@ -320,3 +328,140 @@ def test_pulled_bound_is_the_running_max_of_pulled_members():
         assert plan.pulled_bound == max(c.max_member for c in plan.cycles)
     explicit = CyclePlan([Cycle((7, 3)), Cycle((1, 2))])
     assert explicit.pulled_bound == 7
+
+
+@pytest.mark.parametrize("members", [[2.7, 3], [1, Fraction(2)], ["1", 2]])
+def test_cycle_rejects_members_that_are_not_integers(members):
+    with pytest.raises(PlanViolationError, match="integers"):
+        Cycle(members)
+
+
+# ---------------------------------------------------------------------------
+# the random generators against plans built through the validating path
+
+def _validated_random_plan(horizon, max_len, seed):
+    rng = random.Random(("plan", horizon, max_len, seed).__repr__())
+    pool = list(range(1, horizon + 1))
+    rng.shuffle(pool)
+    cycles, i = [], 0
+    while i < len(pool):
+        k = rng.randint(1, min(max_len, len(pool) - i))
+        cycles.append(Cycle(pool[i:i + k]))
+        i += k
+    return CyclePlan(cycles, name=f"random[{seed}]")
+
+
+def _validated_banded_plan(horizon, diameter, seed):
+    rng = random.Random(("banded", horizon, diameter, seed).__repr__())
+    cycles, n = [], 1
+    while n <= horizon:
+        size = rng.randint(1, min(diameter + 1, horizon - n + 1))
+        members = list(range(n, n + size))
+        rng.shuffle(members)
+        cycles.append(Cycle(members))
+        n += size
+    return CyclePlan(cycles, name=f"banded[{seed}]")
+
+
+def _assert_same_plan(got, want):
+    assert got.name == want.name
+    assert [(c.members, c.start, c.end) for c in got.cycles] == [
+        (c.members, c.start, c.end) for c in want.cycles]
+    assert got._owner == want._owner
+    assert list(got._owner) == list(want._owner)
+    assert all(got._owner[m] is c for c in got.cycles for m in c.members)
+    assert got._ranges == want._ranges == []
+    assert got.pulled_bound == want.pulled_bound
+    assert dump_plan(got) == dump_plan(want)
+
+
+@pytest.mark.parametrize("horizon, cap", [(1, 1), (7, 3), (60, 6),
+                                          (400, 20), (300, 1)])
+def test_random_plans_equal_their_validated_builds(horizon, cap):
+    for seed in range(50):
+        _assert_same_plan(random_plan(horizon, cap, seed),
+                          _validated_random_plan(horizon, cap, seed))
+        _assert_same_plan(random_bounded_diameter_plan(horizon, cap - 1, seed),
+                          _validated_banded_plan(horizon, cap - 1, seed))
+
+
+# ---------------------------------------------------------------------------
+# the window against one cycle_containing lookup per index
+
+def _window_by_lookup(plan, horizon):
+    cycles, cut = {}, []
+    for n in range(1, horizon + 1):
+        try:
+            cycle = plan.cycle_containing(n)
+        except NotMaterializedError:
+            cut.append(n)
+            continue
+        if cycle.max_member > horizon:
+            cut.append(n)
+            continue
+        least = cycle.min_member
+        if least not in cycles:
+            cycles[least] = cycle.rotation_from(least)
+    return list(cycles.values()), cut
+
+
+def _assert_window(plan, horizon):
+    cycles, cut = plan.window(horizon)
+    assert (cycles, cut) == _window_by_lookup(plan, horizon)
+    assert all(type(members) is tuple for members in cycles)
+
+
+@given(st.randoms(), st.lists(st.integers(1, 7), max_size=10),
+       st.integers(0, 6), st.lists(st.integers(64, 80), max_size=2),
+       st.integers(0, 30))
+@settings(max_examples=80, deadline=None)
+def test_window_of_parsed_plans_with_gaps_and_ranges(rnd, sizes, gaps,
+                                                     ranges, spare):
+    count = sum(sizes) + gaps
+    pool = list(range(1, count + 1))
+    rnd.shuffle(pool)
+    lines, i = [], 0
+    for size in sizes:
+        lines.append(" ".join(map(str, pool[i:i + size])))
+        i += size
+    start = count + 1
+    for length in ranges:
+        start += rnd.randint(0, 3)  # unlisted indices between ranges
+        lines.append(f"range {start} {start + length - 1}")
+        start += length
+    rnd.shuffle(lines)
+    plan = parse_plan("\n".join(lines) + "\n")
+    for horizon in {1, count or 1, start - 1 or 1, start + spare,
+                    rnd.randint(1, start + spare)}:
+        _assert_window(plan, horizon)
+
+
+def test_window_of_partly_pulled_lazy_streams():
+    invsq = builtin_model("inverse-square")
+    geo = builtin_model("geometric", ratio=rat(1, 2))
+    baseline = build_baseline_geometric()
+    for build in (lambda: good_index_adversary(invsq, baseline),
+                  lambda: two_cycle_adversary(geo, baseline),
+                  lambda: CyclePlan.lazy(iter([Cycle((2, 1)), Cycle((3, 9)),
+                                               Cycle.of_range(12, 90)]))):
+        plan = build()
+        for pulled in (0, 1, 2, 5, 9):
+            plan.materialize(pulled)
+            bound = plan.pulled_bound
+            for horizon in {1, 3, bound or 1, bound + 1, bound + 7,
+                            2 * bound + 5}:
+                _assert_window(plan, horizon)
+
+
+@pytest.mark.parametrize("build", [
+    lambda m, b: v1b_ceiling_adversary(m, b, leader_cap=50),
+    lambda m, b: v1d_cycle_chooser(m, leader_cap=50),
+], ids=["v1b-ceiling", "v1d-chooser"])
+def test_window_of_streams_cut_at_their_covered_bound(build):
+    plan = build(builtin_model("inverse-square"), build_baseline_geometric())
+    plan.materialize(10)
+    assert plan.covered_bound is not None
+    bound = plan.covered_bound
+    for horizon in (1, bound - 1, bound, bound + 1, plan.pulled_bound,
+                    plan.pulled_bound + 3, 520):
+        _assert_window(plan, horizon)
