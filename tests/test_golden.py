@@ -12,6 +12,7 @@ analyzer digests from the per-arrangement rational loops, before the
 exhaustive scans summed integers over a common denominator.
 """
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -20,7 +21,8 @@ from prisoners import (
     adversaries, analyzer, engine, permutations, sequences, strategies,
 )
 from prisoners.cli import main
-from prisoners.numeric import rat
+from prisoners.errors import PrisonersError
+from prisoners.numeric import RatInterval, rat, rat_str
 
 INVSQ = sequences.builtin_model("inverse-square")
 GEO = sequences.builtin_model("geometric", ratio=rat(1, 2))
@@ -344,3 +346,171 @@ def test_perturbed_zero_omission_failure_bytes(monkeypatch, model, m, count,
     assert not trace.passed
     assert len(trace.failures) == count
     assert digest(json.dumps(trace.failures)) == expected
+
+
+# ---------------------------------------------------------------------------
+# tail rules, certified brackets and the builders that read them
+#
+# The digest below was recorded before the tail rules took over their own
+# sums and before brackets took + and * by rationals, so every value,
+# certificate and error those moves touch is pinned.
+
+def _value_text(value) -> str:
+    if isinstance(value, RatInterval):
+        text = f"[{rat_str(value.lo)}, {rat_str(value.hi)}]"
+        if value.refinable:
+            finer = value.refine()
+            text += f" -> [{rat_str(finer.lo)}, {rat_str(finer.hi)}]"
+        return text
+    return f"{type(value).__name__} {rat_str(value)}"
+
+
+def _cert_text(cert) -> str:
+    if cert.kind == "exact":
+        return f"exact {_value_text(cert.value)}"
+    if cert.kind == "bracketed":
+        return "bracketed " + " ".join(
+            _value_text(cert.interval(w)) for w in (rat(1, 64),
+                                                    rat(1, 10 ** 6)))
+    return cert.kind
+
+
+def _attempt(fn) -> str:
+    try:
+        return str(fn())
+    except PrisonersError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# (name, table, rule) for custom models; a zero inside each table with
+# entries, and one empty table per rule
+TAIL_TABLES = [
+    ("zero-empty", {}, sequences.ZeroTail(3)),
+    ("zero-table", {1: rat(1, 2), 2: rat(0), 3: rat(1, 8), 5: rat(1, 16)},
+     sequences.ZeroTail(7)),
+    ("geometric-empty", {}, sequences.GeometricTail(rat(1, 2), 1)),
+    ("geometric-table", {1: rat(1, 3), 2: rat(0), 3: rat(1, 5)},
+     sequences.GeometricTail(rat(2, 3), 5)),
+    ("inverse2-empty", {}, sequences.InversePowerTail(2, 1)),
+    ("inverse2-table", {2: rat(1, 5), 3: rat(0)},
+     sequences.InversePowerTail(2, 4)),
+    ("inverse3-table", {1: rat(1, 2), 2: rat(0), 4: rat(1, 7)},
+     sequences.InversePowerTail(3, 6)),
+]
+
+
+def _tail_models():
+    models = [sequences.CustomModel(table, rule, name=name)
+              for name, table, rule in TAIL_TABLES]
+    return models + [GEO, INVSQ, sequences.ScaledModel(GEO, rat(3, 2)),
+                     sequences.ScaledModel(INVSQ, rat(1, 3))]
+
+
+def _model_lines(model):
+    yield f"model {model.name} kind={model.kind}"
+    yield "terms " + " ".join(rat_str(model.term(n)) for n in range(1, 11))
+    for n in range(1, 7):
+        yield f"tail({n}) " + _attempt(lambda: _value_text(model.tail(n)))
+        yield f"second_tail({n}) " + _attempt(
+            lambda: _value_text(model.second_tail(n)))
+    for a, b in ((1, 1), (1, 6), (2, 9), (4, 4), (3, 12)):
+        yield f"range_sum({a},{b}) " + _attempt(
+            lambda: _value_text(model.range_sum(a, b)))
+    yield "total " + _cert_text(model.total_cert)
+    yield "weighted " + model.weighted_cert.value
+    yield "positive " + " ".join(
+        map(str, itertools.islice(model.positive_indices(), 6)))
+    yield f"nonincreasing_from {model.nonincreasing_from}"
+    yield "dump_model " + _attempt(lambda: sequences.dump_model(model))
+
+
+def _allocation_lines(name, table, rule):
+    yield f"allocation {name}"
+    try:
+        alloc = sequences.TableAllocation(table, rule, name=name)
+    except PrisonersError as exc:
+        yield f"{type(exc).__name__}: {exc}"
+        return
+    yield "amounts " + " ".join(rat_str(alloc.amount(n))
+                                for n in range(1, 11))
+    yield "total " + _cert_text(alloc.total_cert)
+    yield f"structure {alloc.tail_structure!r}"
+    yield "dump_allocation " + sequences.dump_allocation(alloc)
+
+
+def _plan_lines(alloc, m) -> list:
+    return [f"m {m}", f"descriptor {alloc.descriptor.to_json()}",
+            "amounts " + " ".join(rat_str(alloc.amount(n))
+                                  for n in range(1, 21)),
+            f"structure {alloc.tail_structure!r}",
+            "total " + _cert_text(alloc.total_cert)]
+
+
+INFORMED_PLANS = [
+    (3, permutations.CyclePlan(
+        [permutations.Cycle(c) for c in ((1, 3), (2, 5, 4), (6, 7),
+                                         (9, 12, 10), (15,), (17, 20))],
+        name="explicit")),
+    (100, permutations.CyclePlan([permutations.Cycle.of_range(30, 129)],
+                                 name="ranged")),
+]
+
+
+def _builder_lines(model):
+    swap = sequences.Relabeling.swap(2, 5)
+    builders = [
+        ("tail-sum", lambda: strategies.build_tail_sum_strategy(model)),
+        ("tail-sum swap(2,5)",
+         lambda: strategies.build_tail_sum_strategy(model, swap)),
+        ("bounded-length k=2",
+         lambda: strategies.build_bounded_length_strategy(model, 2)),
+        ("bounded-diameter d=1",
+         lambda: strategies.build_bounded_diameter_strategy(model, 1)),
+        ("bounded-diameter d=2 swap(2,5)",
+         lambda: strategies.build_bounded_diameter_strategy(model, 2,
+                                                            swap)),
+    ] + [(f"cycle-informed k={k} {plan.name}",
+          lambda k=k, plan=plan: (strategies.build_cycle_informed_strategy(
+              model, plan, k), None))
+         for k, plan in INFORMED_PLANS]
+    for label, build in builders:
+        yield f"builder {label}"
+        try:
+            alloc, m = build()
+        except PrisonersError as exc:
+            yield f"{type(exc).__name__}: {exc}"
+            continue
+        yield from _plan_lines(alloc, alloc.descriptor.m if m is None else m)
+
+
+def _rearranged_lines(model):
+    swap = sequences.Relabeling.swap(2, 5)
+    yield f"rearranged {model.name}"
+    assert strategies._rearranged_model(
+        model, sequences.Relabeling.identity()) is model
+    try:
+        work = strategies._rearranged_model(model, swap)
+    except PrisonersError as exc:
+        yield f"{type(exc).__name__}: {exc}"
+        return
+    yield f"name {work.name} kind={work.kind}"
+    yield "terms " + " ".join(rat_str(work.term(n)) for n in range(1, 11))
+    yield "dump_model " + sequences.dump_model(work)
+
+
+def tail_rules_canonical_text() -> str:
+    lines = []
+    for model in _tail_models():
+        lines.extend(_model_lines(model))
+    for name, table, rule in TAIL_TABLES:
+        lines.extend(_allocation_lines(name, table, rule))
+    for model in _tail_models() + [sequences.GeometricModel(rat(2, 3))]:
+        lines.extend(_rearranged_lines(model))
+    for model in _tail_models():
+        lines.extend(_builder_lines(model))
+    return "\n".join(lines) + "\n"
+
+
+def test_tail_rule_and_bracket_values_bytes():
+    assert digest(tail_rules_canonical_text()) == (
+        "8b94266c52fd4322cd038b5b6845bfff5469d767e1b297b2371f3c092b45541f")
