@@ -131,12 +131,10 @@ def _rat_label(q) -> str:
 
 def _total_upper(alloc: AllocationPlan, width=rat(1, 64)) -> Rat:
     cert = alloc.total_cert
-    if isinstance(cert, ExactTotal):
-        return Rat(cert.value)
-    if isinstance(cert, BracketedTotal):
-        return cert.interval(width).hi
-    raise CapabilityError(
-        f"{alloc.name}: a certified finite total is required")
+    if not isinstance(cert, (ExactTotal, BracketedTotal)):
+        raise CapabilityError(
+            f"{alloc.name}: a certified finite total is required")
+    return cert.interval(width).hi
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +355,7 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
             f"{model.name}: needs the certificate that weighted price "
             "sums diverge under every relabeling")
     total = model.total_cert
-    if isinstance(total, ExactTotal):
-        exact_total: Optional[Rat] = Rat(total.value)
-    elif isinstance(total, BracketedTotal):
-        exact_total = None
-    else:
+    if not isinstance(total, (ExactTotal, BracketedTotal)):
         raise CapabilityError(
             f"{model.name}: a certified finite price total is required")
 
@@ -382,14 +376,11 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
 
     bracket: list = []  # the total's bracket, refinements computed once
 
-    def price_tail(position: int):
+    def price_tail(position: int) -> RatInterval:
         extend_prices(position - 1)
-        base = prefix[position - 1]
-        if exact_total is not None:
-            return exact_total - base
         if not bracket:
             bracket.append(_refined_once(total.interval(rat(1, 64))))
-        return bracket[0].shift(-base)
+        return bracket[0].shift(-prefix[position - 1])
 
     goodness: dict = {}
 

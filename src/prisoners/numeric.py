@@ -18,10 +18,10 @@ from .errors import DomainError, EmptyRangeError, UndecidedComparisonError
 
 __all__ = [
     "BACKEND", "Rat", "ZERO", "ONE", "rat", "parse_rat", "int_str", "rat_str",
-    "rat_sum", "rat_ceil", "rat_floor", "harmonic_sum", "power_sum",
-    "geometric_sum", "geometric_tail", "RatInterval", "power_tail_bounds",
-    "Cmp", "compare_certified", "least_index", "LN2_LO", "LN2_HI",
-    "ln_bounds", "harmonic_upper_ln", "harmonic_range_lower_ln",
+    "rat_sum", "rat_ceil", "rat_floor", "check_range", "harmonic_sum",
+    "power_sum", "geometric_sum", "geometric_tail", "RatInterval",
+    "power_tail_bounds", "Cmp", "compare_certified", "least_index", "LN2_LO",
+    "LN2_HI", "ln_bounds", "harmonic_upper_ln", "harmonic_range_lower_ln",
 ]
 
 Rat = Fraction
@@ -135,7 +135,8 @@ def least_index(pred: Callable[[int], bool], lo: int,
     return probe
 
 
-def _check_range(a: int, b: int) -> None:
+def check_range(a: int, b: int) -> None:
+    """Raise unless [a, b] is a nonempty range of integer indices >= 1."""
     if not (isinstance(a, int) and isinstance(b, int)):
         raise DomainError("summation bounds must be integers")
     if a < 1:
@@ -146,7 +147,7 @@ def _check_range(a: int, b: int) -> None:
 
 def power_sum(exponent: int, a: int, b: int) -> Rat:
     """Exact sum of 1/i**exponent for i in [a, b], divide and conquer."""
-    _check_range(a, b)
+    check_range(a, b)
     if exponent < 1:
         raise DomainError("exponent must be a positive integer")
 
@@ -174,7 +175,7 @@ def geometric_sum(ratio, a: int, b: int) -> Rat:
     r = Rat(ratio)
     if not (ZERO < r < ONE):
         raise DomainError("ratio must satisfy 0 < ratio < 1")
-    _check_range(a, b)
+    check_range(a, b)
     return (r ** a - r ** (b + 1)) / (ONE - r)
 
 
@@ -239,6 +240,10 @@ class RatInterval:
         inner = self.refine_fn
         fn = (lambda: inner().scale(q)) if inner is not None else None
         return RatInterval(self.lo * q, self.hi * q, fn)
+
+    # a bracket moves and stretches with the value it encloses
+    __add__ = __radd__ = shift
+    __mul__ = __rmul__ = scale
 
 
 def _power_tail_width(exponent: int, m: int) -> Rat:
@@ -408,5 +413,5 @@ def harmonic_range_lower_ln(a: int, b: int) -> Rat:
     The bound is strict: the true range sum always exceeds the returned
     rational.
     """
-    _check_range(a, b)
+    check_range(a, b)
     return ln_bounds(b + 1)[0] - ln_bounds(a)[1]

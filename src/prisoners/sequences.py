@@ -12,14 +12,15 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from .errors import (
     CapabilityError, DomainError, PlanViolationError, PrisonersError,
 )
 from .numeric import (
-    ONE, Rat, RatInterval, ZERO, geometric_sum, geometric_tail,
+    ONE, Rat, RatInterval, ZERO, check_range, geometric_sum, geometric_tail,
     harmonic_sum, least_index, power_sum, power_tail_bounds, rat, rat_str,
+    rat_sum,
 )
 
 __all__ = [
@@ -43,6 +44,11 @@ class ExactTotal:
     """The full series sums to this exact rational."""
     value: Rat
     kind = "exact"
+
+    def interval(self, width) -> RatInterval:
+        """The degenerate bracket [value, value], whatever the width."""
+        value = Rat(self.value)
+        return RatInterval(value, value)
 
 
 class BracketedTotal:
@@ -78,47 +84,154 @@ class WeightedCert(Enum):
 # ---------------------------------------------------------------------------
 # tail rules for table-driven sequences
 
+class TailRule:
+    """Prices for every index from start on, past a finite table.
+
+    A rule answers the sums a table-driven sequence needs beyond its table,
+    each for indices >= start: range sums, tails, and iterated tails.
+    Exact rules return rationals; the others return certified brackets.
+    """
+
+    start: int
+    exact = True
+    weighted_cert = WeightedCert.CONVERGES_SOME
+
+    def __post_init__(self):
+        if self.start < 1:
+            raise DomainError("tail rule must start at index >= 1")
+
+
 @dataclass(frozen=True)
-class ZeroTail:
+class ZeroTail(TailRule):
     start: int
     label = "zero"
 
     def term(self, n: int) -> Rat:
         return ZERO
 
+    def range_sum(self, a: int, b: int) -> Rat:
+        return ZERO
+
+    def tail(self, n: int) -> Rat:
+        return ZERO
+
+    def second_tail(self, m: int, start: int, name: str) -> Rat:
+        return ZERO
+
+    def text_line(self) -> str:
+        return f"tail zero from {self.start}"
+
 
 @dataclass(frozen=True)
-class GeometricTail:
+class GeometricTail(TailRule):
     ratio: Rat
     start: int
     label = "geometric"
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not (ZERO < Rat(self.ratio) < ONE):
+            raise DomainError("geometric tail needs 0 < ratio < 1")
+
     def term(self, n: int) -> Rat:
         return Rat(self.ratio) ** n
 
+    def range_sum(self, a: int, b: int) -> Rat:
+        return geometric_sum(self.ratio, a, b)
+
+    def tail(self, n: int) -> Rat:
+        return geometric_tail(self.ratio, n)
+
+    def second_tail(self, m: int, start: int, name: str) -> Rat:
+        """Sum of (k - m + 1) * term(k) over k >= start."""
+        r = Rat(self.ratio)
+        one_minus = ONE - r
+        return r ** start * (
+            Rat(start - m + 1) / one_minus + r / (one_minus * one_minus))
+
+    def text_line(self) -> str:
+        return f"tail geometric {rat_str(self.ratio)} from {self.start}"
+
 
 @dataclass(frozen=True)
-class InversePowerTail:
+class InversePowerTail(TailRule):
     exponent: int
     start: int
     label = "inverse-power"
+    exact = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.exponent < 2:
+            raise DomainError("inverse-power tail needs exponent >= 2")
+
+    @property
+    def weighted_cert(self) -> WeightedCert:
+        if self.exponent >= 3:
+            return WeightedCert.CONVERGES_SOME
+        # Eventually 1/n**2: any bijection keeps cofinitely many of these
+        # values at positions n with value >= 1/(n + c)**2, so the weighted
+        # series diverges no matter the rearrangement.
+        return WeightedCert.DIVERGES_ALL
 
     def term(self, n: int) -> Rat:
         return Rat(1, n ** self.exponent)
 
+    def range_sum(self, a: int, b: int) -> Rat:
+        if b - a > 2_000_000:
+            raise CapabilityError("inverse-power range too large")
+        return power_sum(self.exponent, a, b)
 
-TailRule = Union[ZeroTail, GeometricTail, InversePowerTail]
+    def tail(self, n: int, width=Rat(1, 100)) -> RatInterval:
+        return power_tail_bounds(self.exponent, n, width)
+
+    def second_tail(self, m: int, start: int, name: str) -> RatInterval:
+        """Bracket for the sum of (k - m + 1) * term(k) over k >= start."""
+        e = self.exponent
+        if e < 3:
+            raise CapabilityError(
+                f"{name}: iterated tails of a 1/n**{e} tail diverge")
+
+        def bracket(width) -> RatInterval:
+            w = Rat(width) / (2 * max(1, m))
+            t1 = power_tail_bounds(e - 1, start, w)
+            t2 = power_tail_bounds(e, start, w)
+            c = 1 - m
+            if c >= 0:
+                lo = t1.lo + c * t2.lo
+                hi = t1.hi + c * t2.hi
+            else:
+                lo = t1.lo + c * t2.hi
+                hi = t1.hi + c * t2.lo
+            return RatInterval(max(lo, ZERO), hi,
+                               lambda: bracket(Rat(width) / 2))
+
+        return bracket(Rat(1, 100))
+
+    def text_line(self) -> str:
+        return f"tail inverse-power {self.exponent} from {self.start}"
 
 
-def _validate_tail_rule(rule: TailRule) -> None:
-    if rule.start < 1:
-        raise DomainError("tail rule must start at index >= 1")
-    if isinstance(rule, GeometricTail):
-        r = Rat(rule.ratio)
-        if not (ZERO < r < ONE):
-            raise DomainError("geometric tail needs 0 < ratio < 1")
-    if isinstance(rule, InversePowerTail) and rule.exponent < 2:
-        raise DomainError("inverse-power tail needs exponent >= 2")
+def _checked_table(entries, rule: TailRule, noun: str,
+                   collision: str) -> dict[int, Rat]:
+    """Table entries as {index: rational}, each >= 0 and before the rule.
+
+    A list is read as the entries for 1, 2, ...; collision is the message,
+    formatted with idx and start, for an entry the rule already prices.
+    """
+    if not isinstance(entries, dict):
+        entries = {i + 1: v for i, v in enumerate(entries)}
+    table: dict[int, Rat] = {}
+    for idx, value in entries.items():
+        if not isinstance(idx, int) or idx < 1:
+            raise DomainError(f"bad table index {idx!r}")
+        if idx >= rule.start:
+            raise DomainError(collision.format(idx=idx, start=rule.start))
+        q = Rat(value)
+        if q < ZERO:
+            raise DomainError(f"{noun} must be nonnegative")
+        table[idx] = q
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +278,11 @@ class PriceModel:
 
     def range_sum(self, a: int, b: int) -> Rat:
         """Exact sum of term(i) for i in [a, b]."""
-        total = ZERO
+        check_range(a, b)
         if b - a > 2_000_000:
             raise CapabilityError(
                 f"{self.name}: no closed form for a range of {b - a + 1} terms")
-        for i in range(a, b + 1):
-            total += self.term(i)
-        return total
+        return rat_sum(self.term(i) for i in range(a, b + 1))
 
     def prefix_sum(self, n: int) -> Rat:
         if n <= 0:
@@ -359,27 +470,14 @@ class CustomModel(PriceModel):
 
     def __init__(self, entries, tail_rule: TailRule, name: str = "custom",
                  total_cert=None, weighted_cert=None):
-        _validate_tail_rule(tail_rule)
         self.rule = tail_rule
         self.name = name
-        if not isinstance(entries, dict):
-            entries = {i + 1: v for i, v in enumerate(entries)}
-        table: dict[int, Rat] = {}
-        for idx, value in entries.items():
-            if not isinstance(idx, int) or idx < 1:
-                raise DomainError(f"bad table index {idx!r}")
-            if idx >= tail_rule.start:
-                raise DomainError(
-                    f"table entry at {idx} collides with tail rule from "
-                    f"{tail_rule.start}")
-            q = Rat(value)
-            if q < ZERO:
-                raise DomainError("prices must be nonnegative")
-            if q != ZERO:
-                table[idx] = q
-        self._table = table
+        table = _checked_table(
+            entries, tail_rule, "prices",
+            "table entry at {idx} collides with tail rule from {start}")
+        self._table = {idx: q for idx, q in table.items() if q != ZERO}
         self._zero_prefix = sorted(
-            i for i in range(1, tail_rule.start) if i not in table)
+            i for i in range(1, tail_rule.start) if i not in self._table)
         self._declared_total_unknown = isinstance(total_cert, UnknownTotal)
         self._declared_weighted_unknown = (
             weighted_cert is WeightedCert.UNKNOWN)
@@ -394,7 +492,7 @@ class CustomModel(PriceModel):
                 raise DomainError("declared total certificate is inconsistent "
                                   "with the tail rule")
         if weighted_cert is not None and weighted_cert is not WeightedCert.UNKNOWN:
-            if weighted_cert is not self._computed_weighted():
+            if weighted_cert is not self.rule.weighted_cert:
                 raise DomainError("declared weighted-sum certificate is "
                                   "inconsistent with the tail rule")
 
@@ -407,106 +505,42 @@ class CustomModel(PriceModel):
 
     @property
     def prefix_total(self) -> Rat:
-        total = ZERO
-        for v in self._table.values():
-            total += v
-        return total
+        return rat_sum(self._table.values())
 
     @property
     def total_cert(self):
         if self._declared_total_unknown:
             return UnknownTotal()
-        rule = self.rule
-        if isinstance(rule, ZeroTail):
-            return ExactTotal(self.prefix_total)
-        if isinstance(rule, GeometricTail):
-            return ExactTotal(
-                self.prefix_total + geometric_tail(rule.ratio, rule.start))
-        prefix = self.prefix_total
-        return BracketedTotal(
-            lambda w: power_tail_bounds(rule.exponent, rule.start, w)
-            .shift(prefix))
-
-    def _computed_weighted(self) -> WeightedCert:
-        rule = self.rule
-        if isinstance(rule, (ZeroTail, GeometricTail)):
-            return WeightedCert.CONVERGES_SOME
-        if rule.exponent >= 3:
-            return WeightedCert.CONVERGES_SOME
-        # Eventually 1/n**2: any bijection keeps cofinitely many of these
-        # values at positions n with value >= 1/(n + c)**2, so the weighted
-        # series diverges no matter the rearrangement.
-        return WeightedCert.DIVERGES_ALL
+        rule, prefix = self.rule, self.prefix_total
+        if rule.exact:
+            return ExactTotal(prefix + rule.tail(rule.start))
+        return BracketedTotal(lambda w: rule.tail(rule.start, w) + prefix)
 
     @property
     def weighted_cert(self) -> WeightedCert:
         if self._declared_weighted_unknown:
             return WeightedCert.UNKNOWN
-        return self._computed_weighted()
+        return self.rule.weighted_cert
 
     @property
     def nonincreasing_from(self) -> int:
         return self.rule.start
 
-    def _table_sum_from(self, n: int) -> Rat:
-        total = ZERO
-        for idx, v in self._table.items():
-            if idx >= n:
-                total += v
-        return total
-
     def tail(self, n: int):
         if n < 1:
             raise DomainError("indices start at 1")
-        rule = self.rule
-        head = self._table_sum_from(n)
-        start = max(n, rule.start)
-        if isinstance(rule, ZeroTail):
-            return head
-        if isinstance(rule, GeometricTail):
-            return head + geometric_tail(rule.ratio, start)
-        return power_tail_bounds(
-            rule.exponent, start, Rat(1, 100)).shift(head)
+        head = rat_sum(v for idx, v in self._table.items() if idx >= n)
+        return head + self.rule.tail(max(n, self.rule.start))
 
     def second_tail(self, m: int):
         if m < 1:
             raise DomainError("indices start at 1")
-        rule = self.rule
         # sum over n >= m of tail(n) equals sum over k >= m of
         # (k - m + 1) * term(k)
-        head = ZERO
-        for idx, v in self._table.items():
-            if idx >= m:
-                head += (idx - m + 1) * v
-        start = max(m, rule.start)
-        if isinstance(rule, ZeroTail):
-            return head
-        if isinstance(rule, GeometricTail):
-            r = Rat(rule.ratio)
-            one_minus = ONE - r
-            tail_part = r ** start * (
-                Rat(start - m + 1) / one_minus + r / (one_minus * one_minus))
-            return head + tail_part
-        e = rule.exponent
-        if e < 3:
-            raise CapabilityError(
-                f"{self.name}: iterated tails of a 1/n**{e} tail diverge")
-
-        def bracket(width) -> RatInterval:
-            w = Rat(width) / (2 * max(1, m))
-            t1 = power_tail_bounds(e - 1, start, w)
-            t2 = power_tail_bounds(e, start, w)
-            c = 1 - m
-            if c >= 0:
-                lo = t1.lo + c * t2.lo
-                hi = t1.hi + c * t2.hi
-            else:
-                lo = t1.lo + c * t2.hi
-                hi = t1.hi + c * t2.lo
-            return RatInterval(max(lo, ZERO), hi,
-                               lambda: bracket(Rat(width) / 2))
-
-        return bracket(Rat(1, 100)).shift(head)
+        head = rat_sum((idx - m + 1) * v for idx, v in self._table.items()
+                       if idx >= m)
+        return head + self.rule.second_tail(m, max(m, self.rule.start),
+                                            self.name)
 
     def positive_indices(self) -> Iterator[int]:
         for idx in sorted(self._table):
@@ -519,19 +553,12 @@ class CustomModel(PriceModel):
             n += 1
 
     def range_sum(self, a: int, b: int) -> Rat:
-        rule = self.rule
-        total = ZERO
-        for idx, v in self._table.items():
-            if a <= idx <= b:
-                total += v
-        start = max(a, rule.start)
-        if start > b or isinstance(rule, ZeroTail):
+        check_range(a, b)
+        total = rat_sum(v for idx, v in self._table.items() if a <= idx <= b)
+        start = max(a, self.rule.start)
+        if start > b:
             return total
-        if isinstance(rule, GeometricTail):
-            return total + geometric_sum(rule.ratio, start, b)
-        if b - start > 2_000_000:
-            raise CapabilityError("inverse-power range too large")
-        return total + power_sum(rule.exponent, start, b)
+        return total + self.rule.range_sum(start, b)
 
     def zero_indices_before_tail(self) -> list[int]:
         return list(self._zero_prefix)
@@ -590,16 +617,10 @@ class ScaledModel(PriceModel):
         return self.inner.weighted_cert
 
     def tail(self, n: int):
-        t = self.inner.tail(n)
-        if isinstance(t, RatInterval):
-            return t.scale(self.factor)
-        return t * self.factor
+        return self.inner.tail(n) * self.factor
 
     def second_tail(self, m: int):
-        t = self.inner.second_tail(m)
-        if isinstance(t, RatInterval):
-            return t.scale(self.factor)
-        return t * self.factor
+        return self.inner.second_tail(m) * self.factor
 
     def range_sum(self, a: int, b: int) -> Rat:
         return self.inner.range_sum(a, b) * self.factor
@@ -667,13 +688,16 @@ def _parse_table_text(text: str):
                 if rule is not None:
                     raise DomainError("multiple tail lines")
                 if parts[1] == "zero" and parts[2] == "from":
-                    rule = ZeroTail(int(parts[3]))
+                    rule, size = ZeroTail(int(parts[3])), 4
                 elif parts[1] == "geometric" and parts[3] == "from":
-                    rule = GeometricTail(rat(parts[2]), int(parts[4]))
+                    rule, size = GeometricTail(rat(parts[2]), int(parts[4])), 5
                 elif parts[1] == "inverse-power" and parts[3] == "from":
-                    rule = InversePowerTail(int(parts[2]), int(parts[4]))
+                    rule, size = InversePowerTail(int(parts[2]),
+                                                  int(parts[4])), 5
                 else:
                     raise DomainError(f"bad tail line: {raw!r}")
+                if len(parts) != size:
+                    raise DomainError(f"bad table line: {raw!r}")
                 continue
             if len(parts) != 2:
                 raise DomainError(f"bad table line: {raw!r}")
@@ -693,13 +717,7 @@ def _parse_table_text(text: str):
 
 def _dump_table_text(entries: dict, rule: TailRule) -> str:
     lines = [f"{idx} {rat_str(v)}" for idx, v in sorted(entries.items())]
-    if isinstance(rule, ZeroTail):
-        lines.append(f"tail zero from {rule.start}")
-    elif isinstance(rule, GeometricTail):
-        lines.append(f"tail geometric {rat_str(rule.ratio)} from {rule.start}")
-    else:
-        lines.append(
-            f"tail inverse-power {rule.exponent} from {rule.start}")
+    lines.append(rule.text_line())
     return "\n".join(lines) + "\n"
 
 
@@ -794,23 +812,11 @@ class TableAllocation(AllocationPlan):
     """Finite table of amounts followed by a zero or geometric tail."""
 
     def __init__(self, entries, tail_rule: TailRule, name: str = "table"):
-        _validate_tail_rule(tail_rule)
-        if isinstance(tail_rule, InversePowerTail):
+        if not tail_rule.exact:
             raise DomainError(
                 "allocations support zero or geometric tails only")
-        if not isinstance(entries, dict):
-            entries = {i + 1: v for i, v in enumerate(entries)}
-        table: dict[int, Rat] = {}
-        for idx, value in entries.items():
-            if not isinstance(idx, int) or idx < 1:
-                raise DomainError(f"bad table index {idx!r}")
-            if idx >= tail_rule.start:
-                raise DomainError("table entry collides with tail rule")
-            q = Rat(value)
-            if q < ZERO:
-                raise DomainError("amounts must be nonnegative")
-            table[idx] = q
-        self._table = table
+        self._table = _checked_table(entries, tail_rule, "amounts",
+                                     "table entry collides with tail rule")
         self.rule = tail_rule
         self.name = name
 
@@ -823,12 +829,8 @@ class TableAllocation(AllocationPlan):
 
     @property
     def total_cert(self):
-        total = ZERO
-        for v in self._table.values():
-            total += v
-        if isinstance(self.rule, GeometricTail):
-            total += geometric_tail(self.rule.ratio, self.rule.start)
-        return ExactTotal(total)
+        return ExactTotal(rat_sum(self._table.values())
+                          + self.rule.tail(self.rule.start))
 
     @property
     def tail_structure(self):

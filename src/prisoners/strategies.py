@@ -6,6 +6,7 @@ the plan with a descriptor naming the prisoners it guarantees to succeed.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -17,9 +18,9 @@ from .numeric import (
 )
 from .sequences import (
     HARMONIC, AllocationPlan, BracketedTotal, CustomModel, DivergentTotal,
-    ExactTotal, FnAllocation, GeometricModel, GeometricTail, InversePowerTail,
-    NonIncreasingBeyond, PriceModel, Relabeling, UnknownTotal, ZeroBeyond,
-    ZeroTail,
+    ExactTotal, FnAllocation, GeometricModel, GeometricTail,
+    NonIncreasingBeyond, PriceModel, Relabeling, TailRule, UnknownTotal,
+    ZeroBeyond, ZeroTail,
 )
 
 __all__ = [
@@ -85,13 +86,22 @@ def relabeling_from_pairs(pairs) -> Relabeling:
 # ---------------------------------------------------------------------------
 # hypothesis plumbing
 
-def _tails_exact(model: PriceModel) -> bool:
-    """Whether model.tail returns exact rationals rather than intervals."""
+def _tail_rule(model: PriceModel) -> Optional[TailRule]:
+    """The rule pricing a table-driven model past its table, None for a
+    model without one; a geometric model is an empty table and its rule."""
     if isinstance(model, GeometricModel):
-        return True
+        return GeometricTail(model.ratio, 1)
     if isinstance(model, CustomModel):
-        return isinstance(model.rule, (ZeroTail, GeometricTail))
-    return False
+        return model.rule
+    return None
+
+
+def _last_positive(model: PriceModel) -> Optional[int]:
+    """The last index with a positive price, 0 when there is none, and
+    None unless the prices are certified zero past a finite table."""
+    if isinstance(_tail_rule(model), ZeroTail):
+        return max(model.positive_indices(), default=0)
+    return None
 
 
 def _rearranged_model(model: PriceModel, delta: Relabeling) -> PriceModel:
@@ -103,25 +113,14 @@ def _rearranged_model(model: PriceModel, delta: Relabeling) -> PriceModel:
     """
     if delta.is_identity:
         return model
-    bound = delta.support_bound
-    if isinstance(model, GeometricModel):
-        entries = {n: model.term(delta(n)) for n in range(1, bound + 1)}
-        return CustomModel(entries, GeometricTail(model.ratio, bound + 1),
-                           name=f"{model.name}@{delta.name or 'relabeled'}")
-    if isinstance(model, CustomModel):
-        start = max(bound + 1, model.rule.start)
-        entries = {n: model.term(delta(n)) for n in range(1, start)}
-        rule = model.rule
-        if isinstance(rule, ZeroTail):
-            new_rule = ZeroTail(start)
-        elif isinstance(rule, GeometricTail):
-            new_rule = GeometricTail(rule.ratio, start)
-        else:
-            new_rule = InversePowerTail(rule.exponent, start)
-        return CustomModel(entries, new_rule,
-                           name=f"{model.name}@{delta.name or 'relabeled'}")
-    raise CapabilityError(
-        f"cannot rearrange a {type(model).__name__} and keep its tails")
+    rule = _tail_rule(model)
+    if rule is None:
+        raise CapabilityError(
+            f"cannot rearrange a {type(model).__name__} and keep its tails")
+    start = max(delta.support_bound + 1, rule.start)
+    entries = {n: model.term(delta(n)) for n in range(1, start)}
+    return CustomModel(entries, dataclasses.replace(rule, start=start),
+                       name=f"{model.name}@{delta.name or 'relabeled'}")
 
 
 def _least_with_certified(fn, target, start: int) -> int:
@@ -180,7 +179,8 @@ def build_tail_sum_strategy(model: PriceModel, delta: Optional[Relabeling]
     if total <= ZERO:
         raise DomainError("the shared budget must be positive")
     work = _rearranged_model(model, delta)
-    if not _tails_exact(work):
+    rule = _tail_rule(work)
+    if rule is None or not rule.exact:
         raise CapabilityError(
             f"{model.name}: tail-funded amounts need exact, summable tails")
     m = _least_with_certified(work.second_tail, total, start=2)
@@ -193,11 +193,11 @@ def build_tail_sum_strategy(model: PriceModel, delta: Optional[Relabeling]
             return ZERO
         return work.tail(n)
 
-    if isinstance(work, CustomModel) and isinstance(work.rule, ZeroTail):
-        top = max([i for i in work._table if i >= m], default=m - 1)
-        structure = ZeroBeyond(max(top, 1))
-    else:
+    top = _last_positive(work)
+    if top is None:
         structure = NonIncreasingBeyond(m, positive=True)
+    else:
+        structure = ZeroBeyond(max(top, m - 1, 1))
     params = {"model": model.name, "total": rat_str(total)}
     if not delta.is_identity:
         params["relabeling"] = _relabeling_pairs(delta)
@@ -221,19 +221,16 @@ def build_bounded_length_strategy(model: PriceModel, k: int, total=ONE):
         raise DomainError("the shared budget must be positive")
 
     def scaled_tail(n: int):
-        t = model.tail(n)
-        if isinstance(t, RatInterval):
-            return t.scale(k)
-        return k * t
+        return k * model.tail(n)
 
     m = _least_with_certified(scaled_tail, total, start=1)
 
     def amount(n: int) -> Rat:
         return ZERO if n < m else k * model.term(n)
 
-    if isinstance(model, CustomModel) and isinstance(model.rule, ZeroTail):
-        top = max([i for i in model._table if i >= m], default=m - 1)
-        structure = ZeroBeyond(max(top, 1))
+    top = _last_positive(model)
+    if top is not None:
+        structure = ZeroBeyond(max(top, m - 1, 1))
     elif model.nonincreasing_from is not None:
         structure = NonIncreasingBeyond(
             max(m, model.nonincreasing_from), positive=True)
@@ -271,7 +268,8 @@ def build_bounded_diameter_strategy(model: PriceModel, d: int,
     if total <= ZERO:
         raise DomainError("the shared budget must be positive")
     work = _rearranged_model(model, delta)
-    if not _tails_exact(work):
+    rule = _tail_rule(work)
+    if rule is None or not rule.exact:
         raise CapabilityError(
             f"{model.name}: shifted tail amounts need exact, summable tails")
     m = _least_with_certified(work.second_tail, total, start=1)
@@ -288,8 +286,8 @@ def build_bounded_diameter_strategy(model: PriceModel, d: int,
             return base(delta.inverse(n))
 
     floor = m + d
-    if isinstance(work, CustomModel) and isinstance(work.rule, ZeroTail):
-        top = max(work._table, default=0)
+    top = _last_positive(work)
+    if top is not None:
         structure = ZeroBeyond(max(1, top + d, delta.support_bound))
     else:
         structure = NonIncreasingBeyond(
@@ -322,13 +320,7 @@ def build_cycle_informed_strategy(model: PriceModel, plan, k: int,
             raise PlanViolationError(
                 f"disclosed plan has a cycle of length {c.length} > {k}")
 
-    def scaled_tail(n: int):
-        t = model.tail(n)
-        if isinstance(t, RatInterval):
-            return t.scale(k)
-        return k * t
-
-    m = _least_with_certified(scaled_tail, total, start=1)
+    m = _least_with_certified(lambda n: k * model.tail(n), total, start=1)
     price_cache: dict[int, Rat] = {}
 
     def amount(n: int) -> Rat:
@@ -343,9 +335,9 @@ def build_cycle_informed_strategy(model: PriceModel, plan, k: int,
 
     total_cert = UnknownTotal()
     if not any(c.is_range for c in plan.cycles):
-        # exact: charged cycles at length*price, plus every unlisted
-        # singleton's own price, which is tail(m) minus listed members;
-        # each member is priced once, and amount() reuses the cycle prices
+        # charged cycles at length*price, plus every unlisted singleton's
+        # own price, which is tail(m) minus listed members; each member is
+        # priced once, and amount() reuses the cycle prices
         charged = []
         listed = []
         for c in plan.cycles:
@@ -358,15 +350,8 @@ def build_cycle_informed_strategy(model: PriceModel, plan, k: int,
             if c.min_member >= m:
                 price_cache[c.min_member] = price
                 charged.append(c.length * price)
-        charged, listed = rat_sum(charged), rat_sum(listed)
-        t = model.tail(m)
-        if isinstance(t, RatInterval):
-            base_iv = t
-            shift = charged - listed
-            total_cert = BracketedTotal(
-                lambda w: _refined_interval(base_iv, w).shift(shift))
-        else:
-            total_cert = ExactTotal(t + charged - listed)
+        total_cert = _total_cert_from_tail(
+            model.tail(m) + (rat_sum(charged) - rat_sum(listed)))
     return FnAllocation(
         f"cycle-informed[{model.name}]", amount, total_cert=total_cert,
         descriptor=StrategyDescriptor(

@@ -568,9 +568,11 @@ def test_generated_failures_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize("flag", ["--model", "--strategy"])
 @pytest.mark.parametrize("table", [
     "tail\n", "tail zero from x\n", "1 abc\ntail zero from 2\n",
-    "1 1/0\ntail zero from 2\n",
+    "1 1/0\ntail zero from 2\n", "tail zero from 3 junk\n",
+    "1 1/2\ntail geometric 1/2 from 3 4 5\n",
 ], ids=["bare-tail", "non-integer-tail-start", "non-number-price",
-        "zero-denominator"])
+        "zero-denominator", "extra-zero-tail-token",
+        "extra-geometric-tail-tokens"])
 def test_malformed_table_files_exit_two(tmp_path, capsys, flag, table):
     path = tmp_path / "table.txt"
     path.write_text(table)

@@ -828,15 +828,36 @@ def test_no_module_names_another_rational_backend():
         assert "PRISONERS_RATIONAL_BACKEND" not in text, path.name
 
 
-# names whose duplicates the shared harmonic table and least_index replaced
+# names whose duplicates the shared harmonic table and least_index replaced,
+# and the helpers that asked which tail rule a model held
 RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
-                 "_hsum"}
+                 "_hsum", "_validate_tail_rule", "_tails_exact",
+                 "_table_sum_from"}
+# a tail rule answers for its own sums, so no module asks for these by name
+RULE_CLASSES = {"GeometricTail", "InversePowerTail"}
+# the functions allowed to ask whether a value is a bracket
+BRACKET_TESTS = {("strategies.py", "_total_cert_from_tail")}
+
+
+def _isinstance_classes(node, function=None):
+    """(enclosing function, class names) for each isinstance call."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance" and len(child.args) == 2):
+            kinds = child.args[1]
+            elts = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            yield function, {e.id for e in elts if isinstance(e, ast.Name)}
+        inner = (child.name if isinstance(child, ast.FunctionDef)
+                 else function)
+        yield from _isinstance_classes(child, inner)
 
 
 def test_src_builds_one_harmonic_model_and_no_retired_helpers():
     constructions = []
+    bracket_tests = set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "HarmonicModel"):
@@ -845,4 +866,9 @@ def test_src_builds_one_harmonic_model_and_no_retired_helpers():
                 assert node.name not in RETIRED_NAMES, (path.name, node.name)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 assert node.id not in RETIRED_NAMES, (path.name, node.id)
+        for function, classes in _isinstance_classes(tree):
+            assert not classes & RULE_CLASSES, (path.name, function)
+            if "RatInterval" in classes and path.name != "numeric.py":
+                bracket_tests.add((path.name, function))
     assert constructions == ["sequences.py"]
+    assert bracket_tests == BRACKET_TESTS

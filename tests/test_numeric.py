@@ -23,7 +23,10 @@ from prisoners.numeric import (
     parse_rat, power_sum, power_tail_bounds, rat, rat_ceil, rat_floor,
     rat_str, rat_sum,
 )
-from prisoners.sequences import HARMONIC, HarmonicModel, builtin_model
+from prisoners.sequences import (
+    HARMONIC, ExactTotal, GeometricTail, HarmonicModel, InversePowerTail,
+    ZeroTail, builtin_model,
+)
 
 
 def oracle_power_sum(exponent: int, a: int, b: int) -> Fraction:
@@ -240,6 +243,83 @@ def test_interval_shift_and_scale_preserve_refinement():
     scaled = iv.scale(rat(1, 2))
     assert scaled.hi == iv.hi / 2
     assert scaled.refine().width < scaled.width
+
+
+_RATIONALS = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=10 ** 6))
+_FACTORS = st.one_of(
+    st.integers(0, 20),
+    st.fractions(min_value=0, max_value=20, max_denominator=10 ** 6))
+
+
+def _bounds(iv: RatInterval) -> tuple:
+    return iv.lo, iv.hi, iv.refinable
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 50), _RATIONALS, _FACTORS)
+def test_interval_operators_are_shift_and_scale(exponent, n, q, k):
+    iv = power_tail_bounds(exponent, n, rat(1, 10))
+    pairs = [(q + iv, iv.shift(q)), (iv + q, iv.shift(q)),
+             (k * iv, iv.scale(k)), (iv * k, iv.scale(k))]
+    for left, right in pairs:
+        for _ in range(3):
+            assert _bounds(left) == _bounds(right)
+            left, right = left.refine(), right.refine()
+    with pytest.raises(DomainError):
+        -1 * iv
+    with pytest.raises(DomainError):
+        iv * rat(-1, 3)
+
+
+@given(_RATIONALS, st.fractions(min_value=Fraction(1, 10 ** 9),
+                                max_value=1))
+def test_exact_total_interval_is_degenerate(value, width):
+    iv = ExactTotal(value).interval(width)
+    assert (iv.lo, iv.hi) == (value, value)
+    assert type(iv.lo) is Rat and not iv.refinable
+    assert iv.refine() == iv
+
+
+def _sum_bracket(a: RatInterval, b: RatInterval) -> RatInterval:
+    return RatInterval(a.lo + b.lo, a.hi + b.hi,
+                       lambda: _sum_bracket(a.refine(), b.refine()))
+
+
+def _refines_into(inner: RatInterval, outer: RatInterval) -> bool:
+    for _ in range(12):
+        if outer.lo <= inner.lo and inner.hi <= outer.hi:
+            return True
+        inner = inner.refine()
+    return False
+
+
+_RULES = st.one_of(
+    st.builds(ZeroTail, st.integers(1, 30)),
+    st.builds(GeometricTail,
+              st.fractions(min_value=Fraction(1, 100),
+                           max_value=Fraction(99, 100), max_denominator=100),
+              st.integers(1, 30)),
+    st.builds(InversePowerTail, st.integers(3, 5), st.integers(1, 30)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RULES, st.integers(1, 40))
+def test_rule_second_tail_meets_the_tail_recurrence(rule, m):
+    def tail(n):
+        return rule.tail(max(n, rule.start))
+
+    def second_tail(n):
+        return rule.second_tail(n, max(n, rule.start), "rule")
+
+    if rule.exact:
+        assert second_tail(m) == tail(m) + second_tail(m + 1)
+        return
+    whole = second_tail(m)
+    recurrence = _sum_bracket(tail(m), second_tail(m + 1))
+    assert _refines_into(whole, recurrence)
+    assert _refines_into(recurrence, whole)
 
 
 def test_harmonic_model_matches_plain_fraction_sums():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prisoners.errors import CapabilityError, DomainError, PlanViolationError
+from prisoners.errors import (
+    CapabilityError, DomainError, EmptyRangeError, PlanViolationError,
+)
 from prisoners.numeric import (
     Cmp, ONE, Rat, RatInterval, ZERO, compare_certified, power_tail_bounds,
     rat,
@@ -248,6 +250,20 @@ def test_cycle_units_equal_the_terms_exactly(model, members):
     assert Cycle(members).price(model) == plain
 
 
+@pytest.mark.parametrize("model", UNIT_MODELS + [
+    BlackBoxModel(lambda n: rat(1, n * n), name="opaque")])
+def test_range_sum_keeps_one_contract_on_every_model(model):
+    for a, b in ((1, 1), (1, 9), (4, 12), (9, 11)):
+        assert model.range_sum(a, b) == sum(
+            (model.term(i) for i in range(a, b + 1)), ZERO)
+    for a, b in ((5, 3), (2, 1)):
+        with pytest.raises(EmptyRangeError):
+            model.range_sum(a, b)
+    for a, b in ((0, 3), (-2, 4), (1.0, 3), (1, 2.5)):
+        with pytest.raises(DomainError):
+            model.range_sum(a, b)
+
+
 @pytest.mark.parametrize("model", [geom("1/2"), geom("2/3"),
                                    builtin_model("harmonic")])
 def test_cycle_units_reject_indices_below_one(model):
@@ -294,6 +310,10 @@ def test_bad_text_rejected():
         load_model("tail bogus 1/2 from 3\n")
     with pytest.raises(DomainError):
         load_allocation("tail inverse-power 2 from 1\n")
+    with pytest.raises(DomainError, match="bad table line"):
+        load_model("tail zero from 3 junk\n")
+    with pytest.raises(DomainError, match="bad table line"):
+        load_allocation("1 1/2\ntail geometric 1/2 from 3 4 5\n")
 
 
 # ---------------------------------------------------------------------------
