@@ -514,3 +514,80 @@ def tail_rules_canonical_text() -> str:
 def test_tail_rule_and_bracket_values_bytes():
     assert digest(tail_rules_canonical_text()) == (
         "8b94266c52fd4322cd038b5b6845bfff5469d767e1b297b2371f3c092b45541f")
+
+
+# Witness logs, recorded before the guard streams yielded (cycle, witness)
+# pairs through one emitter: the repr of the pulled cycles, of every log
+# entry (key order included) and of covered_bound, for each guard kind and
+# its stopping and raising paths.
+
+THIRDS = sequences.TableAllocation(
+    {1: rat(1, 3), 2: rat(1, 3), 3: rat(1, 3)}, sequences.ZeroTail(4),
+    name="thirds")
+# zero prices at 1 and 3 ahead of an infinite positive tail
+ZERO_PRICES = sequences.CustomModel(
+    {2: rat(1, 2)}, sequences.GeometricTail(rat(1, 2), 4), name="zero-prices")
+
+
+def _baseline():
+    return strategies.build_baseline_geometric()
+
+
+WITNESS_SCENARIOS = [
+    ("good-index baseline", 8,
+     lambda: adversaries.good_index_adversary(INVSQ, _baseline())),
+    ("good-index thirds", 8,
+     lambda: adversaries.good_index_adversary(INVSQ, THIRDS)),
+    ("v1b-ceiling", 6,
+     lambda: adversaries.v1b_ceiling_adversary(INVSQ, _baseline())),
+    ("v1b-ceiling leader_cap=50", 20,
+     lambda: adversaries.v1b_ceiling_adversary(INVSQ, _baseline(),
+                                               leader_cap=50)),
+    ("v1b-ceiling zero-prices", 8,
+     lambda: adversaries.v1b_ceiling_adversary(ZERO_PRICES, _baseline())),
+    ("two-cycle geometric", 8,
+     lambda: adversaries.two_cycle_adversary(GEO, _baseline())),
+    ("two-cycle zero-prices", 8,
+     lambda: adversaries.two_cycle_adversary(ZERO_PRICES, _baseline())),
+    ("v1d-chooser", 6, lambda: adversaries.v1d_cycle_chooser(INVSQ)),
+    ("v1d-chooser leader_cap=50", 20,
+     lambda: adversaries.v1d_cycle_chooser(INVSQ, leader_cap=50)),
+    ("v1d-chooser geometric", 3, lambda: adversaries.v1d_cycle_chooser(GEO)),
+    ("v2b-blocks constant1", 6,
+     lambda: adversaries.v2b_block_adversary(
+         strategies.build_v2_strategy("constant1"))),
+    ("v2b-blocks harmonic-prefix", 6,
+     lambda: adversaries.v2b_block_adversary(
+         strategies.build_v2_strategy("harmonic-prefix"))),
+    ("v2a-blocks scaled 1/2", 6,
+     lambda: adversaries.v2a_block_adversary(
+         strategies.build_v2_strategy("scaled", c=rat(1, 2)))),
+    ("v2a-blocks constant1 exact_end_cap=2000", 20,
+     lambda: adversaries.v2a_block_adversary(
+         strategies.build_v2_strategy("constant1"), exact_end_cap=2000)),
+    ("v1b-ceiling vanishing prices", 20,
+     lambda: adversaries.v1b_ceiling_adversary(GAPPY, _baseline())),
+]
+
+
+def witness_log_canonical_text() -> str:
+    lines = []
+    for label, count, build in WITNESS_SCENARIOS:
+        plan = build()
+        lines.append(f"scenario {label} pull {count}")
+        try:
+            plan.materialize(count)
+        except PrisonersError as exc:
+            lines.append(f"raised {type(exc).__name__}: {exc}")
+        lines.append(f"cycles {plan.cycles!r}")
+        lines.append(f"log {plan.witness_log!r}")
+        lines.append(f"covered_bound {plan.covered_bound!r}")
+        if label.endswith("exact_end_cap=2000"):
+            lines.append("certified " + " | ".join(
+                blk.describe() for blk in plan.certified_blocks(5)))
+    return "\n".join(lines) + "\n"
+
+
+def test_guard_witness_log_bytes():
+    assert digest(witness_log_canonical_text()) == (
+        "2c16daa03b2ed57fd61e50d987f055f53121e31313e83099c6c43a06f0f5e5b4")
