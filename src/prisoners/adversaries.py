@@ -95,21 +95,46 @@ class CertifiedBlock:
                 f"{_rat_label(self.amount_upper)} >= amounts")
 
 
+Pairs = Iterator[tuple]  # (Cycle, witness dict) as a guard stream yields
+
+
 class GuardPlan(CyclePlan):
     """A guard's lazy cycle stream together with the claim it certifies.
 
-    stream(plan) returns the cycle generator.  As it runs it appends one
-    witness entry per cycle or note to plan.witness_log and sets
-    plan.covered_bound when the stream stops short of the identity.
+    stream(plan) returns a generator of (cycle, witness) pairs.  The plan
+    logs {"cycle": n, **witness} as it pulls cycle n, so witness_log holds
+    one numbered entry per pulled cycle, in order, plus at most one closing
+    note (see _stop) when the stream stops short of the identity.
     """
 
     def __init__(self, name: str, claim: AdversaryClaim,
-                 stream: Callable[["GuardPlan"], Iterator[Cycle]]):
+                 stream: Callable[["GuardPlan"], Pairs]):
         # the stream sees the plan through a weak proxy: a plan it held
         # strongly would form a cycle with its own generator and outlive
         # its last use, witness log included, until the cyclic collector ran
-        super().__init__(name=name, source=stream(weakref.proxy(self)))
+        proxy = weakref.proxy(self)
+        super().__init__(name=name, source=_logged(proxy, stream(proxy)))
         self.claim = claim
+        self.witness_log: list[dict] = []
+
+
+def _logged(plan: GuardPlan, pairs: Pairs) -> Iterator[Cycle]:
+    for n, (cycle, witness) in enumerate(pairs, 1):
+        plan.witness_log.append({"cycle": n, **witness})
+        yield cycle
+
+
+def _stop(plan: GuardPlan, note: str, **fields) -> None:
+    """Close the log with a note: the stream ends at what it has pulled,
+    and the indices past it are not fixed points."""
+    plan.witness_log.append({"note": note, **fields})
+    plan.covered_bound = plan.pulled_bound
+
+
+def _free_box(leader: int) -> tuple:
+    """The skipped singleton of a leader whose box costs nothing."""
+    return Cycle((leader,)), {"leader": leader, "skipped": True,
+                              "note": "free box"}
 
 
 def _int_label(n) -> str:
@@ -307,7 +332,7 @@ class GoodIndexPlan(GuardPlan):
     was built in."""
 
     def __init__(self, merge: _DescendingMerge, claim: AdversaryClaim,
-                 stream: Callable[[GuardPlan], Iterator[Cycle]]):
+                 stream: Callable[[GuardPlan], Pairs]):
         super().__init__("good-index", claim, stream)
         self._merge = merge
         self.enrichment_added = merge.added
@@ -393,7 +418,7 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
             goodness[position] = known
         return known
 
-    def stream(plan: GuardPlan) -> Iterator[Cycle]:
+    def stream(plan: GuardPlan) -> Pairs:
         position = 1
         while not is_good(position):
             position += 1
@@ -403,7 +428,6 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
                     "divergence certificate promises one further out")
         start = 1
         anchor = position
-        cycle_no = 0
         while True:
             target = merge.pair(anchor)[1]
             cum = ZERO
@@ -423,17 +447,14 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
                         "search horizon")
                 cum += price_of(end)
             members = tuple(merge.pair(i)[0] for i in range(start, end + 1))
-            cycle_no += 1
-            plan.witness_log.append({
-                "cycle": cycle_no,
+            yield Cycle(members), {
                 "anchor_position": anchor,
                 "anchor_index": merge.pair(anchor)[0],
                 "anchor_amount": target,
                 "price_from_anchor": cum,
                 "bundled_bad_prefix": anchor - start,
                 "inequality": f"{_rat_label(cum)} > {_rat_label(target)}",
-            })
-            yield Cycle(members)
+            }
             start = end + 1
             anchor = end + 1
 
@@ -462,17 +483,13 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
         raise DomainError("leader_cap must be at least 1")
     bound = _total_upper(alloc)
 
-    def stream(plan: GuardPlan) -> Iterator[Cycle]:
+    def stream(plan: GuardPlan) -> Pairs:
         leader = 1
-        cycle_no = 0
         while True:
             if leader > leader_cap:
-                plan.witness_log.append({
-                    "note": "stream truncated: next leader exceeds the "
+                _stop(plan, "stream truncated: next leader exceeds the "
                             "representable cap",
-                    "next_leader_bits": leader.bit_length(),
-                })
-                plan.covered_bound = leader - 1
+                      next_leader_bits=leader.bit_length())
                 return
             price = model.term(leader)
             if price == ZERO:
@@ -481,10 +498,7 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
                     raise HorizonExhaustedError(
                         f"prices vanish from index {leader} on; every "
                         "further cycle would be a free singleton")
-                cycle_no += 1
-                plan.witness_log.append({"cycle": cycle_no, "leader": leader,
-                                         "skipped": True, "note": "free box"})
-                yield Cycle((leader,))
+                yield _free_box(leader)
                 leader += 1
                 continue
             size = rat_ceil(bound / price) + 1
@@ -492,15 +506,12 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
             if not size * price > bound:
                 raise PlanViolationError("pigeonhole sizing lost its "
                                          "invariant")
-            cycle_no += 1
-            plan.witness_log.append({
-                "cycle": cycle_no, "leader": leader,
-                "leader_price": price, "size": size,
+            yield Cycle.of_range(leader, end), {
+                "leader": leader, "leader_price": price, "size": size,
                 "total_bound": bound,
                 "inequality": f"{_int_label(size)} * {_rat_label(price)} > "
                               f"{_rat_label(bound)}",
-            })
-            yield Cycle.of_range(leader, end)
+            }
             leader = end + 1
 
     return GuardPlan("ceiling-blocks", AdversaryClaim(
@@ -520,9 +531,8 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
     unconsumed n with amount(n) < price(l) and emits (l, n): the partner
     cannot pay even the leader's box, let alone the pair.
     """
-    def stream(plan: GuardPlan) -> Iterator[Cycle]:
+    def stream(plan: GuardPlan) -> Pairs:
         consumed: set = set()
-        cycle_no = 0
         floor_index = 1
         while True:
             leader = floor_index
@@ -531,10 +541,7 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
             price = model.term(leader)
             consumed.add(leader)
             if price == ZERO:
-                cycle_no += 1
-                plan.witness_log.append({"cycle": cycle_no, "leader": leader,
-                                         "skipped": True, "note": "free box"})
-                yield Cycle((leader,))
+                yield _free_box(leader)
                 floor_index = leader + 1
                 continue
             partner = leader + 1
@@ -551,15 +558,12 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
                             f"candidates past {leader}")
                 partner += 1
             consumed.add(partner)
-            cycle_no += 1
-            plan.witness_log.append({
-                "cycle": cycle_no, "leader": leader, "partner": partner,
-                "leader_price": price,
-                "partner_amount": alloc.amount(partner),
-                "inequality": f"{_rat_label(alloc.amount(partner))} < "
-                              f"{_rat_label(price)}",
-            })
-            yield Cycle((leader, partner))
+            amount = alloc.amount(partner)
+            yield Cycle((leader, partner)), {
+                "leader": leader, "partner": partner, "leader_price": price,
+                "partner_amount": amount,
+                "inequality": f"{_rat_label(amount)} < {_rat_label(price)}",
+            }
             floor_index = leader + 1
 
     return GuardPlan("two-cycles", AdversaryClaim(
@@ -586,18 +590,14 @@ def v1d_cycle_chooser(model: PriceModel, total=ONE,
     if bound < ZERO:
         raise DomainError("the total bound cannot be negative")
 
-    def stream(plan: GuardPlan) -> Iterator[Cycle]:
+    def stream(plan: GuardPlan) -> Pairs:
         covered = 0
-        cycle_no = 0
         while True:
             start = covered + 1
             if start > leader_cap:
-                plan.witness_log.append({
-                    "note": "stream truncated: next block start exceeds "
+                _stop(plan, "stream truncated: next block start exceeds "
                             "the representable cap",
-                    "next_start_bits": start.bit_length(),
-                })
-                plan.covered_bound = covered
+                      next_start_bits=start.bit_length())
                 return
             non_increasing = model.nonincreasing_from
             if non_increasing is not None and start >= non_increasing:
@@ -626,16 +626,14 @@ def v1d_cycle_chooser(model: PriceModel, total=ONE,
             end = covered + size
             if not size * best_price > bound:
                 raise PlanViolationError("block sizing lost its invariant")
-            cycle_no += 1
-            plan.witness_log.append({
-                "cycle": cycle_no, "start": start, "size": size,
+            yield Cycle.of_range(start, end), {
+                "start": start, "size": size,
                 "witness_index": witness, "witness_price": best_price,
                 "total_bound": bound,
                 "inequality": f"{_int_label(size)} * "
                               f"{_rat_label(best_price)} > "
                               f"{_rat_label(bound)}",
-            })
-            yield Cycle.of_range(start, end)
+            }
             covered = end
 
     return GuardPlan("pigeonhole-blocks", AdversaryClaim(
@@ -722,9 +720,13 @@ class HarmonicBlockPlan(GuardPlan):
         self.exact_end_cap = exact_end_cap
         self.exponent_cap = exponent_cap
         self.anchor = 1
-        self.transitioned = False
         self.prev_exp: Optional[int] = None
         self._certified: list = []
+
+    @property
+    def transitioned(self) -> bool:
+        """Whether the exact stream ended with its note."""
+        return self.covered_bound is not None
 
     def _target_for(self, anchor: int):
         if self.per_member:
@@ -732,37 +734,29 @@ class HarmonicBlockPlan(GuardPlan):
         fixed = self.alloc.amount(anchor)
         return lambda end: fixed
 
-    def _exact_stream(self) -> Iterator[Cycle]:
-        cycle_no = 0
+    def _exact_stream(self) -> Pairs:
         while True:
             anchor = self.anchor
             target_fn = self._target_for(anchor)
             found = _least_block_end(anchor, target_fn, self.exact_end_cap)
             if found is None:
-                self.transitioned = True
-                if cycle_no == 0:
+                if anchor == 1:
                     raise HorizonExhaustedError(
                         f"{self.name}: no block ending by "
                         f"{self.exact_end_cap} defeats this allocation; if "
                         "one exists it lies beyond the exact horizon")
-                self.witness_log.append({
-                    "note": "exact stream ends; certified_blocks "
-                            "continues it",
-                    "next_anchor": anchor,
-                })
-                self.covered_bound = anchor - 1
+                _stop(self, "exact stream ends; certified_blocks continues it",
+                      next_anchor=anchor)
                 return
             end, price = found
             amount_bound = target_fn(end)
-            cycle_no += 1
-            self.witness_log.append({
-                "cycle": cycle_no, "anchor": anchor, "end": end,
+            self.anchor = end + 1
+            yield Cycle.of_range(anchor, end), {
+                "anchor": anchor, "end": end,
                 "price": price, "amount_bound": amount_bound,
                 "inequality": f"{_rat_label(price)} > "
                               f"{_rat_label(amount_bound)}",
-            })
-            self.anchor = end + 1
-            yield Cycle.of_range(anchor, end)
+            }
 
     def certified_blocks(self, count: int) -> list:
         """The first count power-of-two blocks after the exact stream."""

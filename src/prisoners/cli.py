@@ -332,14 +332,9 @@ def cmd_adversary(args) -> int:
         raise UsageError(f"--cycles must be at least 1, not {args.cycles}")
     plan = _adversary_plan(kind, model, alloc, params)
     cycles = plan.materialize(args.cycles)
-    notes = {}
-    for entry in plan.witness_log:
-        if "cycle" in entry:  # stream notes belong to no cycle
-            notes[entry["cycle"]] = entry.get("inequality", "")
     lines = []
-    for i, cycle in enumerate(cycles, 1):
-        base = cycle_line(cycle)
-        note = notes.get(i)
+    for cycle, entry in zip(cycles, plan.witness_log):
+        base, note = cycle_line(cycle), entry.get("inequality")
         lines.append(f"{base}  # {note}" if note else base)
     _emit("\n".join(lines) + "\n", args.out,
           f"{kind}: wrote {len(cycles)} cycles")

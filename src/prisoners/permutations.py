@@ -161,8 +161,12 @@ class CyclePlan:
 
     Prefix plans hold a finite cycle list and act as the identity on every
     unlisted index.  Lazy plans pull consecutive cycles from a stream and
-    only know the portion pulled so far.
+    only know the portion pulled so far.  A pull that fails leaves the
+    plan failed: every later pull raises the same error.
     """
+
+    # what a guard construction certifies about this plan (see GuardPlan)
+    claim = None
 
     def __init__(self, cycles: Iterable[Cycle] = (), name: str = "plan",
                  source: Optional[Iterator[Cycle]] = None):
@@ -173,13 +177,10 @@ class CyclePlan:
         self._ranges: list[Cycle] = []
         self._exhausted = source is None
         self._pulled_bound = 0
+        self._failure: Optional[Exception] = None
         # set by stream producers whose coverage stops without implying
         # identity beyond (the stream continues in another representation)
         self.covered_bound: Optional[int] = None
-        # what a guard construction certifies about this plan, and its
-        # witness entries: one dict per emitted cycle or stream note
-        self.claim = None
-        self.witness_log: list[dict] = []
         for c in cycles:
             self._admit(c)
 
@@ -241,10 +242,15 @@ class CyclePlan:
     def materialize(self, count: int) -> list[Cycle]:
         """First count cycles, pulling from the stream as needed."""
         while len(self._cycles) < count and not self._exhausted:
+            if self._failure is not None:
+                raise self._failure
             try:
                 self._admit(next(self._source))
             except StopIteration:
                 self._exhausted = True
+            except Exception as exc:
+                self._failure = exc
+                raise
         return self._cycles[:count]
 
     @property

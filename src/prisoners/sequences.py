@@ -476,8 +476,6 @@ class CustomModel(PriceModel):
             entries, tail_rule, "prices",
             "table entry at {idx} collides with tail rule from {start}")
         self._table = {idx: q for idx, q in table.items() if q != ZERO}
-        self._zero_prefix = sorted(
-            i for i in range(1, tail_rule.start) if i not in self._table)
         self._declared_total_unknown = isinstance(total_cert, UnknownTotal)
         self._declared_weighted_unknown = (
             weighted_cert is WeightedCert.UNKNOWN)
@@ -561,7 +559,7 @@ class CustomModel(PriceModel):
         return total + self.rule.range_sum(start, b)
 
     def zero_indices_before_tail(self) -> list[int]:
-        return list(self._zero_prefix)
+        return [i for i in range(1, self.rule.start) if i not in self._table]
 
 
 class BlackBoxModel(PriceModel):
@@ -1000,7 +998,8 @@ def descending_rearrangement(model: PriceModel, horizon: int) -> Relabeling:
         raise CapabilityError(
             f"{model.name}: no certified value ordering available")
     zero_tail = isinstance(model.rule, ZeroTail)
-    if not zero_tail and model.zero_indices_before_tail():
+    # the table holds only positive prices, all below the tail's start
+    if not zero_tail and len(model._table) < model.rule.start - 1:
         raise CapabilityError(
             f"{model.name}: zeros before an infinite positive tail cannot "
             "be placed by any non-increasing ordering")

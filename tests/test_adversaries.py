@@ -13,6 +13,7 @@ from prisoners.adversaries import (
     v1d_cycle_chooser, v2a_block_adversary, v2b_block_adversary,
     _least_block_end, _refined_once,
 )
+from prisoners.engine import simulate
 from prisoners.errors import (
     CapabilityError, DomainError, HorizonExhaustedError, NotMaterializedError,
     PlanViolationError,
@@ -727,3 +728,57 @@ def test_dropped_guard_plan_is_freed_by_reference_counting(build):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_guard_stream_that_raised_stays_failed_in_simulate():
+    # a second simulate used to score all 12 prisoners as fixed points,
+    # under the guard's claim
+    base = build_baseline_geometric()
+    plan = good_index_adversary(INV, base, search_horizon=3)
+    for _ in range(2):
+        with pytest.raises(HorizonExhaustedError, match="anchor amount"):
+            simulate("V1a", INV, base, plan, 12)
+
+
+def test_certified_blocks_never_continue_an_exact_stream_that_raised():
+    plan = v2b_block_adversary(build_v2_strategy("constant1"),
+                               exact_end_cap=1)
+    for _ in range(2):
+        with pytest.raises(HorizonExhaustedError,
+                           match="no block ending by 1"):
+            plan.certified_blocks(2)
+        assert not plan.transitioned and plan.covered_bound is None
+
+
+# every guard kind, with each way its stream can stop or skip a box
+ZERO_PRICES = CustomModel({2: rat(1, 2)}, GeometricTail(rat(1, 2), 4),
+                          name="zero-prices")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: good_index_adversary(INV, build_baseline_geometric()),
+    lambda: v1b_ceiling_adversary(INV, build_baseline_geometric()),
+    lambda: v1b_ceiling_adversary(INV, build_baseline_geometric(),
+                                  leader_cap=50),
+    lambda: v1b_ceiling_adversary(ZERO_PRICES, build_baseline_geometric()),
+    lambda: two_cycle_adversary(ZERO_PRICES, build_baseline_geometric()),
+    lambda: v1d_cycle_chooser(INV),
+    lambda: v1d_cycle_chooser(INV, leader_cap=50),
+    lambda: v2a_block_adversary(build_v2_strategy("scaled", c=rat(1, 2))),
+    lambda: v2a_block_adversary(build_v2_strategy("constant1"),
+                                exact_end_cap=2000),
+    lambda: v2b_block_adversary(build_v2_strategy("harmonic-prefix")),
+], ids=["good-index", "v1b-ceiling", "v1b-ceiling-cap", "v1b-free-boxes",
+        "two-cycle-free-boxes", "v1d-chooser", "v1d-chooser-cap",
+        "v2a-scaled", "v2a-constant1", "v2b-harmonic-prefix"])
+def test_witness_log_numbers_each_pulled_cycle_then_at_most_one_note(build):
+    plan = build()
+    for count in (1, 2, 3, 5, 8, 12):
+        plan.materialize(count)
+        log = plan.witness_log
+        numbered = [entry["cycle"] for entry in log if "cycle" in entry]
+        assert numbered == list(range(1, len(plan.cycles) + 1))
+        assert all("cycle" in entry for entry in log[:-1])
+        assert ("cycle" not in log[-1]) == (plan.covered_bound is not None)
+        if plan.covered_bound is not None:
+            assert plan.covered_bound == plan.pulled_bound

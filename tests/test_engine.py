@@ -832,7 +832,7 @@ def test_no_module_names_another_rational_backend():
 # and the helpers that asked which tail rule a model held
 RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
                  "_hsum", "_validate_tail_rule", "_tails_exact",
-                 "_table_sum_from"}
+                 "_table_sum_from", "cycle_no"}
 # a tail rule answers for its own sums, so no module asks for these by name
 RULE_CLASSES = {"GeometricTail", "InversePowerTail"}
 # the functions allowed to ask whether a value is a bracket
@@ -872,3 +872,34 @@ def test_src_builds_one_harmonic_model_and_no_retired_helpers():
                 bracket_tests.add((path.name, function))
     assert constructions == ["sequences.py"]
     assert bracket_tests == BRACKET_TESTS
+
+
+def _scoped(node, scope=()):
+    """(dotted enclosing class and function names, node) for every node."""
+    for child in ast.iter_child_nodes(node):
+        yield ".".join(scope), child
+        inner = (scope + (child.name,) if isinstance(
+            child, (ast.ClassDef, ast.FunctionDef)) else scope)
+        yield from _scoped(child, inner)
+
+
+def test_only_the_emitter_and_the_stop_note_write_guard_logs():
+    appends, bound_stores = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "append"
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "witness_log"):
+                appends.add((path.name, scope))
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(
+                           node, (ast.AugAssign, ast.AnnAssign)) else [])
+            if any(isinstance(t, ast.Attribute) and t.attr == "covered_bound"
+                   for t in targets):
+                bound_stores.add((path.name, scope))
+    assert appends == {("adversaries.py", "_logged"),
+                       ("adversaries.py", "_stop")}
+    assert bound_stores == {("adversaries.py", "_stop"),
+                            ("permutations.py", "CyclePlan.__init__")}

@@ -213,6 +213,35 @@ def test_lazy_stream_raises_on_the_first_overlapping_cycle(pieces):
         plan.materialize(clash)
 
 
+def test_a_rejected_cycle_leaves_the_lazy_plan_failed():
+    # skipping the rejected cycle would make 3 a fixed point the stream
+    # never described
+    plan = CyclePlan.lazy(iter([Cycle((1, 2)), Cycle((2, 3)), Cycle((4,))]))
+    with pytest.raises(PlanViolationError) as first:
+        plan.materialize(3)
+    for _ in range(2):
+        with pytest.raises(PlanViolationError) as again:
+            plan.materialize(3)
+        assert again.value is first.value
+    assert plan.materialize(1) == plan.cycles == [Cycle((1, 2))]
+    with pytest.raises(NotMaterializedError):
+        plan.cycle_containing(3)
+
+
+def test_a_stream_that_raised_is_not_read_as_exhausted():
+    def stream():
+        yield Cycle((1, 2))
+        raise CapabilityError("the stream cannot go on")
+
+    plan = CyclePlan.lazy(stream())
+    for _ in range(2):
+        with pytest.raises(CapabilityError, match="cannot go on"):
+            plan.materialize(2)
+    with pytest.raises(NotMaterializedError):
+        plan.sigma(3)
+    assert plan.window(4) == ([(1, 2)], [3, 4])
+
+
 def test_lazy_plan_pulls_on_demand():
     def stream():
         n = 1

@@ -1,6 +1,7 @@
 """Price models, allocations, and relabelings."""
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -427,6 +428,30 @@ def test_descending_scan_is_nonincreasing(raw, den):
     assert all(positives[i] >= positives[i + 1]
                for i in range(len(positives) - 1))
     assert len(set(delta.prefix(30))) == 30
+
+
+@pytest.mark.parametrize("text", [
+    "tail zero from 2000000\n",
+    "1 1/2\ntail geometric 1/2 from 3000000\n",
+], ids=["zero", "geometric"])
+def test_a_far_tail_start_lists_no_zero_prices(text):
+    # listing the zeros ahead of the rule took 77 MiB for the zero tail
+    tracemalloc.start()
+    try:
+        model = load_model(text)
+        try:
+            ordering = descending_rearrangement(model, 8)
+        except CapabilityError as exc:
+            ordering = exc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert model.term(1999999) == ZERO
+    if model.rule.term(model.rule.start) > ZERO:
+        assert "zeros before an infinite positive tail" in str(ordering)
+    else:
+        assert ordering.prefix(8) == list(range(1, 9))
 
 
 def test_quasi_descending_pushes_zeros_out():
