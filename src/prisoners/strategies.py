@@ -18,9 +18,8 @@ from .numeric import (
 )
 from .sequences import (
     HARMONIC, AllocationPlan, BracketedTotal, CustomModel, DivergentTotal,
-    ExactTotal, FnAllocation, GeometricModel, GeometricTail,
-    NonIncreasingBeyond, PriceModel, Relabeling, TailRule, UnknownTotal,
-    ZeroBeyond, ZeroTail,
+    ExactTotal, FnAllocation, NonIncreasingBeyond, PriceModel, Relabeling,
+    UnknownTotal, ZeroBeyond,
 )
 
 __all__ = [
@@ -86,24 +85,6 @@ def relabeling_from_pairs(pairs) -> Relabeling:
 # ---------------------------------------------------------------------------
 # hypothesis plumbing
 
-def _tail_rule(model: PriceModel) -> Optional[TailRule]:
-    """The rule pricing a table-driven model past its table, None for a
-    model without one; a geometric model is an empty table and its rule."""
-    if isinstance(model, GeometricModel):
-        return GeometricTail(model.ratio, 1)
-    if isinstance(model, CustomModel):
-        return model.rule
-    return None
-
-
-def _last_positive(model: PriceModel) -> Optional[int]:
-    """The last index with a positive price, 0 when there is none, and
-    None unless the prices are certified zero past a finite table."""
-    if isinstance(_tail_rule(model), ZeroTail):
-        return max(model.positive_indices(), default=0)
-    return None
-
-
 def _rearranged_model(model: PriceModel, delta: Relabeling) -> PriceModel:
     """The price sequence n -> p(delta(n)) as a first-class model.
 
@@ -113,7 +94,7 @@ def _rearranged_model(model: PriceModel, delta: Relabeling) -> PriceModel:
     """
     if delta.is_identity:
         return model
-    rule = _tail_rule(model)
+    rule = model.rule
     if rule is None:
         raise CapabilityError(
             f"cannot rearrange a {type(model).__name__} and keep its tails")
@@ -179,8 +160,7 @@ def build_tail_sum_strategy(model: PriceModel, delta: Optional[Relabeling]
     if total <= ZERO:
         raise DomainError("the shared budget must be positive")
     work = _rearranged_model(model, delta)
-    rule = _tail_rule(work)
-    if rule is None or not rule.exact:
+    if not work.exact_tails:
         raise CapabilityError(
             f"{model.name}: tail-funded amounts need exact, summable tails")
     m = _least_with_certified(work.second_tail, total, start=2)
@@ -193,7 +173,7 @@ def build_tail_sum_strategy(model: PriceModel, delta: Optional[Relabeling]
             return ZERO
         return work.tail(n)
 
-    top = _last_positive(work)
+    top = work.last_positive()
     if top is None:
         structure = NonIncreasingBeyond(m, positive=True)
     else:
@@ -228,7 +208,7 @@ def build_bounded_length_strategy(model: PriceModel, k: int, total=ONE):
     def amount(n: int) -> Rat:
         return ZERO if n < m else k * model.term(n)
 
-    top = _last_positive(model)
+    top = model.last_positive()
     if top is not None:
         structure = ZeroBeyond(max(top, m - 1, 1))
     elif model.nonincreasing_from is not None:
@@ -268,8 +248,7 @@ def build_bounded_diameter_strategy(model: PriceModel, d: int,
     if total <= ZERO:
         raise DomainError("the shared budget must be positive")
     work = _rearranged_model(model, delta)
-    rule = _tail_rule(work)
-    if rule is None or not rule.exact:
+    if not work.exact_tails:
         raise CapabilityError(
             f"{model.name}: shifted tail amounts need exact, summable tails")
     m = _least_with_certified(work.second_tail, total, start=1)
@@ -286,7 +265,7 @@ def build_bounded_diameter_strategy(model: PriceModel, d: int,
             return base(delta.inverse(n))
 
     floor = m + d
-    top = _last_positive(work)
+    top = work.last_positive()
     if top is not None:
         structure = ZeroBeyond(max(1, top + d, delta.support_bound))
     else:

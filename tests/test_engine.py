@@ -832,9 +832,11 @@ def test_no_module_names_another_rational_backend():
 # and the helpers that asked which tail rule a model held
 RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
                  "_hsum", "_validate_tail_rule", "_tails_exact",
-                 "_table_sum_from", "cycle_no"}
-# a tail rule answers for its own sums, so no module asks for these by name
-RULE_CLASSES = {"GeometricTail", "InversePowerTail"}
+                 "_table_sum_from", "cycle_no", "_tail_rule"}
+# a tail rule answers for its own sums, and the built-in summable models
+# are tables with such a rule, so no module asks for these by name
+RULE_CLASSES = {"GeometricTail", "InversePowerTail", "GeometricModel",
+                "InverseSquareModel"}
 # the functions allowed to ask whether a value is a bracket
 BRACKET_TESTS = {("strategies.py", "_total_cert_from_tail")}
 

@@ -538,7 +538,7 @@ def test_tail_rule_and_bracket_values_bytes():
     assert digest(kept) == (
         "ad7b0fbc793e83a02492c1182623599300997561e4d98e807c797668cfaee4f9")
     assert digest(moved) == (
-        "a2d55af409847ec61733b4c668f7cdec36eeba3c51d76b69e3ca5613129c7eba")
+        "78bc59ed06e8b831488f6dfcd8afcaeda454a1983dd5cd6ce2e4e21cdfa6c46a")
 
 
 # Witness logs, recorded before the guard streams yielded (cycle, witness)

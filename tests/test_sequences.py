@@ -19,10 +19,10 @@ from prisoners.permutations import Cycle
 from prisoners.sequences import (
     BlackBoxModel, BracketedTotal, CustomModel, DivergentTotal, ExactTotal,
     GeometricModel, GeometricTail, HarmonicModel, InversePowerTail,
-    InverseSquareModel, NonIncreasingBeyond, PermutedModel, Relabeling,
-    ScaledModel, TableAllocation, UnknownTotal, WeightedCert, ZeroBeyond,
-    ZeroTail, builtin_model, descending_rearrangement, dump_allocation,
-    dump_model, load_allocation, load_model, omit_zeros,
+    InverseSquareModel, NonIncreasingBeyond, PermutedModel, PriceModel,
+    Relabeling, ScaledModel, TableAllocation, UnknownTotal, WeightedCert,
+    ZeroBeyond, ZeroTail, builtin_model, descending_rearrangement,
+    dump_allocation, dump_model, load_allocation, load_model, omit_zeros,
     quasi_descending_rearrangement, weighted_partial_sum,
 )
 
@@ -263,6 +263,56 @@ def test_range_sum_keeps_one_contract_on_every_model(model):
     for a, b in ((0, 3), (-2, 4), (1.0, 3), (1, 2.5)):
         with pytest.raises(DomainError):
             model.range_sum(a, b)
+
+
+RATIOS = st.tuples(st.integers(1, 40), st.integers(2, 41)).filter(
+    lambda pq: pq[0] < pq[1]).map(lambda pq: rat(*pq))
+RULES = st.one_of(
+    st.builds(GeometricTail, RATIOS, st.integers(1, 12)),
+    st.builds(InversePowerTail, st.integers(2, 4), st.integers(1, 12)),
+    st.builds(ZeroTail, st.integers(1, 12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(RULES, st.data())
+def test_table_cycle_units_match_the_lcm_default(rule, data):
+    # the rule's hook serves cycles past the table, the default the rest
+    table = data.draw(st.dictionaries(
+        st.integers(1, max(1, rule.start - 1)),
+        st.integers(0, 9).map(lambda k: rat(k, 7)),
+        max_size=rule.start - 1))
+    model = CustomModel(table, rule)
+    low = data.draw(st.sampled_from([1, rule.start]))
+    members = data.draw(st.lists(st.integers(low, low + 60), min_size=1,
+                                 max_size=9, unique=True))
+    assert model.cycle_units(members) == PriceModel.cycle_units(model,
+                                                                members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(RATIOS, st.integers(1, 80), st.integers(0, 40),
+       st.lists(st.integers(1, 120), min_size=1, max_size=9, unique=True))
+def test_geometric_model_is_its_rule_on_an_empty_table(ratio, n, span,
+                                                       members):
+    built, table = GeometricModel(ratio), CustomModel(
+        {}, GeometricTail(ratio, 1))
+    assert (built.name, built.kind, built.ratio) == (
+        f"geometric:{ratio.numerator}/{ratio.denominator}", "geometric",
+        ratio)
+    for ask in ("term", "tail", "second_tail"):
+        assert getattr(built, ask)(n) == getattr(table, ask)(n)
+    assert built.range_sum(n, n + span) == table.range_sum(n, n + span)
+    assert built.cycle_units(members) == table.cycle_units(members)
+    assert built.term(n) == ratio ** n
+
+
+@pytest.mark.parametrize("model", [
+    InverseSquareModel(), CustomModel({}, InversePowerTail(2, 1))])
+def test_inverse_square_range_sums_are_capped(model):
+    # the built-in model gives its rule's message
+    with pytest.raises(CapabilityError,
+                       match="^inverse-power range too large$"):
+        model.range_sum(1, 2_000_002)
 
 
 @pytest.mark.parametrize("model", [geom("1/2"), geom("2/3"),

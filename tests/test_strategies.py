@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prisoners.engine import simulate
 from prisoners.errors import (
     CapabilityError, DomainError, PlanViolationError,
 )
 from prisoners.numeric import ONE, ZERO, rat
-from prisoners.permutations import Cycle, CyclePlan, random_plan
+from prisoners.permutations import (
+    Cycle, CyclePlan, random_bounded_diameter_plan, random_plan,
+)
 from prisoners.sequences import (
     CustomModel, ExactTotal, GeometricTail, NonIncreasingBeyond, Relabeling,
-    ZeroBeyond, ZeroTail, builtin_model,
+    ScaledModel, ZeroBeyond, ZeroTail, builtin_model,
 )
 from prisoners.strategies import (
     StrategyDescriptor, build_baseline_geometric,
@@ -88,6 +91,40 @@ def test_tail_sum_needs_exact_tails():
         build_tail_sum_strategy(builtin_model("inverse-square"))
     with pytest.raises(CapabilityError):
         build_tail_sum_strategy(builtin_model("harmonic"))
+
+
+# tail and second_tail of a scaled geometric model are exact rationals
+SCALED_GEO = ScaledModel(GEO, rat(3, 2))
+
+
+def test_scaled_geometric_tail_sum_confirms_on_random_plans():
+    alloc, m = build_tail_sum_strategy(SCALED_GEO)
+    assert m == 3
+    assert alloc.amount(1) == rat(1, 4)
+    assert alloc.amount(4) == SCALED_GEO.tail(4) == rat(3, 16)
+    for seed in range(30):
+        report = simulate("V1a", SCALED_GEO, alloc,
+                          random_plan(300, 12, seed), 300)
+        assert report.verdict == "PatternConfirmed", seed
+
+
+def test_scaled_geometric_bounded_diameter_confirms_on_banded_plans():
+    alloc, m = build_bounded_diameter_strategy(SCALED_GEO, 2)
+    assert alloc.total_cert == ExactTotal(SCALED_GEO.second_tail(m + 1))
+    for seed in range(30):
+        report = simulate("V1b", SCALED_GEO, alloc,
+                          random_bounded_diameter_plan(300, 2, seed), 300)
+        assert report.verdict == "PatternConfirmed", seed
+
+
+def test_scaled_zero_tail_prices_keep_their_zero_structure():
+    model = ScaledModel(CustomModel({1: rat(1, 2), 3: rat(1, 4)},
+                                    ZeroTail(5)), rat(2))
+    assert model.last_positive() == 3
+    alloc, m = build_tail_sum_strategy(model)
+    assert (m, alloc.tail_structure) == (3, ZeroBeyond(3))
+    alloc, m = build_bounded_length_strategy(model, 2)
+    assert (m, alloc.tail_structure) == (4, ZeroBeyond(3))
 
 
 def test_bounded_length_geometric():
