@@ -514,31 +514,51 @@ MOVED_BLOCKS = {
 }
 
 
-def tail_rules_canonical_texts() -> tuple:
-    """The canonical text without MOVED_BLOCKS, and those blocks alone."""
-    kept, moved = [], []
+DUMP_PREFIXES = ("dump_model ", "dump_allocation ")
 
-    def add(model, block, lines):
-        (moved if (model.name, block) in MOVED_BLOCKS else kept).extend(lines)
+
+def tail_rules_canonical_texts() -> tuple:
+    """The canonical text without MOVED_BLOCKS or table dumps, those blocks
+    alone, and every dump_model and dump_allocation line.
+
+    The dumps are pinned apart so a change of the text format moves only
+    their digest.
+    """
+    kept, moved, dumps = [], [], []
+
+    def add(lines, model=None, block=None):
+        for line in lines:
+            if line.startswith(DUMP_PREFIXES):
+                dumps.append(line)
+            elif model is not None and (model.name, block) in MOVED_BLOCKS:
+                moved.append(line)
+            else:
+                kept.append(line)
 
     for model in _tail_models():
-        kept.extend(_model_lines(model))
+        add(_model_lines(model))
     for name, table, rule in TAIL_TABLES:
-        kept.extend(_allocation_lines(name, table, rule))
+        add(_allocation_lines(name, table, rule))
     for model in _tail_models() + [sequences.GeometricModel(rat(2, 3))]:
-        add(model, "rearranged", _rearranged_lines(model))
+        add(_rearranged_lines(model), model, "rearranged")
     for model in _tail_models():
         for block, lines in _builder_blocks(model):
-            add(model, block, lines)
-    return "\n".join(kept) + "\n", "\n".join(moved) + "\n"
+            add(lines, model, block)
+    return tuple("\n".join(part) + "\n" for part in (kept, moved, dumps))
 
 
 def test_tail_rule_and_bracket_values_bytes():
-    kept, moved = tail_rules_canonical_texts()
+    kept, moved, _dumps = tail_rules_canonical_texts()
     assert digest(kept) == (
-        "ad7b0fbc793e83a02492c1182623599300997561e4d98e807c797668cfaee4f9")
+        "382ef5f1b304ec6320e9743efe7c9daf098a4eff4a0a31f38019108feedad172")
     assert digest(moved) == (
-        "78bc59ed06e8b831488f6dfcd8afcaeda454a1983dd5cd6ce2e4e21cdfa6c46a")
+        "3c97ea1553c010f94dd2cecec3ac2b56d1cb7219dfb4ccb0273d5586e1e2a668")
+
+
+def test_table_dump_bytes():
+    *_rest, dumps = tail_rules_canonical_texts()
+    assert digest(dumps) == (
+        "d886fb19a465f02db3296ee5b9653151c1674ac22699e690d24c8d9cf6f0dc88")
 
 
 # Witness logs, recorded before the guard streams yielded (cycle, witness)
