@@ -246,8 +246,8 @@ class _DescendingMerge:
                 head_end, fill_tail = self._vanishing_point(alloc, structure)
         else:
             raise CapabilityError(
-                f"{alloc.name}: descending reordering needs a declared "
-                "tail structure")
+                f"{alloc.name}: descending reordering needs a ZeroBeyond or "
+                f"NonIncreasingBeyond tail structure, not {structure!r}")
         if head_end > _HEAD_CAP:
             raise CapabilityError(
                 f"{alloc.name}: head of {head_end} amounts is too large "

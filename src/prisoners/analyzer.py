@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CapabilityError, DomainError
-from .numeric import Rat, ZERO, rat_str
+from .numeric import Rat, ZERO, lcm_units, rat_str
 from .sequences import (
     PriceModel, Relabeling, WeightedCert, descending_rearrangement,
     omit_zeros, quasi_descending_rearrangement, weighted_partial_sum,
@@ -49,17 +49,6 @@ def _require_desk_scale(m: int) -> None:
 # ---------------------------------------------------------------------------
 # exhaustive minimization
 
-def _scaled(values):
-    """Integers over one common denominator: v == Rat(int, scale) for each v.
-
-    Exhaustive scans add and compare these integers instead of rationals;
-    a total leaves the loop as Rat(total, scale), the same normalized value
-    the rational sum gives.
-    """
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def _weighted(weights, table, perm) -> int:
     """Integer sum of n * table[perm[n - 1]]."""
     return sum(map(operator.mul, weights, map(table.__getitem__, perm)))
@@ -82,7 +71,7 @@ def brute_force_min(model: PriceModel, m: int):
     runs in lexicographic order and `min` keeps the first minimal one.
     """
     _require_desk_scale(m)
-    ints, scale = _scaled([model.term(i) for i in range(1, m + 1)])
+    ints, scale = lcm_units([model.term(i) for i in range(1, m + 1)])
     perm, best = min(_scored_arrangements(ints), key=operator.itemgetter(1))
     return Rat(best, scale), Relabeling.from_sequence(perm, name="minimizer")
 
@@ -193,7 +182,7 @@ def check_zero_omission(model: PriceModel, m: int) -> ZeroOmissionTrace:
     Relabeling(placements, name="even-embedding")
 
     p_terms = [model.term(i) for i in range(1, m + 1)]
-    ints, scale = _scaled(
+    ints, scale = lcm_units(
         p_terms
         + [compressed.term(k) for k in range(1, m + 1)]
         + [compressed.term(alpha[i]) if v > ZERO else ZERO
@@ -237,8 +226,8 @@ def _zero_free_trace(model, compressed, alpha, m, failures) -> ZeroOmissionTrace
         if alpha.get(i) != i:
             failures.append({"kind": "alpha", "index": i,
                              "position": alpha.get(i)})
-    ints, scale = _scaled([model.term(i) for i in range(1, m + 1)]
-                          + [compressed.term(k) for k in range(1, m + 1)])
+    ints, scale = lcm_units([model.term(i) for i in range(1, m + 1)]
+                            + [compressed.term(k) for k in range(1, m + 1)])
     p, q = [0] + ints[:m], [0] + ints[m:]
     weights = range(1, m + 1)
     for perm in itertools.permutations(weights):
@@ -290,7 +279,7 @@ def descending_partial_dominance(model: PriceModel, trials: int = 1000,
                 f"price is {rat_str(v)}")
         terms.append(v)
     sigma = tuple(sorted(range(1, m + 1), key=lambda i: (-terms[i - 1], i)))
-    ints, scale = _scaled(terms)
+    ints, scale = lcm_units(terms)
     table = [0] + ints
     weights = range(1, m + 1)
     least = _weighted(weights, table, sigma)

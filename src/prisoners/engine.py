@@ -28,10 +28,13 @@ from .adversaries import (
     NO_SUCCESS_AFTER_FIRST,
 )
 from .errors import DomainError, UsageError
-from .numeric import ONE, Rat, ZERO, int_str, rat_str
+from .numeric import (
+    ONE, Cmp, Rat, ZERO, compare_certified, int_str, rat_str,
+)
 from .permutations import CyclePlan
 from .sequences import (
-    AllocationPlan, DivergentTotal, ExactTotal, HarmonicModel, PriceModel,
+    AllocationPlan, BracketedTotal, DivergentTotal, ExactTotal, HarmonicModel,
+    PriceModel,
 )
 from .strategies import StrategyDescriptor, relabeling_from_pairs
 
@@ -317,6 +320,11 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
             raise UsageError(
                 f"{v.id} caps the shared amount at 1; {alloc.name} "
                 f"declares {rat_str(cert.value)}")
+        if isinstance(cert, BracketedTotal) and compare_certified(
+                cert.interval(Rat(1, 100)), ONE) is Cmp.GREATER:
+            raise UsageError(
+                f"{v.id} caps the shared amount at 1; {alloc.name} "
+                "declares a total certified above 1")
 
     _pull_to_horizon(plan, horizon)
     cycles, not_simulated = plan.window(horizon)

@@ -18,7 +18,7 @@ from .errors import DomainError, EmptyRangeError, UndecidedComparisonError
 
 __all__ = [
     "BACKEND", "Rat", "ZERO", "ONE", "rat", "parse_rat", "int_str", "rat_str",
-    "rat_sum", "rat_ceil", "rat_floor", "check_range", "harmonic_sum",
+    "rat_sum", "lcm_units", "rat_ceil", "rat_floor", "check_range", "harmonic_sum",
     "power_sum", "geometric_sum", "geometric_tail", "RatInterval",
     "power_tail_bounds", "Cmp", "compare_certified", "least_index", "LN2_LO",
     "LN2_HI", "ln_bounds", "harmonic_upper_ln", "harmonic_range_lower_ln",
@@ -91,6 +91,13 @@ def rat_sum(values) -> Rat:
             den = grown
         num += value.numerator * (den // d)
     return Rat(num, den)
+
+
+def lcm_units(values) -> tuple[list, int]:
+    """(units, scale) with Rat(units[i], scale) == values[i], scale the lcm
+    of the denominators, so sums and compares can run on integers."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def rat_ceil(value) -> int:

@@ -19,8 +19,8 @@ from .errors import (
 )
 from .numeric import (
     ONE, Rat, RatInterval, ZERO, check_range, geometric_sum, geometric_tail,
-    harmonic_sum, least_index, power_sum, power_tail_bounds, rat, rat_str,
-    rat_sum,
+    harmonic_sum, lcm_units, least_index, power_sum, power_tail_bounds, rat,
+    rat_str, rat_sum,
 )
 
 __all__ = [
@@ -29,9 +29,9 @@ __all__ = [
     "PriceModel", "GeometricModel", "InverseSquareModel", "HarmonicModel",
     "HARMONIC", "CustomModel", "BlackBoxModel", "ScaledModel",
     "PermutedModel", "builtin_model", "load_model", "dump_model",
-    "ZeroBeyond", "NonIncreasingBeyond", "Unstructured", "AllocationPlan",
-    "TableAllocation", "FnAllocation", "load_allocation", "dump_allocation",
-    "Relabeling", "descending_rearrangement",
+    "ZeroBeyond", "NonIncreasingBeyond", "NonDecreasing", "Unstructured",
+    "AllocationPlan", "TableAllocation", "FnAllocation", "load_allocation",
+    "dump_allocation", "Relabeling", "descending_rearrangement",
     "quasi_descending_rearrangement", "omit_zeros", "weighted_partial_sum",
 ]
 
@@ -84,25 +84,19 @@ class WeightedCert(Enum):
 # ---------------------------------------------------------------------------
 # tail rules for table-driven sequences
 
-def _lcm_units(prices) -> tuple[list, int]:
-    """(units, scale) with units[i] / scale == prices[i], scale the lcm of
-    the denominators."""
-    scale = math.lcm(*(price.denominator for price in prices))
-    return [price.numerator * (scale // price.denominator)
-            for price in prices], scale
-
-
 class TailRule:
     """Prices for every index from start on, past a finite table.
 
     A rule answers the sums a table-driven sequence needs beyond its table,
     each for indices >= start: range sums, tails, iterated tails, and the
     integer prices of a cycle.  Exact rules return rationals; the others
-    return certified brackets.
+    return certified brackets.  A positive rule prices every index from
+    start on above zero; the zero rule is the one that does not.
     """
 
     start: int
     exact = True
+    positive = True
     weighted_cert = WeightedCert.CONVERGES_SOME
 
     def __post_init__(self):
@@ -111,13 +105,14 @@ class TailRule:
 
     def cycle_units(self, members) -> tuple[list, int]:
         """PriceModel.cycle_units for members that are all >= start."""
-        return _lcm_units([self.term(n) for n in members])
+        return lcm_units([self.term(n) for n in members])
 
 
 @dataclass(frozen=True)
 class ZeroTail(TailRule):
     start: int
     label = "zero"
+    positive = False
 
     def term(self, n: int) -> Rat:
         return ZERO
@@ -232,12 +227,10 @@ class InversePowerTail(TailRule):
         return f"tail inverse-power {self.exponent} from {self.start}"
 
 
-def _checked_table(entries, rule: TailRule, noun: str,
-                   collision: str) -> dict[int, Rat]:
+def _checked_table(entries, rule: TailRule) -> dict[int, Rat]:
     """Table entries as {index: rational}, each >= 0 and before the rule.
 
-    A list is read as the entries for 1, 2, ...; collision is the message,
-    formatted with idx and start, for an entry the rule already prices.
+    A list is read as the entries for 1, 2, ...
     """
     if not isinstance(entries, dict):
         entries = {i + 1: v for i, v in enumerate(entries)}
@@ -246,10 +239,11 @@ def _checked_table(entries, rule: TailRule, noun: str,
         if not isinstance(idx, int) or idx < 1:
             raise DomainError(f"bad table index {idx!r}")
         if idx >= rule.start:
-            raise DomainError(collision.format(idx=idx, start=rule.start))
+            raise DomainError(f"table entry at {idx} collides with tail rule "
+                              f"from {rule.start}")
         q = Rat(value)
         if q < ZERO:
-            raise DomainError(f"{noun} must be nonnegative")
+            raise DomainError("table values must be nonnegative")
         table[idx] = q
     return table
 
@@ -279,7 +273,7 @@ class PriceModel:
         exactly and scale > 0; scale need not be the least such
         denominator.  The default is the lcm of the terms' denominators.
         """
-        return _lcm_units([self.term(n) for n in members])
+        return lcm_units([self.term(n) for n in members])
 
     @property
     def total_cert(self):
@@ -339,11 +333,6 @@ class PriceModel:
                         f"prices exist beyond index {n}")
             n += 1
 
-    def max_term_in(self, a: int, b: int) -> Rat:
-        if self.nonincreasing_from is not None and a >= self.nonincreasing_from:
-            return self.term(a)
-        return max(self.term(i) for i in range(a, b + 1))
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
@@ -358,7 +347,6 @@ class HarmonicModel(PriceModel):
 
     def __init__(self):
         self._prefix = [ZERO]  # H_0, H_1, ... up to the largest asked for
-        self._big_prefix: dict[int, Rat] = {}
 
     def term(self, n: int) -> Rat:
         if n < 1:
@@ -394,17 +382,12 @@ class HarmonicModel(PriceModel):
             return ZERO
         if n > 20_000_000:
             raise CapabilityError("harmonic prefix too large for exact sum")
-        if n <= self._PREFIX_LIST_CAP:
-            sums = self._prefix
-            while len(sums) <= n:
-                sums.append(sums[-1] + Rat(1, len(sums)))
-            return sums[n]
-        cached = self._big_prefix.get(n)
-        if cached is None:
-            cached = harmonic_sum(1, n)
-            if len(self._big_prefix) < 4096:
-                self._big_prefix[n] = cached
-        return cached
+        if n > self._PREFIX_LIST_CAP:
+            return harmonic_sum(1, n)
+        sums = self._prefix
+        while len(sums) <= n:
+            sums.append(sums[-1] + Rat(1, len(sums)))
+        return sums[n]
 
 
 # the one harmonic model: every caller shares its table of exact prefixes
@@ -424,10 +407,8 @@ class CustomModel(PriceModel):
                  total_cert=None, weighted_cert=None):
         self.rule = tail_rule
         self.name = name
-        table = _checked_table(
-            entries, tail_rule, "prices",
-            "table entry at {idx} collides with tail rule from {start}")
-        self._table = {idx: q for idx, q in table.items() if q != ZERO}
+        self._table = {idx: q for idx, q in
+                       _checked_table(entries, tail_rule).items() if q != ZERO}
         self._declared_total_unknown = isinstance(total_cert, UnknownTotal)
         self._declared_weighted_unknown = (
             weighted_cert is WeightedCert.UNKNOWN)
@@ -488,9 +469,9 @@ class CustomModel(PriceModel):
         return self.rule.exact
 
     def last_positive(self) -> Optional[int]:
-        if isinstance(self.rule, ZeroTail):
-            return max(self._table, default=0)
-        return None
+        if self.rule.positive:
+            return None
+        return max(self._table, default=0)
 
     def tail(self, n: int):
         rule = self.rule
@@ -512,9 +493,8 @@ class CustomModel(PriceModel):
                                             self.name)
 
     def positive_indices(self) -> Iterator[int]:
-        for idx in sorted(self._table):
-            yield idx
-        if isinstance(self.rule, ZeroTail):
+        yield from sorted(self._table)
+        if not self.rule.positive:
             return
         n = self.rule.start
         while True:
@@ -530,9 +510,6 @@ class CustomModel(PriceModel):
         if b < rule.start:
             return total
         return total + rule.range_sum(rule.start, b)
-
-    def zero_indices_before_tail(self) -> list[int]:
-        return [i for i in range(1, self.rule.start) if i not in self._table]
 
 
 class GeometricModel(CustomModel):
@@ -726,12 +703,6 @@ def _parse_table_text(text: str):
     return entries, rule
 
 
-def _dump_table_text(entries: dict, rule: TailRule) -> str:
-    lines = [f"{idx} {rat_str(v)}" for idx, v in sorted(entries.items())]
-    lines.append(rule.text_line())
-    return "\n".join(lines) + "\n"
-
-
 def load_model(text: str, name: str = "custom") -> CustomModel:
     entries, rule = _parse_table_text(text)
     return CustomModel(entries, rule, name=name)
@@ -742,10 +713,10 @@ def dump_model(model: CustomModel) -> str:
     # models have no text form that reads back as themselves
     if type(model) is not CustomModel:
         raise CapabilityError("only table-driven models have a text form")
-    entries = dict(model._table)
-    for idx in model.zero_indices_before_tail():
-        entries[idx] = ZERO
-    return _dump_table_text(entries, model.rule)
+    # the stored entries only: every index the text leaves out is zero
+    lines = [f"{idx} {rat_str(v)}" for idx, v in sorted(model._table.items())]
+    lines.append(model.rule.text_line())
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +734,11 @@ class NonIncreasingBeyond:
     also strictly positive there."""
     index: int
     positive: bool = False
+
+
+@dataclass(frozen=True)
+class NonDecreasing:
+    """amount(n) <= amount(n + 1) for every n >= 1."""
 
 
 class Unstructured:
@@ -800,6 +776,8 @@ class AllocationPlan:
         if a > b:
             raise DomainError("empty range")
         structure = self.tail_structure
+        if isinstance(structure, NonDecreasing):
+            return self.amount(b)
         if isinstance(structure, ZeroBeyond):
             best = ZERO
             for i in range(a, min(b, structure.index) + 1):
@@ -822,42 +800,35 @@ class AllocationPlan:
 
 
 class TableAllocation(AllocationPlan):
-    """Finite table of amounts followed by a zero or geometric tail."""
+    """Amounts read off a table model with a zero or geometric tail."""
 
     def __init__(self, entries, tail_rule: TailRule, name: str = "table"):
         if not tail_rule.exact:
             raise DomainError(
                 "allocations support zero or geometric tails only")
-        self._table = _checked_table(entries, tail_rule, "amounts",
-                                     "table entry collides with tail rule")
-        self.rule = tail_rule
+        self.model = CustomModel(entries, tail_rule, name=name)
         self.name = name
 
     def amount(self, n: int) -> Rat:
-        if n < 1:
-            raise DomainError("indices start at 1")
-        if n >= self.rule.start:
-            return self.rule.term(n)
-        return self._table.get(n, ZERO)
+        return self.model.term(n)
 
     @property
     def total_cert(self):
-        return ExactTotal(rat_sum(self._table.values())
-                          + self.rule.tail(self.rule.start))
+        return self.model.total_cert
 
     @property
     def tail_structure(self):
-        if isinstance(self.rule, ZeroTail):
-            return ZeroBeyond(self.rule.start - 1)
-        return NonIncreasingBeyond(self.rule.start, positive=True)
+        rule = self.model.rule
+        if rule.positive:
+            return NonIncreasingBeyond(rule.start, positive=True)
+        return ZeroBeyond(rule.start - 1)
 
 
 class FnAllocation(AllocationPlan):
     """Allocation given by a closed-form function with declared structure."""
 
     def __init__(self, name: str, fn: Callable[[int], "Rat"],
-                 total_cert=None, tail_structure=None,
-                 max_in_range_fn=None, descriptor=None,
+                 total_cert=None, tail_structure=None, descriptor=None,
                  amount_upper_pow2=None):
         self.name = name
         self.descriptor = descriptor
@@ -866,7 +837,6 @@ class FnAllocation(AllocationPlan):
         self._total = total_cert if total_cert is not None else UnknownTotal()
         self._structure = (tail_structure if tail_structure is not None
                            else Unstructured())
-        self._max_fn = max_in_range_fn
         self._cache: dict[int, Rat] = {}
 
     def amount(self, n: int) -> Rat:
@@ -891,11 +861,6 @@ class FnAllocation(AllocationPlan):
     def tail_structure(self):
         return self._structure
 
-    def max_in_range(self, a: int, b: int) -> Rat:
-        if self._max_fn is not None:
-            return self._max_fn(a, b)
-        return super().max_in_range(a, b)
-
 
 def load_allocation(text: str, name: str = "table") -> TableAllocation:
     entries, rule = _parse_table_text(text)
@@ -905,7 +870,7 @@ def load_allocation(text: str, name: str = "table") -> TableAllocation:
 def dump_allocation(alloc: TableAllocation) -> str:
     if not isinstance(alloc, TableAllocation):
         raise CapabilityError("only table-driven allocations have a text form")
-    return _dump_table_text(alloc._table, alloc.rule)
+    return dump_model(alloc.model)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,16 +974,15 @@ def descending_rearrangement(model: PriceModel, horizon: int) -> Relabeling:
         raise DomainError("horizon must be >= 1")
     if model.nonincreasing_from == 1:
         return Relabeling.identity()
-    if not isinstance(model, CustomModel):
+    if model.rule is None:
         raise CapabilityError(
             f"{model.name}: no certified value ordering available")
-    zero_tail = isinstance(model.rule, ZeroTail)
     # the table holds only positive prices, all below the tail's start
-    if not zero_tail and len(model._table) < model.rule.start - 1:
+    if model.rule.positive and len(model._table) < model.rule.start - 1:
         raise CapabilityError(
             f"{model.name}: zeros before an infinite positive tail cannot "
             "be placed by any non-increasing ordering")
-    return _ordered_relabeling(model, horizon, zero_tail,
+    return _ordered_relabeling(model, horizon,
                                name=f"descending[{model.name}]")
 
 
@@ -1034,21 +998,20 @@ def quasi_descending_rearrangement(model: PriceModel,
         raise DomainError("horizon must be >= 1")
     if model.nonincreasing_from == 1:
         return Relabeling.identity()
-    if not isinstance(model, CustomModel):
+    if model.rule is None:
         raise CapabilityError(
             f"{model.name}: no certified value ordering available")
-    zero_tail = isinstance(model.rule, ZeroTail)
-    return _ordered_relabeling(model, horizon, zero_tail,
+    return _ordered_relabeling(model, horizon,
                                name=f"quasi-descending[{model.name}]")
 
 
 def _ordered_relabeling(model: CustomModel, horizon: int,
-                        zero_tail: bool, name: str) -> Relabeling:
+                        name: str) -> Relabeling:
     prefix = sorted(
         ((idx, model.term(idx)) for idx in model._table),
         key=lambda pair: (-pair[1], pair[0]))
     placements: dict[int, int] = {}
-    if zero_tail:
+    if not model.rule.positive:
         # all positives live in the table; zeros fill in ascending order
         for pos, (idx, _val) in enumerate(prefix, start=1):
             placements[pos] = idx

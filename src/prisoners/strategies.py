@@ -18,8 +18,8 @@ from .numeric import (
 )
 from .sequences import (
     HARMONIC, AllocationPlan, BracketedTotal, CustomModel, DivergentTotal,
-    ExactTotal, FnAllocation, NonIncreasingBeyond, PriceModel, Relabeling,
-    UnknownTotal, ZeroBeyond,
+    ExactTotal, FnAllocation, NonDecreasing, NonIncreasingBeyond, PriceModel,
+    Relabeling, UnknownTotal, ZeroBeyond,
 )
 
 __all__ = [
@@ -217,15 +217,10 @@ def build_bounded_length_strategy(model: PriceModel, k: int, total=ONE):
     else:
         structure = None
 
-    def max_in_range(a: int, b: int) -> Rat:
-        if b < m:
-            return ZERO
-        return k * model.max_term_in(max(a, m), b)
-
     alloc = FnAllocation(
         f"bounded-length[{model.name},k={k}]", amount,
         total_cert=_total_cert_from_tail(scaled_tail(m)),
-        tail_structure=structure, max_in_range_fn=max_in_range,
+        tail_structure=structure,
         descriptor=StrategyDescriptor(
             "bounded-length",
             {"model": model.name, "k": k, "total": rat_str(total)}, m=m))
@@ -371,8 +366,9 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
 
     kinds: constant1, harmonic-prefix, shifted-harmonic (k), log-shift (K),
     scaled (c).  Amounts are exact; unbounded families declare a divergent
-    total.  Each plan carries amount_upper_pow2(E), a certified upper bound
-    for the amount at index 2**E that never materializes 2**E itself.
+    total, and the prefix-sum kinds declare non-decreasing amounts.  Each
+    plan carries amount_upper_pow2(E), a certified upper bound for the
+    amount at index 2**E that never materializes 2**E itself.
     """
     wanted = _V2_PARAMS.get(kind)
     if wanted is None:
@@ -386,15 +382,13 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
             "v2-constant1", lambda n: ONE,
             total_cert=DivergentTotal(),
             tail_structure=NonIncreasingBeyond(1, positive=True),
-            max_in_range_fn=lambda a, b: ONE,
             descriptor=StrategyDescriptor("v2", {"kind": kind}),
             amount_upper_pow2=lambda E: ONE)
 
     if kind == "harmonic-prefix":
         return FnAllocation(
             "v2-harmonic-prefix", HARMONIC.prefix_sum,
-            total_cert=DivergentTotal(),
-            max_in_range_fn=lambda a, b: HARMONIC.prefix_sum(b),
+            total_cert=DivergentTotal(), tail_structure=NonDecreasing(),
             descriptor=StrategyDescriptor("v2", {"kind": kind, "k": 1}),
             amount_upper_pow2=lambda E: ONE + E * LN2_HI)
 
@@ -429,8 +423,7 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
             base_floor = ln_bounds(k)[0]
         return FnAllocation(
             name, amount,
-            total_cert=DivergentTotal(),
-            max_in_range_fn=lambda a, b: ZERO if b < k else amount(b),
+            total_cert=DivergentTotal(), tail_structure=NonDecreasing(),
             descriptor=descriptor,
             amount_upper_pow2=(
                 lambda E: max(ZERO, ONE + E * LN2_HI - base_floor)))
@@ -449,7 +442,7 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
     return FnAllocation(
         f"v2-scaled[{rat_str(c)}]", amount,
         total_cert=DivergentTotal() if c > ZERO else ExactTotal(ZERO),
-        max_in_range_fn=lambda a, b: c * HARMONIC.prefix_sum(b),
+        tail_structure=NonDecreasing(),
         descriptor=StrategyDescriptor(
             "v2", {"kind": kind, "c": rat_str(c)}),
         amount_upper_pow2=lambda E: c * (ONE + E * LN2_HI))

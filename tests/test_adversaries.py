@@ -444,7 +444,7 @@ def test_pulled_bound_tracks_every_materialize(build):
 
 def flat_alloc(value):
     return FnAllocation(f"flat[{value}]", lambda n: value,
-                        max_in_range_fn=lambda a, b: value)
+                        tail_structure=NonIncreasingBeyond(1, True))
 
 
 @pytest.mark.parametrize("builder", [v2a_block_adversary,

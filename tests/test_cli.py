@@ -83,6 +83,24 @@ def test_unknown_pieces_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("model, declared", [
+    ("inverse-square", "a total certified above 1"),
+    ("geometric", "2/1"),
+])
+def test_v1_refuses_a_total_over_the_cap_exact_or_bracketed(capsys, model,
+                                                            declared):
+    # bounded-length k=2 at total=5 certifies 2 * tail(1): 2 on geometric
+    # prices, and a bracket inside [3.28, 3.30] on inverse-square ones
+    code = run(["simulate", "--variant", "V1a", "--model", model,
+                "--strategy", "bounded-length:k=2,total=5",
+                "--plan", "random:max_len=2", "--horizon", "50"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "caps the shared amount at 1" in captured.err
+    assert f"declares {declared}" in captured.err
+
+
 def test_missing_flags_exit_two(capsys):
     assert run(["simulate", "--variant", "V1a"]) == 2
     assert "--horizon" in capsys.readouterr().err

@@ -828,15 +828,19 @@ def test_no_module_names_another_rational_backend():
         assert "PRISONERS_RATIONAL_BACKEND" not in text, path.name
 
 
-# names whose duplicates the shared harmonic table and least_index replaced,
-# and the helpers that asked which tail rule a model held
+# names whose duplicates the shared harmonic table, least_index, table
+# models, declared allocation shapes and numeric.lcm_units replaced, and the
+# helpers that asked which tail rule a model held
 RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
                  "_hsum", "_validate_tail_rule", "_tails_exact",
-                 "_table_sum_from", "cycle_no", "_tail_rule"}
-# a tail rule answers for its own sums, and the built-in summable models
-# are tables with such a rule, so no module asks for these by name
+                 "_table_sum_from", "cycle_no", "_tail_rule", "max_term_in",
+                 "zero_indices_before_tail", "_scaled", "_lcm_units",
+                 "_dump_table_text"}
+# a tail rule answers for its own sums and says whether its prices stay
+# positive, the built-in summable models are tables with such a rule, and a
+# model is a table model when it has a rule, so no module asks for these
 RULE_CLASSES = {"GeometricTail", "InversePowerTail", "GeometricModel",
-                "InverseSquareModel"}
+                "InverseSquareModel", "ZeroTail", "CustomModel"}
 # the functions allowed to ask whether a value is a bracket
 BRACKET_TESTS = {("strategies.py", "_total_cert_from_tail")}
 

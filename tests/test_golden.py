@@ -558,7 +558,7 @@ def test_tail_rule_and_bracket_values_bytes():
 def test_table_dump_bytes():
     *_rest, dumps = tail_rules_canonical_texts()
     assert digest(dumps) == (
-        "d886fb19a465f02db3296ee5b9653151c1674ac22699e690d24c8d9cf6f0dc88")
+        "2be5304ac23038305401cac95346106fb8fe29719c86049ec9dfef701e437c38")
 
 
 # Witness logs, recorded before the guard streams yielded (cycle, witness)

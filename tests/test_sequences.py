@@ -124,7 +124,7 @@ def test_custom_zero_tail_model():
     assert m.tail(2) == rat(1, 2)
     cert = m.total_cert
     assert isinstance(cert, ExactTotal) and cert.value == rat(5, 8)
-    assert m.zero_indices_before_tail() == [2]
+    assert [i for i in range(1, 4) if m.term(i) == ZERO] == [2]
     assert list(m.positive_indices()) == [1, 3]
 
 
@@ -367,8 +367,67 @@ def test_bad_text_rejected():
         load_allocation("1 1/2\ntail geometric 1/2 from 3 4 5\n")
 
 
+@pytest.mark.parametrize("build", [CustomModel, TableAllocation],
+                         ids=["model", "allocation"])
+def test_models_and_allocations_share_the_table_messages(build):
+    with pytest.raises(DomainError, match="table values must be nonnegative"):
+        build({1: rat(-1, 2)}, ZeroTail(3))
+    with pytest.raises(DomainError, match="table entry at 3 collides with "
+                                          "tail rule from 3"):
+        build({1: rat(1, 2), 3: rat(1, 4)}, GeometricTail(rat(1, 2), 3))
+
+
+def test_a_far_zero_tail_dumps_to_one_line():
+    text = "tail zero from 200000\n"
+    assert dump_model(load_model(text)) == text
+    assert dump_allocation(load_allocation(text)) == text
+
+
+_EXACT_RULES = st.one_of(
+    st.builds(ZeroTail, st.integers(1, 12)),
+    st.builds(GeometricTail, st.sampled_from([rat(1, 2), rat(2, 3), rat(1, 7)]),
+              st.integers(1, 12)))
+
+
+@settings(max_examples=60)
+@given(_EXACT_RULES, st.lists(st.integers(0, 5), max_size=11),
+       st.integers(1, 9), st.booleans())
+def test_dump_and_load_keep_every_value_and_the_total(rule, raw, den,
+                                                      as_allocation):
+    # zero entries are kept in the table handed over, and dropped from dumps
+    entries = {i: rat(v, den) for i, v in enumerate(raw, start=1)
+               if i < rule.start}
+    if as_allocation:
+        before = TableAllocation(entries, rule)
+        text = dump_allocation(before)
+        after = load_allocation(text)
+        values = before.amount, after.amount
+    else:
+        before = CustomModel(entries, rule)
+        text = dump_model(before)
+        after = load_model(text)
+        values = before.term, after.term
+    assert [values[0](n) for n in range(1, 31)] == [
+        values[1](n) for n in range(1, 31)]
+    assert before.total_cert == after.total_cert
+    assert not any(line.endswith(" 0/1") for line in text.splitlines())
+
+
 # ---------------------------------------------------------------------------
 # allocations
+
+def test_a_table_allocation_answers_from_its_table_model():
+    alloc = TableAllocation([rat(1, 2), ZERO, rat(1, 8)], ZeroTail(4),
+                            name="front")
+    assert type(alloc.model) is CustomModel and alloc.model.name == "front"
+    assert [alloc.amount(n) for n in range(1, 6)] == [
+        alloc.model.term(n) for n in range(1, 6)]
+    assert alloc.total_cert == alloc.model.total_cert == ExactTotal(rat(5, 8))
+    assert dump_allocation(alloc) == dump_model(alloc.model)
+    own = {name for name in vars(TableAllocation)
+           if not name.startswith("__") or name == "__init__"}
+    assert own == {"__init__", "amount", "total_cert", "tail_structure"}
+
 
 def test_table_allocation_totals_and_structure():
     alloc = TableAllocation({1: rat(1, 2), 2: ZERO, 3: rat(1, 8)},
@@ -467,7 +526,7 @@ def test_descending_scan_is_nonincreasing(raw, den):
     entries = {i + 1: rat(v, 13) for i, v in enumerate(raw) if v}
     start = len(raw) + 1
     m = CustomModel(entries, GeometricTail(rat(1, den), start))
-    if m.zero_indices_before_tail():
+    if any(m.term(i) == ZERO for i in range(1, start)):
         with pytest.raises(CapabilityError):
             descending_rearrangement(m, 30)
         delta = quasi_descending_rearrangement(m, 30)
@@ -506,7 +565,7 @@ def test_a_far_tail_start_lists_no_zero_prices(text):
 
 def test_quasi_descending_pushes_zeros_out():
     m = CustomModel({2: rat(1, 3)}, GeometricTail(rat(1, 2), 3))
-    assert m.zero_indices_before_tail() == [1]
+    assert [i for i in range(1, 3) if m.term(i) == ZERO] == [1]
     with pytest.raises(CapabilityError):
         descending_rearrangement(m, 8)
     delta = quasi_descending_rearrangement(m, 8)

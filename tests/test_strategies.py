@@ -13,8 +13,9 @@ from prisoners.permutations import (
     Cycle, CyclePlan, random_bounded_diameter_plan, random_plan,
 )
 from prisoners.sequences import (
-    CustomModel, ExactTotal, GeometricTail, NonIncreasingBeyond, Relabeling,
-    ScaledModel, ZeroBeyond, ZeroTail, builtin_model,
+    CustomModel, ExactTotal, FnAllocation, GeometricTail, NonDecreasing,
+    NonIncreasingBeyond, Relabeling, ScaledModel, ZeroBeyond, ZeroTail,
+    builtin_model,
 )
 from prisoners.strategies import (
     StrategyDescriptor, build_baseline_geometric,
@@ -288,6 +289,45 @@ def test_v2_scaled():
         build_v2_strategy("scaled", c=ONE)
     with pytest.raises(DomainError):
         build_v2_strategy("scaled", c=rat(3, 2))
+
+
+FIXED_PRICE_PLANS = [
+    ("constant1", {}), ("harmonic-prefix", {}), ("shifted-harmonic", {"k": 3}),
+    ("log-shift", {"K": ONE}), ("scaled", {"c": rat(1, 2)}),
+    ("scaled", {"c": ZERO}),
+]
+
+
+@pytest.mark.parametrize("kind, params", FIXED_PRICE_PLANS,
+                         ids=[f"{kind}{list(params.values())}"
+                              for kind, params in FIXED_PRICE_PLANS])
+def test_v2_range_maxima_match_a_scan_of_the_amounts(kind, params):
+    alloc = build_v2_strategy(kind, **params)
+    amounts = [alloc.amount(n) for n in range(1, 25)]
+    if alloc.tail_structure == NonDecreasing():
+        assert amounts == sorted(amounts)
+    for a in range(1, 25):
+        for b in range(a, 25):
+            assert alloc.max_in_range(a, b) == max(amounts[a - 1:b])
+
+
+@pytest.mark.parametrize("model", [
+    GEO, builtin_model("inverse-square"),
+    CustomModel({1: rat(1, 4), 3: rat(1, 2), 4: rat(1, 8)}, ZeroTail(6)),
+    ScaledModel(GEO, rat(1, 3)),
+], ids=["geometric", "inverse-square", "zero-tail", "scaled"])
+def test_bounded_length_range_maxima_come_from_its_declared_shape(model):
+    alloc, _ = build_bounded_length_strategy(model, 2)
+    amounts = [alloc.amount(n) for n in range(1, 25)]
+    for a in range(1, 25):
+        for b in range(a, 25):
+            assert alloc.max_in_range(a, b) == max(amounts[a - 1:b])
+
+
+def test_allocations_take_no_range_maximum_function():
+    with pytest.raises(TypeError):
+        FnAllocation("flat", lambda n: ONE,
+                     max_in_range_fn=lambda a, b: ONE)
 
 
 def test_v2_log_shift_small_constant_is_minimal():
