@@ -291,34 +291,34 @@ def test_v2_scaled():
         build_v2_strategy("scaled", c=rat(3, 2))
 
 
-FIXED_PRICE_PLANS = [
-    ("constant1", {}), ("harmonic-prefix", {}), ("shifted-harmonic", {"k": 3}),
-    ("log-shift", {"K": ONE}), ("scaled", {"c": rat(1, 2)}),
-    ("scaled", {"c": ZERO}),
-]
+# builders whose range maxima come from their declared shape alone
+SHAPED_PLANS = {
+    "constant1": lambda: build_v2_strategy("constant1"),
+    "harmonic-prefix": lambda: build_v2_strategy("harmonic-prefix"),
+    "shifted-harmonic[3]": lambda: build_v2_strategy("shifted-harmonic", k=3),
+    "log-shift[1]": lambda: build_v2_strategy("log-shift", K=ONE),
+    "scaled[1/2]": lambda: build_v2_strategy("scaled", c=rat(1, 2)),
+    "scaled[0]": lambda: build_v2_strategy("scaled", c=ZERO),
+    "bounded-length geometric":
+        lambda: build_bounded_length_strategy(GEO, 2)[0],
+    "bounded-length inverse-square":
+        lambda: build_bounded_length_strategy(
+            builtin_model("inverse-square"), 2)[0],
+    "bounded-length zero-tail": lambda: build_bounded_length_strategy(
+        CustomModel({1: rat(1, 4), 3: rat(1, 2), 4: rat(1, 8)}, ZeroTail(6)),
+        2)[0],
+    "bounded-length scaled":
+        lambda: build_bounded_length_strategy(ScaledModel(GEO, rat(1, 3)),
+                                              2)[0],
+}
 
 
-@pytest.mark.parametrize("kind, params", FIXED_PRICE_PLANS,
-                         ids=[f"{kind}{list(params.values())}"
-                              for kind, params in FIXED_PRICE_PLANS])
-def test_v2_range_maxima_match_a_scan_of_the_amounts(kind, params):
-    alloc = build_v2_strategy(kind, **params)
+@pytest.mark.parametrize("build", SHAPED_PLANS.values(), ids=SHAPED_PLANS)
+def test_range_maxima_from_the_declared_shape_match_a_scan(build):
+    alloc = build()
     amounts = [alloc.amount(n) for n in range(1, 25)]
     if alloc.tail_structure == NonDecreasing():
         assert amounts == sorted(amounts)
-    for a in range(1, 25):
-        for b in range(a, 25):
-            assert alloc.max_in_range(a, b) == max(amounts[a - 1:b])
-
-
-@pytest.mark.parametrize("model", [
-    GEO, builtin_model("inverse-square"),
-    CustomModel({1: rat(1, 4), 3: rat(1, 2), 4: rat(1, 8)}, ZeroTail(6)),
-    ScaledModel(GEO, rat(1, 3)),
-], ids=["geometric", "inverse-square", "zero-tail", "scaled"])
-def test_bounded_length_range_maxima_come_from_its_declared_shape(model):
-    alloc, _ = build_bounded_length_strategy(model, 2)
-    amounts = [alloc.amount(n) for n in range(1, 25)]
     for a in range(1, 25):
         for b in range(a, 25):
             assert alloc.max_in_range(a, b) == max(amounts[a - 1:b])
