@@ -7,7 +7,10 @@ small permutation prefixes, dominance of the descending arrangement, and the
 bookkeeping that lets zero prices be compressed out without changing the
 answer.  Everything is computed in exact rationals; nothing is estimated.
 The exhaustive scans hold each scan's prices as integers over one common
-denominator, so every arrangement costs integer adds and compares only.
+denominator.  The minimum and dominance scans account for all m!
+arrangements through a table of least completions over the 2^m label
+subsets and list only those below their bound; zero omission still scores
+each arrangement in integer adds and compares.
 """
 from __future__ import annotations
 
@@ -54,25 +57,45 @@ def _weighted(weights, table, perm) -> int:
     return sum(map(operator.mul, weights, map(table.__getitem__, perm)))
 
 
-def _scored_arrangements(ints):
-    """Each arrangement of 1..m in lexicographic order, with the integer sum
-    of n * ints[perm[n - 1] - 1]."""
-    weights = range(1, len(ints) + 1)
-    for perm, vals in zip(itertools.permutations(weights),
-                          itertools.permutations(ints)):
-        yield perm, sum(map(operator.mul, weights, vals))
+def _least_completions(ints) -> list:
+    """least[mask]: the least integer sum that the labels outside mask add
+    when they fill positions popcount(mask) + 1 onwards, in some order."""
+    least = [0] * (1 << len(ints))
+    for mask in range(len(least) - 2, -1, -1):
+        n = mask.bit_count() + 1
+        least[mask] = min(n * v + least[mask | 1 << x]
+                          for x, v in enumerate(ints) if not mask >> x & 1)
+    return least
+
+
+def _arrangements_below(ints, least, bound):
+    """Each arrangement of 1..m whose integer sum of n * ints[perm[n - 1] - 1]
+    is below bound, in lexicographic order, with that sum: a prefix is
+    extended only while its sum plus least[mask] stays below bound."""
+    def extend(mask, prefix, total):
+        if mask == len(least) - 1:
+            yield prefix, total
+            return
+        n = len(prefix) + 1
+        for x, v in enumerate(ints):
+            bit = 1 << x
+            if not mask & bit and total + n * v + least[mask | bit] < bound:
+                yield from extend(mask | bit, prefix + (x + 1,), total + n * v)
+    return extend(0, (), 0)
 
 
 def brute_force_min(model: PriceModel, m: int):
     """Exact minimum of the weighted prefix sum over all m! arrangements.
 
     Returns (value, relabeling) where the relabeling is the
-    lexicographically least arrangement achieving the minimum: the scan
-    runs in lexicographic order and `min` keeps the first minimal one.
+    lexicographically least arrangement achieving the minimum: every sum
+    is at least least[0], so the first arrangement listed below
+    least[0] + 1 in lexicographic order is that one.
     """
     _require_desk_scale(m)
     ints, scale = lcm_units([model.term(i) for i in range(1, m + 1)])
-    perm, best = min(_scored_arrangements(ints), key=operator.itemgetter(1))
+    least = _least_completions(ints)
+    perm, best = next(_arrangements_below(ints, least, least[0] + 1))
     return Rat(best, scale), Relabeling.from_sequence(perm, name="minimizer")
 
 
@@ -288,10 +311,10 @@ def descending_partial_dominance(model: PriceModel, trials: int = 1000,
     if m <= _FACTORIAL_CAP:
         mode = "exhaustive"
         checked = math.factorial(m)
-        for perm, value in _scored_arrangements(ints):
-            if value < least:
-                failures.append({"delta": list(perm),
-                                 "sum": rat_str(Rat(value, scale))})
+        for perm, value in _arrangements_below(
+                ints, _least_completions(ints), least):
+            failures.append({"delta": list(perm),
+                             "sum": rat_str(Rat(value, scale))})
     else:
         if trials < 1:
             raise DomainError("sampling needs at least one trial")

@@ -46,3 +46,18 @@ def verify_all_run() -> VerifyAllRun:
     finally:
         cli.verify_theorem = real
     return VerifyAllRun(code, out.getvalue(), reports)
+
+
+@pytest.fixture
+def lifted_compressed_price(monkeypatch):
+    """Lift the second compressed price by 1/3, so zero omission must fail."""
+    from prisoners.numeric import rat
+    from prisoners.sequences import OmittedZerosModel
+
+    plain = OmittedZerosModel.term
+
+    def term(self, n):
+        value = plain(self, n)
+        return value + rat(1, 3) if n == 2 else value
+
+    monkeypatch.setattr(OmittedZerosModel, "term", term)

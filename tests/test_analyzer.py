@@ -1,11 +1,13 @@
 """Rearrangement oracles against exhaustively derived frozen values."""
 import itertools
 import math
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prisoners import analyzer
 from prisoners.analyzer import (
     DominanceReport, ExistenceVerdict, ZeroOmissionTrace, analysis_tsv,
     brute_force_min, check_zero_omission, cycle_notation, decide_existence,
@@ -62,8 +64,10 @@ def test_brute_force_min_ties_prefer_lexicographic():
 
 
 def test_brute_force_min_rejects_factorial_blowup():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         brute_force_min(GEO, 10)
+    assert str(exc.value) == ("exhaustive scans are capped at 9 (asked for "
+                              "10, which means 10! permutations)")
     with pytest.raises(DomainError):
         brute_force_min(GEO, 0)
 
@@ -467,3 +471,126 @@ def test_perturbed_zero_omission_fails_like_the_reference(monkeypatch, model,
     for found, expected in zip(trace.failures, failures):
         for key in ("kind", "lhs", "rhs"):
             assert found.get(key) == expected.get(key)
+
+
+# ---------------------------------------------------------------------------
+# the subset table against the plain scan
+#
+# The minimum and dominance scans list only the arrangements below a bound,
+# pruned by a table of least completions.  The reference is the plain scan
+# they replaced: every arrangement of 1..m in lexicographic order, scored
+# one by one in integers.
+
+def plain_scan(ints):
+    """Each arrangement of 1..m in lexicographic order, with the integer sum
+    of n * ints[perm[n - 1] - 1]."""
+    weights = range(1, len(ints) + 1)
+    for perm, vals in zip(itertools.permutations(weights),
+                          itertools.permutations(ints)):
+        yield perm, sum(map(operator.mul, weights, vals))
+
+
+def listed_below(ints, bound):
+    least = analyzer._least_completions(ints)
+    return list(analyzer._arrangements_below(ints, least, bound))
+
+
+# ties and zeros, signed small values, and signed values far apart
+INT_POOLS = [(-1, 0, 0, 1), tuple(range(-4, 5)),
+             (-(10 ** 30), -7, 0, 3, 10 ** 30 + 1, 2 ** 100)]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_listing_below_a_bound_is_the_plain_scans_filter(m):
+    rng = random.Random(f"subset-table-{m}")
+    for pool in INT_POOLS:
+        ints = [rng.choice(pool) for _ in range(m)]
+        scored = list(plain_scan(ints))
+        least = analyzer._least_completions(ints)
+        perm, best = min(scored, key=operator.itemgetter(1))
+        assert least[0] == best, ints
+        top = max(value for _, value in scored)
+        bounds = [best, best + 1, rng.randint(best, top), top + 1]
+        for bound in bounds:
+            expected = [(p, v) for p, v in scored if v < bound]
+            assert listed_below(ints, bound) == expected, (ints, bound)
+        # the first entry below least + 1 is the scan's first minimum
+        assert listed_below(ints, best + 1)[0] == (perm, best)
+        assert listed_below(ints, top + 1) == scored
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_least_completion_of_every_label_subset(m):
+    rng = random.Random(f"least-{m}")
+    ints = [rng.randint(-3, 3) for _ in range(m)]
+    least = analyzer._least_completions(ints)
+    assert len(least) == 2 ** m and least[-1] == 0
+    for mask in range(2 ** m):
+        free = [x for x in range(m) if not mask >> x & 1]
+        start = m - len(free) + 1
+        assert least[mask] == min(
+            sum(n * ints[x] for n, x in enumerate(order, start=start))
+            for order in itertools.permutations(free)), (ints, mask)
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_scans_match_the_plain_scan_on_grid_prefixes(m):
+    rng = random.Random(f"grid-prefixes-{m}")
+    for case in range(20):
+        entries = {i: rat(rng.randint(1, 64), 64) for i in range(1, m + 1)}
+        model = CustomModel(entries, ZeroTail(m + 1), name=f"prefix[{case}]")
+        ints = [64 * entries[i].numerator // entries[i].denominator
+                for i in range(1, m + 1)]
+        scored = list(plain_scan(ints))
+        perm, best = min(scored, key=operator.itemgetter(1))
+        value, delta = brute_force_min(model, m)
+        assert (value, tuple(delta.prefix(m))) == (rat(best, 64), perm), case
+        report = descending_partial_dominance(model, m=m)
+        sigma_sum = sum(n * ints[i - 1]
+                        for n, i in enumerate(report.sigma, start=1))
+        assert report.failures == [
+            {"delta": list(p), "sum": rat_str(rat(v, 64))}
+            for p, v in scored if v < sigma_sum], case
+        assert report.passed and report.mode == "exhaustive"
+        assert report.checked == math.factorial(m)
+        assert report.minimum == value
+
+
+def test_dominance_failures_follow_the_plain_scan_on_a_faulty_table(
+        monkeypatch):
+    # reverse the integer prices after sigma is sorted: sigma becomes the
+    # unique maximizer, so every other arrangement is a failure
+    plain = analyzer.lcm_units
+
+    def reversed_units(values):
+        ints, scale = plain(values)
+        return ints[::-1], scale
+
+    monkeypatch.setattr(analyzer, "lcm_units", reversed_units)
+    report = descending_partial_dominance(INV, m=7)
+    ints, scale = reversed_units([INV.term(i) for i in range(1, 8)])
+    sigma_sum = sum(n * ints[i - 1]
+                    for n, i in enumerate(report.sigma, start=1))
+    expected = [{"delta": list(p), "sum": rat_str(rat(v, scale))}
+                for p, v in plain_scan(ints) if v < sigma_sum]
+    assert len(expected) == 5039
+    assert not report.passed
+    assert report.failures == expected
+    assert report.checked == 5040
+
+
+# ---------------------------------------------------------------------------
+# the factorial cap
+
+def test_brute_force_min_at_the_cap_is_the_harmonic_number():
+    value, delta = brute_force_min(INV, 9)
+    assert value == sum((rat(1, n) for n in range(1, 10)), ZERO)
+    assert value == rat(7129, 2520)
+    assert delta.is_identity
+
+
+def test_dominance_at_the_cap_is_exhaustive():
+    report = descending_partial_dominance(INV, m=9)
+    assert report.passed and report.mode == "exhaustive"
+    assert report.checked == math.factorial(9)
+    assert report.minimum == rat(7129, 2520)

@@ -414,6 +414,15 @@ def test_analyze_min_emits_one_tsv_row(capsys):
     assert capsys.readouterr().out == "()\t25/12\n"
 
 
+def test_analyze_min_past_the_factorial_cap_exits_two(capsys):
+    assert run(["analyze", "--model", "inverse-square", "--mode", "min",
+                "--m", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: exhaustive scans are capped at 9 (asked "
+                            "for 10, which means 10! permutations)\n")
+
+
 def test_analyze_existence_verdicts(capsys):
     run(["analyze", "--model", "geometric", "--mode", "existence"])
     assert capsys.readouterr().out.startswith("Exists\t")

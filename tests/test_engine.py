@@ -18,6 +18,7 @@ from prisoners.adversaries import (
     ALL_MEMBERS_FAIL, ANCHOR_FAILS, AdversaryClaim, FAILURE_IN_EVERY_CYCLE,
     NO_SUCCESS_AFTER_FIRST, good_index_adversary,
 )
+from prisoners.cli import main
 from prisoners.engine import (
     VARIANTS, PrisonerOutcome, SimulationReport, _score_cycle,
     _walk_open_cycle, evaluate_release, get_variant, run_prisoner, simulate,
@@ -784,6 +785,70 @@ def test_a_check_that_checked_nothing_has_not_passed():
 
 
 # ---------------------------------------------------------------------------
+# the analyzer keys can fail
+#
+# Each fault is wrong by a margin the check sees at its defaults, so a PASS
+# line from these keys is evidence.
+
+@pytest.fixture
+def rising_prices(monkeypatch):
+    """The first six inverse-square prices rise: 1/64, 1/32, ..., 1/2."""
+    entries = {i: rat(1, 2 ** (7 - i)) for i in range(1, 7)}
+    monkeypatch.setattr(registry, "INVSQ",
+                        CustomModel(entries, ZeroTail(7), name="rising"))
+
+
+@pytest.fixture
+def unsorted_descending(monkeypatch):
+    """The descending rearrangement leaves every index in place."""
+    monkeypatch.setattr(registry, "descending_rearrangement",
+                        lambda model, horizon: Relabeling.identity())
+
+
+def test_identity_minimality_fails_on_rising_prices(rising_prices):
+    report = verify_theorem("identity-minimality")
+    assert report.passed is False
+    # the reversal 6 5 4 3 2 1 puts price 1/2^n at weight n: sum 15/8
+    assert report.witnesses == ("(1 6)(2 5)(3 4)",)
+    assert report.details == "identity wins all 720 arrangements at 15/8"
+
+
+def test_descending_reduction_fails_on_an_unsorted_rearrangement(
+        unsorted_descending):
+    report = verify_theorem("descending-reduction")
+    assert report.passed is False
+    shuffled = registry._shuffled_geometric(1)
+    expected = tuple(f"not sorted at {n}" for n in range(1, 40)
+                     if shuffled.term(n) < shuffled.term(n + 1))
+    assert expected and report.witnesses == expected
+
+
+def test_zero_omission_fails_on_a_lifted_compressed_price(
+        lifted_compressed_price):
+    report = verify_theorem("zero-omission")
+    assert report.passed is False
+    # index 4 holds the second positive price, 1/4, now read as 7/12
+    assert report.witnesses[0] == str(
+        {"kind": "alpha", "index": 4, "position": 2})
+    assert any("'kind': 'doubling'" in w for w in report.witnesses)
+    assert report.checks == 120
+
+
+@pytest.mark.parametrize("key, fault", [
+    ("identity-minimality", "rising_prices"),
+    ("descending-reduction", "unsorted_descending"),
+    ("zero-omission", "lifted_compressed_price"),
+])
+def test_verify_prints_fail_and_exits_one_for_an_analyzer_fault(
+        request, capsys, key, fault):
+    request.getfixturevalue(fault)
+    assert main(["verify", key]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL {key}: ") and out.count("\n") == 1
+    assert " witnesses=[" in out
+
+
+# ---------------------------------------------------------------------------
 # the simulation core's imports
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "prisoners"
@@ -835,7 +900,7 @@ RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
                  "_hsum", "_validate_tail_rule", "_tails_exact",
                  "_table_sum_from", "cycle_no", "_tail_rule", "max_term_in",
                  "zero_indices_before_tail", "_scaled", "_lcm_units",
-                 "_dump_table_text"}
+                 "_dump_table_text", "_scored_arrangements"}
 # a tail rule answers for its own sums and says whether its prices stay
 # positive, the built-in summable models are tables with such a rule, and a
 # model is a table model when it has a rule, so no module asks for these

@@ -317,17 +317,6 @@ def test_verify_line_bytes(capsys, argv, expected):
     assert digest(capsys.readouterr().out) == expected
 
 
-def perturb_compressed_term(monkeypatch):
-    """Lift the second compressed price by 1/3, so the scans must fail."""
-    plain = sequences.OmittedZerosModel.term
-
-    def term(self, n):
-        value = plain(self, n)
-        return value + rat(1, 3) if n == 2 else value
-
-    monkeypatch.setattr(sequences.OmittedZerosModel, "term", term)
-
-
 # (model, m, number of failures, failure-dict JSON digest)
 PERTURBED_OMISSIONS = [
     (GAPPY, 4, 33,
@@ -339,9 +328,8 @@ PERTURBED_OMISSIONS = [
 
 @pytest.mark.parametrize("model, m, count, expected", PERTURBED_OMISSIONS,
                          ids=["even-embedding", "zero-free"])
-def test_perturbed_zero_omission_failure_bytes(monkeypatch, model, m, count,
-                                               expected):
-    perturb_compressed_term(monkeypatch)
+def test_perturbed_zero_omission_failure_bytes(lifted_compressed_price, model,
+                                               m, count, expected):
     trace = analyzer.check_zero_omission(model, m)
     assert not trace.passed
     assert len(trace.failures) == count
