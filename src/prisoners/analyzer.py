@@ -79,8 +79,9 @@ def _arrangements_below(ints, least, bound):
         n = len(prefix) + 1
         for x, v in enumerate(ints):
             bit = 1 << x
-            if not mask & bit and total + n * v + least[mask | bit] < bound:
-                yield from extend(mask | bit, prefix + (x + 1,), total + n * v)
+            step = total + n * v
+            if not mask & bit and step + least[mask | bit] < bound:
+                yield from extend(mask | bit, prefix + (x + 1,), step)
     return extend(0, (), 0)
 
 
