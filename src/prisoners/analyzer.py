@@ -7,14 +7,14 @@ small permutation prefixes, dominance of the descending arrangement, and the
 bookkeeping that lets zero prices be compressed out without changing the
 answer.  Everything is computed in exact rationals; nothing is estimated.
 The exhaustive scans hold each scan's prices as integers over one common
-denominator.  The minimum and dominance scans account for all m!
-arrangements through a table of least completions over the 2^m label
-subsets and list only those below their bound; zero omission still scores
-each arrangement in integer adds and compares.
+denominator.  All three account for the m! arrangements through a table
+of least completions over the 2^m label subsets and list only the
+arrangements that fail: those below the bound of the minimum or dominance
+check, and those that break a zero-omission fact.
 """
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 import operator
 import random
@@ -52,37 +52,66 @@ def _require_desk_scale(m: int) -> None:
 # ---------------------------------------------------------------------------
 # exhaustive minimization
 
-def _weighted(weights, table, perm) -> int:
-    """Integer sum of n * table[perm[n - 1]]."""
-    return sum(map(operator.mul, weights, map(table.__getitem__, perm)))
+def _weighted(ints, perm) -> int:
+    """Integer sum of n * ints[perm[n - 1] - 1]."""
+    return sum(n * ints[x - 1] for n, x in enumerate(perm, start=1))
 
 
-def _least_completions(ints) -> list:
+def _least_completions(a, b=(), pos=0) -> list:
     """least[mask]: the least integer sum that the labels outside mask add
-    when they fill positions popcount(mask) + 1 onwards, in some order."""
-    least = [0] * (1 << len(ints))
-    for mask in range(len(least) - 2, -1, -1):
-        n = mask.bit_count() + 1
-        least[mask] = min(n * v + least[mask | 1 << x]
-                          for x, v in enumerate(ints) if not mask >> x & 1)
+    when they fill positions popcount(mask) + 1 onwards, in some order.
+
+    Label x at position n adds n * a[x] - r * b[x], where r is one more than
+    the number of labels of the mask pos placed before it; b defaults to 0.
+    """
+    m = len(a)
+    b = b or [0] * m
+    # steps[n - 1][r - 1][x]: what label x adds at position n and rank r
+    steps = [[[n * v - r * w for v, w in zip(a, b)] for r in range(1, n + 1)]
+             for n in range(1, m + 1)]
+    least = [0] * (1 << m)
+    full = len(least) - 1
+    for mask in range(full - 1, -1, -1):
+        step = steps[mask.bit_count()][(mask & pos).bit_count()]
+        free = full ^ mask
+        best = None
+        while free:  # the free labels, lowest bit first
+            bit = free & -free
+            free ^= bit
+            value = step[bit.bit_length() - 1] + least[mask | bit]
+            if best is None or value < best:
+                best = value
+        least[mask] = best
     return least
 
 
-def _arrangements_below(ints, least, bound):
-    """Each arrangement of 1..m whose integer sum of n * ints[perm[n - 1] - 1]
-    is below bound, in lexicographic order, with that sum: a prefix is
-    extended only while its sum plus least[mask] stays below bound."""
+def _arrangements_below(a, least, bound, b=(), pos=0):
+    """Each arrangement of 1..m whose integer sum of steps (as in
+    _least_completions) is below bound, in lexicographic order, with that
+    sum: a prefix is extended only while its sum plus least[mask] stays
+    below bound."""
+    b = b or [0] * len(a)
+
     def extend(mask, prefix, total):
         if mask == len(least) - 1:
             yield prefix, total
             return
         n = len(prefix) + 1
-        for x, v in enumerate(ints):
+        r = (mask & pos).bit_count() + 1
+        for x, (v, w) in enumerate(zip(a, b)):
             bit = 1 << x
-            step = total + n * v
+            step = total + n * v - r * w
             if not mask & bit and step + least[mask | bit] < bound:
                 yield from extend(mask | bit, prefix + (x + 1,), step)
     return extend(0, (), 0)
+
+
+def _nonzero(a, b):
+    """Each arrangement whose sums of n * a[x] and n * b[x] differ, in
+    lexicographic order: those whose difference lies below 0 or above it."""
+    d = [u - v for u, v in zip(a, b)]
+    return heapq.merge(*(_arrangements_below(f, _least_completions(f), 0)
+                         for f in (d, [-v for v in d])))
 
 
 def brute_force_min(model: PriceModel, m: int):
@@ -176,94 +205,75 @@ def check_zero_omission(model: PriceModel, m: int) -> ZeroOmissionTrace:
     two facts carry the equivalence and both are checked exactly for every
     permutation of [1..m]: the arrangement induced on q never exceeds the
     p-sum, and re-embedding q at the even positions (zeros at the odd
-    ones) exactly doubles the q-sum.
+    ones) exactly doubles the q-sum.  Without zeros below the horizon the
+    q-sum must equal the p-sum instead.  Each fact compares sums of integer
+    steps, so the subset table accounts for all m! permutations and lists
+    only those that fail it.
     """
     _require_desk_scale(m)
     horizon = max(4 * m, 64)
     compressed, alpha = omit_zeros(model, horizon)
-    failures: list[dict] = []
-    for i, k in alpha.items():
-        if compressed.term(k) != model.term(i):
-            failures.append({"kind": "alpha", "index": i, "position": k})
-    zeros = [i for i in range(1, horizon + 1) if model.term(i) == ZERO]
+    # every price up to the horizon, read once
+    price = [ZERO] + [model.term(i) for i in range(1, horizon + 1)]
+    shrunk = {k: compressed.term(k) for k in alpha.values()}
+    failures: list[dict] = [{"kind": "alpha", "index": i, "position": k}
+                            for i, k in alpha.items() if shrunk[k] != price[i]]
+    zeros = [i for i in range(1, horizon + 1) if not price[i]]
+    q_terms = [shrunk[k] if k in shrunk else compressed.term(k)
+               for k in range(1, m + 1)]
     if not zeros:
-        return _zero_free_trace(model, compressed, alpha, m, failures)
-
-    if compressed.original_index(m) is None:
-        raise CapabilityError(
-            f"{model.name}: fewer than {m} positive prices below "
-            f"index {horizon}")
-    if len(zeros) < m:
-        raise CapabilityError(
-            f"{model.name}: only {len(zeros)} zero prices below index "
-            f"{horizon}, need {m} to embed at odd positions")
-
-    beta = [compressed.original_index(k) for k in range(1, m + 1)]
-    placements = {2 * k: beta[k - 1] for k in range(1, m + 1)}
-    for j in range(1, m + 1):
-        placements[2 * j - 1] = zeros[j - 1]
-    # raises when beta meets the zeros, which no permutation changes
-    Relabeling(placements, name="even-embedding")
-
-    p_terms = [model.term(i) for i in range(1, m + 1)]
-    ints, scale = lcm_units(
-        p_terms
-        + [compressed.term(k) for k in range(1, m + 1)]
-        + [compressed.term(alpha[i]) if v > ZERO else ZERO
-           for i, v in enumerate(p_terms, start=1)]
-        + [model.term(i) for i in beta]
-        + [model.term(i) for i in zeros[:m]])
-    p, q, q_alpha, p_beta, p_zero = (
-        [0] + ints[c * m:(c + 1) * m] for c in range(5))
-    weights = range(1, m + 1)
-    # zeros at the odd positions 2j - 1 of the embedding
-    odd = sum((2 * j - 1) * p_zero[j] for j in weights)
-    for perm in itertools.permutations(weights):
-        # arrangement induced on q by reading perm's positive entries
-        induced = 0
-        k = 0
-        for idx in perm:
-            if p[idx] > 0:
-                k += 1
-                induced += k * q_alpha[idx]
-        p_sum = _weighted(weights, p, perm)
-        if not induced <= p_sum:
-            failures.append({"delta": list(perm), "kind": "induced",
-                             "lhs": rat_str(Rat(induced, scale)),
-                             "rhs": rat_str(Rat(p_sum, scale))})
-
-        # q at even positions, zeros at odd ones: exact doubling
-        q_sum = _weighted(weights, q, perm)
-        embedded = 2 * _weighted(weights, p_beta, perm) + odd
-        if embedded != 2 * q_sum:
-            failures.append({"delta": list(perm), "kind": "doubling",
-                             "lhs": rat_str(Rat(embedded, scale)),
-                             "rhs": rat_str(Rat(2 * q_sum, scale))})
-    return ZeroOmissionTrace(passed=not failures, mode="even-embedding",
-                             permutations=math.factorial(m), alpha=dict(alpha),
-                             failures=failures)
-
-
-def _zero_free_trace(model, compressed, alpha, m, failures) -> ZeroOmissionTrace:
-    # no zeros below the horizon: compression must be the identity
-    for i in range(1, m + 1):
-        if alpha.get(i) != i:
-            failures.append({"kind": "alpha", "index": i,
-                             "position": alpha.get(i)})
-    ints, scale = lcm_units([model.term(i) for i in range(1, m + 1)]
-                            + [compressed.term(k) for k in range(1, m + 1)])
-    p, q = [0] + ints[:m], [0] + ints[m:]
-    weights = range(1, m + 1)
-    for perm in itertools.permutations(weights):
-        p_sum = _weighted(weights, p, perm)
-        q_sum = _weighted(weights, q, perm)
-        if p_sum != q_sum:
-            failures.append({"delta": list(perm), "kind": "identity",
-                             "lhs": rat_str(Rat(q_sum, scale)),
-                             "rhs": rat_str(Rat(p_sum, scale))})
-    return ZeroOmissionTrace(passed=not failures, mode="zero-free",
-                             permutations=math.factorial(m), alpha=dict(alpha),
-                             failures=failures)
+        # compression must then be the identity
+        failures += [{"kind": "alpha", "index": i, "position": alpha.get(i)}
+                     for i in range(1, m + 1) if alpha.get(i) != i]
+        ints, scale = lcm_units(price[1:m + 1] + q_terms)
+        p, q = ints[:m], ints[m:]
+        listed = ((perm, "identity", 0) for perm, _ in _nonzero(p, q))
+    else:
+        if compressed.original_index(m) is None:
+            raise CapabilityError(
+                f"{model.name}: fewer than {m} positive prices below "
+                f"index {horizon}")
+        if len(zeros) < m:
+            raise CapabilityError(
+                f"{model.name}: only {len(zeros)} zero prices below index "
+                f"{horizon}, need {m} to embed at odd positions")
+        beta = [compressed.original_index(k) for k in range(1, m + 1)]
+        placements = {2 * k: beta[k - 1] for k in range(1, m + 1)}
+        for j in range(1, m + 1):
+            placements[2 * j - 1] = zeros[j - 1]
+        # raises when beta meets the zeros, which no permutation changes
+        Relabeling(placements, name="even-embedding")
+        ints, scale = lcm_units(
+            price[1:m + 1] + q_terms
+            + [price[i] if i <= horizon else model.term(i) for i in beta])
+        p, q, p_beta = (ints[c * m:(c + 1) * m] for c in range(3))
+        # p-sum minus the sum induced on q: label x steps n * p[x] at
+        # position n, less k * q[alpha(x)] when it is the k-th positive one
+        pos = sum(1 << x for x, v in enumerate(p) if v > 0)
+        q_alpha = [q[alpha[x + 1] - 1] if pos >> x & 1 else 0
+                   for x in range(m)]
+        induced = _arrangements_below(
+            p, _least_completions(p, q_alpha, pos), 0, q_alpha, pos)
+        # the zeros at the odd positions add nothing to the embedded sum;
+        # the merge is stable, so induced comes before doubling on one perm
+        listed = heapq.merge(
+            ((perm, "induced", total) for perm, total in induced),
+            ((perm, "doubling", 0) for perm, _ in _nonzero(p_beta, q)),
+            key=operator.itemgetter(0))
+    for perm, kind, total in listed:
+        if kind == "identity":
+            lhs, rhs = _weighted(q, perm), _weighted(p, perm)
+        elif kind == "induced":
+            rhs = _weighted(p, perm)
+            lhs = rhs - total
+        else:
+            lhs, rhs = 2 * _weighted(p_beta, perm), 2 * _weighted(q, perm)
+        failures.append({"delta": list(perm), "kind": kind,
+                         "lhs": rat_str(Rat(lhs, scale)),
+                         "rhs": rat_str(Rat(rhs, scale))})
+    return ZeroOmissionTrace(
+        passed=not failures, mode="even-embedding" if zeros else "zero-free",
+        permutations=math.factorial(m), alpha=dict(alpha), failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +314,7 @@ def descending_partial_dominance(model: PriceModel, trials: int = 1000,
         terms.append(v)
     sigma = tuple(sorted(range(1, m + 1), key=lambda i: (-terms[i - 1], i)))
     ints, scale = lcm_units(terms)
-    table = [0] + ints
-    weights = range(1, m + 1)
-    least = _weighted(weights, table, sigma)
+    least = _weighted(ints, sigma)
 
     failures: list[dict] = []
     if m <= _FACTORIAL_CAP:
@@ -321,11 +329,11 @@ def descending_partial_dominance(model: PriceModel, trials: int = 1000,
             raise DomainError("sampling needs at least one trial")
         mode = "sampled"
         rng = random.Random(seed)
-        base = list(weights)
+        base = list(range(1, m + 1))
         checked = trials
         for _ in range(trials):
             rng.shuffle(base)
-            value = _weighted(weights, table, base)
+            value = _weighted(ints, base)
             if value < least:
                 failures.append({"delta": list(base),
                                  "sum": rat_str(Rat(value, scale))})

@@ -14,7 +14,7 @@ from prisoners.analyzer import (
     descending_partial_dominance,
 )
 from prisoners.errors import CapabilityError, DomainError
-from prisoners.numeric import ZERO, rat, rat_str
+from prisoners.numeric import ZERO, lcm_units, rat, rat_str
 from prisoners.sequences import (
     BlackBoxModel, CustomModel, GeometricTail, OmittedZerosModel, Relabeling,
     WeightedCert, ZeroTail, builtin_model, omit_zeros, weighted_partial_sum,
@@ -174,8 +174,10 @@ def test_zero_omission_needs_enough_zeros():
 
 
 def test_zero_omission_respects_cap():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         check_zero_omission(GEO, 10)
+    assert str(exc.value) == ("exhaustive scans are capped at 9 (asked for "
+                              "10, which means 10! permutations)")
 
 
 # ---------------------------------------------------------------------------
@@ -594,3 +596,210 @@ def test_dominance_at_the_cap_is_exhaustive():
     assert report.passed and report.mode == "exhaustive"
     assert report.checked == math.factorial(9)
     assert report.minimum == rat(7129, 2520)
+
+
+@pytest.mark.parametrize("model, mode", [
+    (GEO, "zero-free"),
+    (CustomModel({2 * k: rat(1, 2 ** k) for k in range(1, 11)}, ZeroTail(21),
+                 name="alternating-10"), "even-embedding"),
+], ids=["geometric-1/2", "alternating-10"])
+def test_zero_omission_at_the_cap_lists_no_arrangement(model, mode):
+    trace = check_zero_omission(model, 9)
+    assert trace.passed and trace.failures == []
+    assert trace.mode == mode
+    assert trace.permutations == math.factorial(9)
+
+
+# ---------------------------------------------------------------------------
+# the subset table with a rank term, and zero omission from it
+#
+# A step may also subtract r * b[x], r counting the labels of the mask pos
+# placed before x, plus one; zero omission lists its failing arrangements
+# this way.  The references are plain scans: every arrangement of 1..m in
+# lexicographic order, scored one by one in integers.
+
+def plain_ranked_scan(a, b, pos):
+    """Each arrangement of 1..m in lexicographic order, with the integer sum
+    of n * a[x] - r * b[x] over the labels x + 1 it places at positions n."""
+    for perm in itertools.permutations(range(1, len(a) + 1)):
+        total = placed = 0
+        for n, label in enumerate(perm, start=1):
+            x = label - 1
+            total += n * a[x] - (placed + 1) * b[x]
+            placed += pos >> x & 1
+        yield perm, total
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_ranked_listing_below_a_bound_is_the_plain_scans_filter(m):
+    rng = random.Random(f"ranked-{m}")
+    for pool in INT_POOLS:
+        a = [rng.choice(pool) for _ in range(m)]
+        b = [rng.choice(pool) for _ in range(m)]
+        pos = rng.getrandbits(m)
+        scored = list(plain_ranked_scan(a, b, pos))
+        least = analyzer._least_completions(a, b, pos)
+        best = min(value for _, value in scored)
+        top = max(value for _, value in scored)
+        assert least[0] == best, (a, b, pos)
+        for bound in (0, best, best + 1, rng.randint(best, top), top + 1):
+            expected = [(p, v) for p, v in scored if v < bound]
+            assert list(analyzer._arrangements_below(
+                a, least, bound, b, pos)) == expected, (a, b, pos, bound)
+        differ = [(p, v) for p, v in plain_scan(
+            [u - v for u, v in zip(a, b)]) if v != 0]
+        assert [p for p, _ in analyzer._nonzero(a, b)] == [
+            p for p, _ in differ], (a, b)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_ranked_least_completion_of_every_label_subset(m):
+    rng = random.Random(f"ranked-least-{m}")
+    a = [rng.randint(-3, 3) for _ in range(m)]
+    b = [rng.randint(-3, 3) for _ in range(m)]
+    pos = rng.getrandbits(m)
+    least = analyzer._least_completions(a, b, pos)
+    assert len(least) == 2 ** m and least[-1] == 0
+    for mask in range(2 ** m):
+        free = [x for x in range(m) if not mask >> x & 1]
+        start = m - len(free) + 1
+
+        def completion(order):
+            total, placed = 0, (mask & pos).bit_count()
+            for n, x in enumerate(order, start=start):
+                total += n * a[x] - (placed + 1) * b[x]
+                placed += pos >> x & 1
+            return total
+        assert least[mask] == min(
+            map(completion, itertools.permutations(free))), (a, b, mask)
+
+
+def plain_zero_omission(model, m):
+    """(mode, failures) of check_zero_omission as the integer scan over all
+    m! arrangements computed it, before it listed only the failing ones."""
+    horizon = max(4 * m, 64)
+    compressed, alpha = omit_zeros(model, horizon)
+    failures = [{"kind": "alpha", "index": i, "position": k}
+                for i, k in alpha.items()
+                if compressed.term(k) != model.term(i)]
+    zeros = [i for i in range(1, horizon + 1) if model.term(i) == ZERO]
+    weights = range(1, m + 1)
+
+    def weighted(table, perm):
+        return sum(map(operator.mul, weights, map(table.__getitem__, perm)))
+
+    def text(value):
+        return rat_str(rat(value, scale))
+
+    if not zeros:
+        failures += [{"kind": "alpha", "index": i, "position": alpha.get(i)}
+                     for i in weights if alpha.get(i) != i]
+        ints, scale = lcm_units([model.term(i) for i in weights]
+                                + [compressed.term(k) for k in weights])
+        p, q = [0] + ints[:m], [0] + ints[m:]
+        for perm in itertools.permutations(weights):
+            p_sum, q_sum = weighted(p, perm), weighted(q, perm)
+            if p_sum != q_sum:
+                failures.append({"delta": list(perm), "kind": "identity",
+                                 "lhs": text(q_sum), "rhs": text(p_sum)})
+        return "zero-free", failures
+
+    beta = [compressed.original_index(k) for k in weights]
+    p_terms = [model.term(i) for i in weights]
+    ints, scale = lcm_units(
+        p_terms
+        + [compressed.term(k) for k in weights]
+        + [compressed.term(alpha[i]) if v > ZERO else ZERO
+           for i, v in enumerate(p_terms, start=1)]
+        + [model.term(i) for i in beta]
+        + [model.term(i) for i in zeros[:m]])
+    p, q, q_alpha, p_beta, p_zero = (
+        [0] + ints[c * m:(c + 1) * m] for c in range(5))
+    odd = sum((2 * j - 1) * p_zero[j] for j in weights)
+    for perm in itertools.permutations(weights):
+        induced = k = 0
+        for idx in perm:
+            if p[idx] > 0:
+                k += 1
+                induced += k * q_alpha[idx]
+        p_sum = weighted(p, perm)
+        if not induced <= p_sum:
+            failures.append({"delta": list(perm), "kind": "induced",
+                             "lhs": text(induced), "rhs": text(p_sum)})
+        q_sum = weighted(q, perm)
+        embedded = 2 * weighted(p_beta, perm) + odd
+        if embedded != 2 * q_sum:
+            failures.append({"delta": list(perm), "kind": "doubling",
+                             "lhs": text(embedded), "rhs": text(2 * q_sum)})
+    return "even-embedding", failures
+
+
+# (prices, shifts of the compressed prices, denominators): small integers
+# with ties and zeros, whose weighted sums often agree, and values far apart
+OMISSION_POOLS = [((1, 1, 2, 3), (-2, -1, 0, 0, 1, 2), (1,)),
+                  ((1, 3, 10 ** 30 + 1, 2 ** 100),
+                   (-(10 ** 30), -7, 0, 3, 2 ** 100), (1, 7, 2 ** 61 - 1))]
+
+
+def seeded_omission_case(rng, m, mode, pool):
+    """A table model with m to m + 2 positive prices below index 2m + 3,
+    with a geometric tail from there in zero-free mode and zeros between
+    them and from there on in even-embedding mode, and a draw of shifts."""
+    prices, shifts, denominators = pool
+
+    def draw(nums):
+        return rat(rng.choice(nums), rng.choice(denominators))
+
+    if mode == "zero-free":
+        slots = range(1, 2 * m + 3)
+        rule = GeometricTail(rat(1, 2), 2 * m + 3)
+    else:
+        slots = rng.sample(range(1, 2 * m + 3), m + rng.randint(0, 2))
+        rule = ZeroTail(2 * m + 3)
+    model = CustomModel({i: draw(prices) for i in slots}, rule,
+                        name=f"seeded-{mode}-{m}")
+    return model, lambda: draw(shifts)
+
+
+@pytest.mark.parametrize("mode", ["zero-free", "even-embedding"])
+@pytest.mark.parametrize("m", range(1, 8))
+def test_zero_omission_lists_the_plain_scans_failures(monkeypatch, m, mode):
+    rng = random.Random(f"omission-{mode}-{m}")
+    plain = OmittedZerosModel.term
+    for pool in OMISSION_POOLS:
+        for shifted in ("none", "one", "all"):
+            model, shift = seeded_omission_case(rng, m, mode, pool)
+            # compressed prices shifted at no position, one, or all of them
+            keys = {"none": [], "one": [rng.randint(1, m)],
+                    "all": range(1, 2 * m + 3)}[shifted]
+            offset = {k: shift() for k in keys}
+            monkeypatch.setattr(
+                OmittedZerosModel, "term",
+                lambda self, n: plain(self, n) + offset.get(n, ZERO))
+            trace = check_zero_omission(model, m)
+            expected_mode, failures = plain_zero_omission(model, m)
+            assert trace.mode == expected_mode == mode
+            assert trace.failures == failures, (model._table, offset)
+            assert trace.passed == (not failures)
+            assert trace.permutations == math.factorial(m)
+            if shifted == "none":
+                assert trace.passed
+
+
+def test_zero_omission_lists_both_failures_of_one_arrangement_in_order(
+        monkeypatch):
+    # compressed prices 100 times too high: every induced sum exceeds its
+    # p-sum and every embedded sum misses the doubled q-sum
+    plain = OmittedZerosModel.term
+    monkeypatch.setattr(OmittedZerosModel, "term",
+                        lambda self, n: 100 * plain(self, n))
+    model = alternating_zero_model()
+    trace = check_zero_omission(model, 6)
+    assert trace.failures == plain_zero_omission(model, 6)[1]
+    listed = trace.failures[len(trace.alpha):]
+    assert len(listed) == 2 * 720
+    for arrangement, (induced, doubling) in zip(
+            itertools.permutations(range(1, 7)),
+            zip(listed[::2], listed[1::2])):
+        assert induced["delta"] == doubling["delta"] == list(arrangement)
+        assert (induced["kind"], doubling["kind"]) == ("induced", "doubling")

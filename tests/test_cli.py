@@ -456,6 +456,15 @@ def test_capability_errors_come_back_verbatim(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_analyze_zero_omission_stops_at_the_cap(capsys):
+    assert run(["analyze", "--model", "geometric",
+                "--mode", "zero-omission", "--m", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("exhaustive scans are capped at 9 (asked for 10, which means "
+            "10! permutations)") in captured.err
+
+
 def test_analyze_tsv_written_to_file_matches_stdout(tmp_path, capsys):
     out = tmp_path / "min.tsv"
     run(["analyze", "--model", "geometric", "--mode", "min", "--m", "3",

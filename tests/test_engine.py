@@ -24,11 +24,13 @@ from prisoners.engine import (
     _walk_open_cycle, evaluate_release, get_variant, run_prisoner, simulate,
 )
 from prisoners.errors import DomainError, UsageError
-from prisoners.numeric import ONE, ZERO, rat, rat_str
+from prisoners.numeric import (
+    ONE, ZERO, Cmp, RatInterval, compare_certified, rat, rat_str,
+)
 from prisoners.permutations import Cycle, CyclePlan, random_plan
 from prisoners.registry import THEOREM_KEYS, verify_theorem
 from prisoners.sequences import (
-    CustomModel, FnAllocation, PermutedModel, PriceModel, Relabeling,
+    BracketedTotal, CustomModel, FnAllocation, PermutedModel, PriceModel, Relabeling,
     ScaledModel, TableAllocation, ZeroTail, builtin_model,
 )
 from prisoners.strategies import (
@@ -336,6 +338,22 @@ def test_free_variant_rejects_unbounded_totals():
         simulate("V1a", GEO, build_v2_strategy("constant1"), plan_of(), 4)
     with pytest.raises(UsageError):
         simulate("V1b", GEO, table({1: "3/4", 2: "3/4"}), plan_of(), 4)
+
+
+def test_v1_lets_through_a_bracketed_total_it_cannot_separate_from_one():
+    # brackets [1 - w, 1 + w] that never refine: undecided against 1
+    straddle = BracketedTotal(lambda w: RatInterval(ONE - w, ONE + w))
+    assert compare_certified(straddle.interval(rat(1, 100)), ONE) is \
+        Cmp.UNDECIDED
+    alloc = FnAllocation("straddle", lambda n: rat(1, 2 ** n),
+                         total_cert=straddle)
+    report = simulate("V1a", GEO, alloc, plan_of((1, 2)), 2)
+    assert [o.prisoner for o in report.outcomes] == [1, 2]
+    above = FnAllocation("above", lambda n: rat(1, 2 ** n),
+                         total_cert=BracketedTotal(
+                             lambda w: RatInterval(2 - w, 2 + w)))
+    with pytest.raises(UsageError, match="certified above 1"):
+        simulate("V1a", GEO, above, plan_of((1, 2)), 2)
 
 
 def test_horizon_must_be_positive():
@@ -900,7 +918,8 @@ RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
                  "_hsum", "_validate_tail_rule", "_tails_exact",
                  "_table_sum_from", "cycle_no", "_tail_rule", "max_term_in",
                  "zero_indices_before_tail", "_scaled", "_lcm_units",
-                 "_dump_table_text", "_scored_arrangements"}
+                 "_dump_table_text", "_scored_arrangements",
+                 "_zero_free_trace"}
 # a tail rule answers for its own sums and says whether its prices stay
 # positive, the built-in summable models are tables with such a rule, and a
 # model is a table model when it has a rule, so no module asks for these

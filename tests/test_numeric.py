@@ -15,13 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prisoners.errors import DomainError, EmptyRangeError
+from prisoners.errors import (
+    DomainError, EmptyRangeError, UndecidedComparisonError,
+)
 from prisoners.numeric import (
     BACKEND, Cmp, LN2_HI, LN2_LO, ONE, Rat, RatInterval, ZERO,
     compare_certified, geometric_sum, geometric_tail, harmonic_range_lower_ln,
     harmonic_sum, harmonic_upper_ln, int_str, least_index, ln_bounds,
     parse_rat, power_sum, power_tail_bounds, rat, rat_ceil, rat_floor,
-    rat_str, rat_sum,
+    rat_str, rat_sum, require_certified,
 )
 from prisoners.sequences import (
     HARMONIC, ExactTotal, GeometricTail, HarmonicModel, InversePowerTail,
@@ -232,6 +234,28 @@ def test_compare_certified_undecided_without_refinement():
     iv = RatInterval(rat(1, 3), rat(2, 3))
     assert compare_certified(iv, rat(1, 2)) is Cmp.UNDECIDED
     assert compare_certified(iv, rat(1, 4)) is Cmp.GREATER
+
+
+def test_require_certified_raises_when_refinement_runs_out():
+    # every refinement hands back the same bracket, so 1/2 never leaves it
+    stuck = RatInterval(rat(1, 3), rat(2, 3), lambda: stuck)
+    assert compare_certified(stuck, rat(1, 2), 5) is Cmp.UNDECIDED
+    with pytest.raises(UndecidedComparisonError) as exc:
+        require_certified(stuck, rat(1, 2), 5)
+    assert str(exc.value) == ("could not separate interval from 1/2 "
+                              "within 5 refinements")
+    with pytest.raises(UndecidedComparisonError, match="within 64 "):
+        require_certified(stuck, rat(1, 2))
+    assert require_certified(stuck, rat(3, 4)) is Cmp.LESS
+
+
+def test_compare_certified_reads_a_bracket_refined_to_a_point():
+    point = RatInterval(rat(1, 2), rat(1, 2))
+    closing = RatInterval(rat(1, 3), rat(2, 3), lambda: point)
+    assert compare_certified(closing, rat(1, 2)) is Cmp.EQUAL
+    assert require_certified(closing, rat(1, 2)) is Cmp.EQUAL
+    assert compare_certified(point, rat(2, 5)) is Cmp.GREATER
+    assert compare_certified(point, rat(3, 5)) is Cmp.LESS
 
 
 def test_interval_shift_and_scale_preserve_refinement():
