@@ -236,6 +236,40 @@ def test_v2b_certified_block_lines():
         "6e9e5ff64f33c800ac736be8a391d5c8f0ad2a6135eb0f81ab3af940e30418ad")
 
 
+# every fixed-price family, with shifts and scales on both sides of the
+# cases where the certified continuation ends or cannot start
+V2_FAMILY = [
+    ("constant1", {}), ("harmonic-prefix", {}),
+    ("shifted-harmonic", {"k": 3}), ("shifted-harmonic", {"k": 40}),
+    ("log-shift", {"K": 1}), ("log-shift", {"K": 2}),
+    ("log-shift", {"K": rat(7, 2)}),
+    ("scaled", {"c": 0}), ("scaled", {"c": rat(1, 3)}),
+    ("scaled", {"c": rat(1, 2)}), ("scaled", {"c": rat(9, 10)}),
+    ("scaled", {"c": rat(99, 100)}),
+]
+
+
+def v2_family_certified_text() -> str:
+    lines = []
+    for kind, params in V2_FAMILY:
+        for name, build in (("v2a", adversaries.v2a_block_adversary),
+                            ("v2b", adversaries.v2b_block_adversary)):
+            alloc = strategies.build_v2_strategy(kind, **params)
+            plan = build(alloc, exact_end_cap=300)
+            lines.append(f"{alloc.name} {name}")
+            try:
+                for count in range(1, 13):
+                    lines.append(plan.certified_blocks(count)[-1].describe())
+            except PrisonersError as exc:
+                lines.append(f"raised {type(exc).__name__}: {exc}")
+    return "\n".join(lines) + "\n"
+
+
+def test_v2_family_certified_block_lines():
+    assert digest(v2_family_certified_text()) == (
+        "7c3a456bd370accd7e2b9abfad0a86ce3f90f24cdb07cb84625f611e90ab6d7e")
+
+
 # ---------------------------------------------------------------------------
 # analyzer scans
 
