@@ -20,8 +20,8 @@ from .numeric import (
     rat, rat_ceil, rat_floor, rat_str, require_certified)
 from .permutations import Cycle, CyclePlan
 from .sequences import (
-    HARMONIC, AllocationPlan, BracketedTotal, ExactTotal, NonIncreasingBeyond,
-    PriceModel, Relabeling, WeightedCert, ZeroBeyond)
+    HARMONIC, AffineBound, AllocationPlan, BracketedTotal, ExactTotal,
+    NonIncreasingBeyond, PriceModel, Relabeling, WeightedCert, ZeroBeyond)
 
 __all__ = [
     "ALL_MEMBERS_FAIL", "ANCHOR_FAILS", "AdversaryClaim",
@@ -529,8 +529,12 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
     Takes the smallest unconsumed index l; if its box is free the cycle
     (l) is emitted and marked skipped, otherwise it searches the smallest
     unconsumed n with amount(n) < price(l) and emits (l, n): the partner
-    cannot pay even the leader's box, let alone the pair.
+    cannot pay even the leader's box, let alone the pair.  A certified
+    total T lets at most floor(T / price) candidates pay, bounding the scan.
     """
+    bound = _total_upper(alloc)
+    t_num, t_den = bound.numerator, bound.denominator
+
     def stream(plan: GuardPlan) -> Pairs:
         consumed: set = set()
         floor_index = 1
@@ -546,11 +550,16 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
                 continue
             partner = leader + 1
             scanned = 0
+            rich = t_num * price.denominator // (t_den * price.numerator)
             while True:
                 if partner not in consumed:
                     if alloc.amount(partner) < price:
                         break
                     scanned += 1
+                    if scanned > rich:
+                        raise PlanViolationError(
+                            f"{scanned} candidates past {leader} can pay "
+                            f"{rat_str(price)}; the total allows {rich}")
                     if scanned > search_horizon:
                         raise HorizonExhaustedError(
                             f"no unconsumed index with amount below "
@@ -699,6 +708,22 @@ def _least_block_end(anchor: int, target_fn, end_cap: int):
     return None
 
 
+def _least_certified_exponent(bound: AffineBound, ln_start_hi: Rat,
+                              floor_exp: int, cap: int) -> Optional[int]:
+    """Least E in [floor_exp, cap] where E*LN2_LO - ln_start_hi, a lower
+    bound on the price of (s, 2^E], beats bound(E): E*LN2_LO > ln_start_hi
+    and E*(LN2_LO - slope) > ln_start_hi + intercept, solved exactly."""
+    top, gap = ln_start_hi + bound.intercept, LN2_LO - bound.slope
+    lo = max(floor_exp, rat_floor(ln_start_hi / LN2_LO) + 1)
+    if gap > 0:
+        lo = max(lo, rat_floor(top / gap) + 1)
+    elif top >= 0:
+        return None
+    elif gap < 0:
+        cap = min(cap, rat_ceil(top / gap) - 1)
+    return lo if lo <= cap else None
+
+
 class HarmonicBlockPlan(GuardPlan):
     """Consecutive harmonic blocks, exact while summable, then certified.
 
@@ -707,7 +732,7 @@ class HarmonicBlockPlan(GuardPlan):
     when per_member is set, the anchor's own amount otherwise.  It ends
     once no block closes by exact_end_cap; certified_blocks(count) then
     continues from `anchor` with power-of-two blocks proved by logarithm
-    bounds.
+    bounds, each end solved in closed form from an AffineBound on amounts.
     """
 
     def __init__(self, alloc: AllocationPlan, per_member: bool,
@@ -770,12 +795,8 @@ class HarmonicBlockPlan(GuardPlan):
         return list(self._certified[:count])
 
     def _next_certified(self) -> CertifiedBlock:
-        """Continue the finished exact stream with one power-of-two block.
-
-        The block price over (s, 2^E] is below-bounded by E*ln2 minus a
-        certified upper bound on ln(s); amounts are above-bounded through
-        the allocation's amount_upper_pow2 hook (or the exact anchor
-        amount when the anchor is still an ordinary index)."""
+        """Continue the finished exact stream with one power-of-two block,
+        its amounts bounded by amount_upper_pow2 or a v2b anchor's amount."""
         alloc = self.alloc
         hook = alloc.amount_upper_pow2
         previous = self.prev_exp
@@ -790,27 +811,19 @@ class HarmonicBlockPlan(GuardPlan):
             floor_exp = previous + 1
             start_index, start_exponent = None, previous
 
+        if hook is None and (self.per_member or start_index is None):
+            raise CapabilityError(
+                f"{alloc.name}: lacks a certified amount bound over "
+                "power-of-two prefixes")
         if self.per_member:
-            if hook is None:
-                raise CapabilityError(
-                    f"{alloc.name}: lacks a certified amount bound over "
-                    "power-of-two prefixes")
-            amount_bound: Callable[[int], Rat] = hook
-        else:
-            if start_index is not None:
-                fixed = alloc.amount(start_index)
-            else:
-                if hook is None:
-                    raise CapabilityError(
-                        f"{alloc.name}: lacks a certified amount bound "
-                        "over power-of-two prefixes")
-                fixed = hook(previous + 1)  # the anchor sits below 2^(prev+1)
-            amount_bound = lambda exp: fixed
+            amount_bound = hook
+        elif start_index is not None:
+            amount_bound = AffineBound(alloc.amount(start_index), ZERO)
+        else:  # the anchor sits below 2^(previous + 1)
+            amount_bound = AffineBound(hook(previous + 1), ZERO)
 
-        def beats(exp: int) -> bool:
-            return exp * LN2_LO - ln_start_hi > amount_bound(exp)
-
-        lo = least_index(beats, floor_exp, self.exponent_cap)
+        lo = _least_certified_exponent(amount_bound, ln_start_hi, floor_exp,
+                                       self.exponent_cap)
         if lo is None:
             raise HorizonExhaustedError(
                 f"{alloc.name}: no power-of-two block end is "

@@ -27,7 +27,7 @@ __all__ = [
     "ExactTotal", "BracketedTotal", "DivergentTotal", "UnknownTotal",
     "WeightedCert", "ZeroTail", "GeometricTail", "InversePowerTail",
     "PriceModel", "GeometricModel", "InverseSquareModel", "HarmonicModel",
-    "HARMONIC", "CustomModel", "BlackBoxModel", "ScaledModel",
+    "HARMONIC", "CustomModel", "BlackBoxModel", "ScaledModel", "AffineBound",
     "PermutedModel", "builtin_model", "load_model", "dump_model",
     "ZeroBeyond", "NonIncreasingBeyond", "NonDecreasing", "Unstructured",
     "AllocationPlan", "TableAllocation", "FnAllocation", "load_allocation",
@@ -749,17 +749,27 @@ class Unstructured:
         return "Unstructured()"
 
 
+@dataclass(frozen=True)
+class AffineBound:
+    """max(0, intercept + slope * E), certified above the amount at 2**E."""
+    intercept: Rat
+    slope: Rat
+
+    def __call__(self, E: int) -> Rat:
+        return max(ZERO, self.intercept + self.slope * E)
+
+
 class AllocationPlan:
     """How much money prisoner n carries.
 
     Builders fill in the descriptor naming who is promised to succeed, and
-    fixed-price builders the certified bound amount_upper_pow2(E) on the
-    amount at index 2**E; plans built otherwise carry neither.
+    fixed-price builders the AffineBound amount_upper_pow2 on the amount at
+    index 2**E; plans built otherwise carry neither.
     """
 
     name: str = "allocation"
     descriptor = None
-    amount_upper_pow2: Optional[Callable[[int], Rat]] = None
+    amount_upper_pow2: Optional[AffineBound] = None
 
     def amount(self, n: int) -> Rat:
         raise NotImplementedError
@@ -830,6 +840,8 @@ class FnAllocation(AllocationPlan):
     def __init__(self, name: str, fn: Callable[[int], "Rat"],
                  total_cert=None, tail_structure=None, descriptor=None,
                  amount_upper_pow2=None):
+        if not isinstance(amount_upper_pow2, (AffineBound, type(None))):
+            raise DomainError("amount_upper_pow2 must be an AffineBound")
         self.name = name
         self.descriptor = descriptor
         self.amount_upper_pow2 = amount_upper_pow2

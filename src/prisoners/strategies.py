@@ -17,9 +17,9 @@ from .numeric import (
     rat_str, rat_sum, require_certified,
 )
 from .sequences import (
-    HARMONIC, AllocationPlan, BracketedTotal, CustomModel, DivergentTotal,
-    ExactTotal, FnAllocation, NonDecreasing, NonIncreasingBeyond, PriceModel,
-    Relabeling, UnknownTotal, ZeroBeyond,
+    HARMONIC, AffineBound, AllocationPlan, BracketedTotal, CustomModel,
+    DivergentTotal, ExactTotal, FnAllocation, NonDecreasing,
+    NonIncreasingBeyond, PriceModel, Relabeling, UnknownTotal, ZeroBeyond,
 )
 
 __all__ = [
@@ -367,8 +367,8 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
     kinds: constant1, harmonic-prefix, shifted-harmonic (k), log-shift (K),
     scaled (c).  Amounts are exact; unbounded families declare a divergent
     total, and the prefix-sum kinds declare non-decreasing amounts.  Each
-    plan carries amount_upper_pow2(E), a certified upper bound for the
-    amount at index 2**E that never materializes 2**E itself.
+    plan carries amount_upper_pow2, an AffineBound in E certified above the
+    amount at index 2**E, which never materializes 2**E itself.
     """
     wanted = _V2_PARAMS.get(kind)
     if wanted is None:
@@ -383,14 +383,14 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
             total_cert=DivergentTotal(),
             tail_structure=NonIncreasingBeyond(1, positive=True),
             descriptor=StrategyDescriptor("v2", {"kind": kind}),
-            amount_upper_pow2=lambda E: ONE)
+            amount_upper_pow2=AffineBound(ONE, ZERO))
 
     if kind == "harmonic-prefix":
         return FnAllocation(
             "v2-harmonic-prefix", HARMONIC.prefix_sum,
             total_cert=DivergentTotal(), tail_structure=NonDecreasing(),
             descriptor=StrategyDescriptor("v2", {"kind": kind, "k": 1}),
-            amount_upper_pow2=lambda E: ONE + E * LN2_HI)
+            amount_upper_pow2=AffineBound(ONE, LN2_HI))
 
     if kind in ("shifted-harmonic", "log-shift"):
         if kind == "shifted-harmonic":
@@ -425,8 +425,7 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
             name, amount,
             total_cert=DivergentTotal(), tail_structure=NonDecreasing(),
             descriptor=descriptor,
-            amount_upper_pow2=(
-                lambda E: max(ZERO, ONE + E * LN2_HI - base_floor)))
+            amount_upper_pow2=AffineBound(ONE - base_floor, LN2_HI))
 
     # scaled: c times the harmonic prefix sum
     c = Rat(params.get("c"))
@@ -445,4 +444,4 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
         tail_structure=NonDecreasing(),
         descriptor=StrategyDescriptor(
             "v2", {"kind": kind, "c": rat_str(c)}),
-        amount_upper_pow2=lambda E: c * (ONE + E * LN2_HI))
+        amount_upper_pow2=AffineBound(c, c * LN2_HI))

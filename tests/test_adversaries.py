@@ -1,5 +1,6 @@
 """Adversary streams against hand-computed blocks and exact inequalities."""
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from prisoners.adversaries import (
     NO_SUCCESS_AFTER_FIRST, divergence_witness, good_index_adversary,
     scaled_harmonic_gap, two_cycle_adversary, v1b_ceiling_adversary,
     v1d_cycle_chooser, v2a_block_adversary, v2b_block_adversary,
-    _least_block_end, _refined_once,
+    _EXPONENT_CAP, _least_block_end, _least_certified_exponent,
+    _refined_once,
 )
 from prisoners.engine import simulate
 from prisoners.errors import (
@@ -19,13 +21,13 @@ from prisoners.errors import (
     PlanViolationError,
 )
 from prisoners.numeric import (
-    LN2_LO, ONE, RatInterval, ZERO, harmonic_sum, ln_bounds,
-    power_tail_bounds, rat,
+    LN2_HI, LN2_LO, ONE, RatInterval, ZERO, harmonic_sum, least_index,
+    ln_bounds, power_tail_bounds, rat,
 )
 from prisoners.sequences import (
-    BracketedTotal, CustomModel, ExactTotal, FnAllocation, GeometricTail,
-    HarmonicModel, InverseSquareModel, NonIncreasingBeyond, TableAllocation,
-    ZeroTail, builtin_model,
+    AffineBound, BracketedTotal, CustomModel, ExactTotal, FnAllocation,
+    GeometricTail, HarmonicModel, InverseSquareModel, NonIncreasingBeyond,
+    TableAllocation, ZeroTail, builtin_model,
     weighted_partial_sum,
 )
 from prisoners.strategies import build_baseline_geometric, build_v2_strategy
@@ -333,10 +335,37 @@ def test_two_cycle_free_leader_is_skipped_singleton():
 
 
 def test_two_cycle_reports_exhausted_search():
+    # without a certified total the scan has no bound, so the guard is
+    # refused when it is built
     ones = FnAllocation("ones", lambda n: ONE)
-    plan = two_cycle_adversary(GEO, ones, search_horizon=64)
-    with pytest.raises(HorizonExhaustedError):
+    with pytest.raises(CapabilityError, match="certified finite total"):
+        two_cycle_adversary(GEO, ones, search_horizon=64)
+    # a total of 2^20 lets 2^21 candidates pay the first price 1/2, so the
+    # search horizon ends the scan first
+    rich = FnAllocation("rich", lambda n: ONE, total_cert=ExactTotal(2 ** 20))
+    plan = two_cycle_adversary(GEO, rich, search_horizon=64)
+    with pytest.raises(HorizonExhaustedError, match="within 64 candidates"):
         plan.materialize(1)
+
+
+def test_two_cycle_scan_stops_at_the_pigeonhole_bound():
+    # amounts of 1 under a claimed total of 1: at most two indices can pay
+    # the first price 1/2, so a third rich candidate ends the scan
+    liar = FnAllocation("liar", lambda n: ONE, total_cert=ExactTotal(ONE))
+    plan = two_cycle_adversary(GEO, liar)
+    with pytest.raises(PlanViolationError,
+                       match="3 candidates past 1 can pay 1/2; the total "
+                             "allows 2"):
+        plan.materialize(1)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("constant1", {}), ("harmonic-prefix", {}), ("log-shift", {"K": 2}),
+    ("shifted-harmonic", {"k": 3}), ("scaled", {"c": rat(1, 2)})])
+def test_two_cycle_refuses_divergent_totals_when_built(kind, params):
+    with pytest.raises(CapabilityError, match="certified finite total"):
+        two_cycle_adversary(HarmonicModel(),
+                            build_v2_strategy(kind, **params))
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +677,100 @@ def test_certified_block_labels_huge_bounds_by_size():
                        match="1 must exceed <18768/18765-bit rational>"):
         CertifiedBlock(end_exponent=4, price_lower=ONE,
                        amount_upper=block.amount_upper, start_index=3)
+
+
+# ---------------------------------------------------------------------------
+# certified block ends in closed form against the search they replaced
+
+def plain_least_exponent(bound, ln_start_hi, floor_exp, cap):
+    """The least_index search over the block inequality.  It is exact when
+    the inequality is monotone in E, which holds for slope <= LN2_LO."""
+    def beats(exp):
+        return exp * LN2_LO - ln_start_hi > bound(exp)
+    return least_index(beats, floor_exp, cap)
+
+
+def scanned_least_exponent(bound, ln_start_hi, floor_exp, cap):
+    """Every E from floor_exp to a small cap, in order."""
+    return next((e for e in range(floor_exp, cap + 1)
+                 if e * LN2_LO - ln_start_hi > bound(e)), None)
+
+
+# the fixed-price allocations, for the amount bounds they declare
+BUILTIN_ALLOCS = [
+    build_v2_strategy(kind, **params) for kind, params in [
+        ("constant1", {}), ("harmonic-prefix", {}),
+        ("shifted-harmonic", {"k": 3}), ("shifted-harmonic", {"k": 40}),
+        ("log-shift", {"K": rat(7, 2)}), ("scaled", {"c": 0}),
+        ("scaled", {"c": rat(1, 2)}), ("scaled", {"c": rat(99, 100)})]]
+# ln(s) upper bounds as the first certified block and later ones use them
+START_BOUNDS = ([ZERO] + [ln_bounds(n)[1] for n in (2, 155, 515, 12989)]
+                + [e * LN2_HI + rat(1, 1 << min(e, 64)) for e in (12, 173)])
+
+
+@pytest.mark.parametrize("alloc", BUILTIN_ALLOCS,
+                         ids=[alloc.name for alloc in BUILTIN_ALLOCS])
+def test_certified_exponent_matches_the_search_for_builtin_bounds(alloc):
+    bound = alloc.amount_upper_pow2
+    for ln_start_hi in START_BOUNDS:
+        for floor_exp in (2, 10, 19, 174, 400):
+            for cap in (_EXPONENT_CAP, 300, 20):
+                assert _least_certified_exponent(
+                    bound, ln_start_hi, floor_exp, cap) == (
+                    plain_least_exponent(bound, ln_start_hi, floor_exp, cap))
+
+
+def test_certified_exponent_matches_the_search_for_random_bounds():
+    rng = random.Random(29)
+    slopes = [ZERO, rat(1, 3), LN2_LO - rat(1, 10 ** 6), LN2_LO, LN2_HI,
+              LN2_LO + rat(1, 50), rat(-1, 4)]
+    for _ in range(120):
+        bound = AffineBound(rat(rng.randint(-90, 90), rng.randint(1, 9)),
+                            rng.choice(slopes) + rat(rng.randint(0, 3), 97))
+        for ln_start_hi in (ZERO, rat(rng.randint(0, 90), rng.randint(1, 7)),
+                            ln_bounds(rng.randint(2, 10 ** 6))[1]):
+            for floor_exp in (2, rng.randint(2, 100)):
+                got = _least_certified_exponent(bound, ln_start_hi,
+                                                floor_exp, floor_exp + 150)
+                assert got == scanned_least_exponent(
+                    bound, ln_start_hi, floor_exp, floor_exp + 150)
+                if bound.slope <= LN2_LO:
+                    for cap in (_EXPONENT_CAP, floor_exp + 40):
+                        assert _least_certified_exponent(
+                            bound, ln_start_hi, floor_exp, cap) == (
+                            plain_least_exponent(bound, ln_start_hi,
+                                                 floor_exp, cap))
+
+
+@pytest.mark.parametrize("bound, ln_start_hi, floor_exp, cap, want", [
+    # LN2_LO - slope above 0: E > 10 / LN2_LO = 14.4...
+    (AffineBound(rat(10), ZERO), ZERO, 2, _EXPONENT_CAP, 15),
+    (AffineBound(rat(-10), ZERO), ONE, 2, _EXPONENT_CAP, 2),
+    (AffineBound(rat(10), ZERO), ZERO, 2, 14, None),
+    # at 0: only a negative ln_start_hi + intercept leaves any E
+    (AffineBound(rat(-3), LN2_LO), ONE, 2, _EXPONENT_CAP, 2),
+    (AffineBound(rat(-1), LN2_LO), ONE, 2, _EXPONENT_CAP, None),
+    (AffineBound(rat(-3), LN2_LO), rat(5), 2, 7, None),
+    # below 0: E < (s + a) / (LN2_LO - slope) = 48.5, a window past its end
+    (AffineBound(rat(-50), LN2_LO + ONE), rat(3, 2), 2, _EXPONENT_CAP, 3),
+    (AffineBound(rat(-50), LN2_LO + ONE), rat(3, 2), 48, _EXPONENT_CAP, 48),
+    (AffineBound(rat(-50), LN2_LO + ONE), rat(3, 2), 49, _EXPONENT_CAP,
+     None),
+    (AffineBound(rat(-1), LN2_HI), ONE, 2, _EXPONENT_CAP, None),
+])
+def test_certified_exponent_cases(bound, ln_start_hi, floor_exp, cap, want):
+    assert _least_certified_exponent(bound, ln_start_hi, floor_exp, cap) == (
+        want)
+    assert plain_least_exponent(bound, ln_start_hi, floor_exp, cap) == want
+
+
+def test_certified_block_past_the_exponent_cap_keeps_its_error():
+    plan = v2b_block_adversary(build_v2_strategy("constant1"),
+                               exact_end_cap=300, exponent_cap=9)
+    assert plan.certified_blocks(1)[0].end_exponent == 9
+    with pytest.raises(HorizonExhaustedError,
+                       match="no power-of-two block end is certifiable"):
+        plan.certified_blocks(2)
 
 
 # ---------------------------------------------------------------------------

@@ -591,7 +591,10 @@ def test_plan_files_with_an_index_in_two_cycles_exit_two(tmp_path, capsys,
     ["simulate", "--variant", "V1a", "--model", "geometric", "--strategy",
      "cycle-informed:k=3", "--plan", "two-cycle", "--horizon", "20"],
     ["adversary", "v1d-chooser", "--model", "geometric", "--cycles", "4"],
-], ids=["cycle-informed-against-an-adversary", "index-past-digit-limit"])
+    ["simulate", "--variant", "V2a", "--model", "harmonic", "--strategy",
+     "log-shift:K=2", "--plan", "two-cycle", "--horizon", "11"],
+], ids=["cycle-informed-against-an-adversary", "index-past-digit-limit",
+        "two-cycle-against-a-divergent-total"])
 def test_generated_failures_are_usage_errors(capsys, argv):
     # the fourth v1d-chooser block against halving prices ends at an index
     # of about two million bits, which has no decimal plan line
@@ -669,10 +672,10 @@ _ADVERSARY_KINDS = st.one_of(
     _specs({"v1b-ceiling": ["leader_cap"],
             "v1d-chooser": ["leader_cap", "total"],
             "v2a-blocks": ["exact_end_cap", "exponent_cap"],
-            "v2b-blocks": ["exact_end_cap", "exponent_cap"]}),
-    # the default search of a million candidates takes minutes when no
-    # amount falls below the price (two-cycle against log-shift amounts)
-    _spec(["good-index", "two-cycle"], ["search_horizon"]))
+            "v2b-blocks": ["exact_end_cap", "exponent_cap"],
+            "two-cycle": ["search_horizon"]}),
+    # good-index searches up to a million candidates by default
+    _spec(["good-index"], ["search_horizon"]))
 _PLAN_SOURCES = st.one_of(
     _specs({"random": ["max_len"], "banded": ["d"]}), _ADVERSARY_KINDS)
 _PLAN_LINES = st.lists(st.one_of(

@@ -8,14 +8,14 @@ from prisoners.engine import simulate
 from prisoners.errors import (
     CapabilityError, DomainError, PlanViolationError,
 )
-from prisoners.numeric import ONE, ZERO, rat
+from prisoners.numeric import LN2_HI, ONE, ZERO, rat
 from prisoners.permutations import (
     Cycle, CyclePlan, random_bounded_diameter_plan, random_plan,
 )
 from prisoners.sequences import (
-    CustomModel, ExactTotal, FnAllocation, GeometricTail, NonDecreasing,
-    NonIncreasingBeyond, Relabeling, ScaledModel, ZeroBeyond, ZeroTail,
-    builtin_model,
+    AffineBound, CustomModel, ExactTotal, FnAllocation, GeometricTail,
+    NonDecreasing, NonIncreasingBeyond, Relabeling, ScaledModel, ZeroBeyond,
+    ZeroTail, builtin_model,
 )
 from prisoners.strategies import (
     StrategyDescriptor, build_baseline_geometric,
@@ -268,6 +268,20 @@ def test_v2_constant_and_harmonic_prefix():
     assert pref.amount(1024) <= pref.amount_upper_pow2(10)
     assert pref.descriptor.success_pattern() == {
         "scope": "last-member", "cutoff": 1}
+
+
+def test_v2_amount_bounds_are_typed_affine_bounds():
+    hp = build_v2_strategy("harmonic-prefix").amount_upper_pow2
+    assert hp == AffineBound(ONE, LN2_HI)
+    # a large shift makes the intercept negative; the bound clamps at zero
+    shifted = build_v2_strategy("shifted-harmonic", k=40).amount_upper_pow2
+    assert shifted.intercept < ZERO and shifted(2) == ZERO
+    assert shifted(40) == shifted.intercept + 40 * LN2_HI
+    with pytest.raises(DomainError, match="must be an AffineBound"):
+        FnAllocation("ones", lambda n: ONE, amount_upper_pow2=lambda E: ONE)
+    bound = AffineBound(ONE, ZERO)
+    ones = FnAllocation("ones", lambda n: ONE, amount_upper_pow2=bound)
+    assert ones.amount_upper_pow2 is bound
 
 
 def test_v2_shifted_harmonic():
