@@ -385,6 +385,8 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
             f"{model.name}: a certified finite price total is required")
 
     merge = _DescendingMerge(alloc)
+    # without a finite total the amounts may never fall below a price tail
+    _total_upper(alloc)
     prices: list = []
     prefix: list = [ZERO]
 

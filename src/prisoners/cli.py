@@ -437,6 +437,11 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, but scripts read exit 1 as a counterexample
+        import traceback  # only a bug needs it, so kept off the import path
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 2
 
 
 if __name__ == "__main__":

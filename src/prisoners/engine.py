@@ -235,8 +235,12 @@ def _top_priced(members: tuple, prices: list) -> tuple:
 
 # SimulationReport.to_json's text, in json.dumps' default separators
 _ROW = '{"prisoner": %d, "spent": "%s/%s", "success": %s, "opened": %s}'
+_CUT_ROW = '{"prisoner": %d, "spent": "%s/%s", "success": %s, "opened": [%s]}'
 _REPORT = ('{"variant": %s, "horizon": %s, "outcomes": [%s], '
            '"verdict": %s, "witnesses": %s}')
+# a list of at most this many boxes reprs about as fast as it is cut from
+# its cycle's text, so shorter cycles never build theirs
+_CUT_MIN = 20
 
 
 @dataclass
@@ -258,9 +262,15 @@ class SimulationReport:
         """json.dumps of the report dict, written one outcome row at a time.
 
         Each distinct numerator and denominator is converted to decimal
-        once, and a list of ints reprs as its JSON text.
+        once.  A closed-box walk opens a cyclic run of its cycle from the
+        prisoner's own box, so a long run is cut out of its cycle's text,
+        written once (twice round, for the wrap) with every member's
+        offset; any other list of ints reprs as its JSON text.
         """
         digits: dict[int, str] = {}
+        slot = {n: (c, i) for c, members in enumerate(self.cycles)
+                if len(members) > _CUT_MIN for i, n in enumerate(members)}
+        cut: dict[int, tuple] = {}  # cycle -> (members twice, text, offsets)
         rows = []
         for o in self.outcomes:
             num, den = o.spent.numerator, o.spent.denominator
@@ -270,8 +280,23 @@ class SimulationReport:
             den_text = digits.get(den)
             if den_text is None:
                 den_text = digits[den] = int_str(den)
-            rows.append(_ROW % (o.prisoner, num_text, den_text,
-                                "true" if o.success else "false",
+            success = "true" if o.success else "false"
+            k = len(o.opened)
+            at = slot.get(o.prisoner) if k > _CUT_MIN else None
+            if at is not None:
+                c, i = at
+                if c not in cut:
+                    twice = self.cycles[c] * 2
+                    parts = list(map(repr, twice))
+                    cut[c] = (twice, ", ".join(parts), list(accumulate(
+                        (len(p) + 2 for p in parts), initial=0)))
+                twice, text, ends = cut[c]
+                if o.opened == twice[i:i + k]:
+                    rows.append(_CUT_ROW % (o.prisoner, num_text, den_text,
+                                            success,
+                                            text[ends[i]:ends[i + k] - 2]))
+                    continue
+            rows.append(_ROW % (o.prisoner, num_text, den_text, success,
                                 list(o.opened)))
         return _REPORT % (json.dumps(self.variant), json.dumps(self.horizon),
                           ", ".join(rows), json.dumps(self.verdict),

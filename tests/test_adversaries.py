@@ -213,6 +213,8 @@ def test_good_index_finds_where_an_uncertified_tail_vanishes(first_zero):
     # nonincreasing but not positive, so the zero fill starts exactly there
     alloc = FnAllocation(
         "vanishing", lambda n: rat(1, n) if n < first_zero else ZERO,
+        total_cert=ExactTotal(sum((rat(1, n) for n in range(1, first_zero)),
+                                  ZERO)),
         tail_structure=NonIncreasingBeyond(1))
     plan = good_index_adversary(INV, alloc)
     assert plan.enrichment_added == ONE
@@ -227,6 +229,13 @@ def test_good_index_rejects_an_uncertified_tail_that_never_vanishes():
                          tail_structure=NonIncreasingBeyond(1))
     with pytest.raises(CapabilityError, match="must vanish"):
         good_index_adversary(INV, alloc)
+
+
+def test_good_index_refuses_an_uncertified_total_at_build():
+    # no amount of constant1 falls below a price tail past position 1, so
+    # the stream would test every position up to its search horizon
+    with pytest.raises(CapabilityError, match="certified finite total"):
+        good_index_adversary(INV, build_v2_strategy("constant1"))
 
 
 def test_good_index_requires_divergence_certificate():

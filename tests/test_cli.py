@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 import traceback
 from pathlib import Path
 
@@ -405,6 +406,19 @@ def test_adversary_cycle_counts_below_one_exit_two(argv):
     assert proc.stdout == ""
 
 
+def test_good_index_refuses_an_uncertified_total_at_once(capsys):
+    # no amount of constant1 falls below a price tail past position 1, so
+    # unrefused, the stream would test a million positions before failing
+    start = time.perf_counter()
+    code = run(["adversary", "good-index", "--model", "inverse-square",
+                "--strategy", "constant1", "--cycles", "3"])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "certified finite total" in err and "Traceback" not in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -484,6 +498,20 @@ def test_console_script_parity():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "()\t25/12\n"
+
+
+def test_an_unexpected_exception_is_an_internal_error_exiting_two(
+        monkeypatch, capsys):
+    # exit 1 means "counterexample found", so even a bug must not exit 1
+    def broken(args):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setattr("prisoners.cli.cmd_analyze", broken)
+    assert run(["analyze", "--model", "inverse-square", "--mode", "min"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("internal error:\nTraceback")
+    assert err.endswith("RuntimeError: broken command\n")
+    assert out == ""
 
 
 def test_argparse_usage_error_exits_two():
@@ -668,14 +696,11 @@ _SCENARIOS = [
     ("V2b", "harmonic", "shifted-harmonic:k=3"),
     ("V2b", "harmonic", "scaled:c=1/2"),
 ]
-_ADVERSARY_KINDS = st.one_of(
-    _specs({"v1b-ceiling": ["leader_cap"],
-            "v1d-chooser": ["leader_cap", "total"],
-            "v2a-blocks": ["exact_end_cap", "exponent_cap"],
-            "v2b-blocks": ["exact_end_cap", "exponent_cap"],
-            "two-cycle": ["search_horizon"]}),
-    # good-index searches up to a million candidates by default
-    _spec(["good-index"], ["search_horizon"]))
+_ADVERSARY_KINDS = _specs({
+    "v1b-ceiling": ["leader_cap"], "v1d-chooser": ["leader_cap", "total"],
+    "v2a-blocks": ["exact_end_cap", "exponent_cap"],
+    "v2b-blocks": ["exact_end_cap", "exponent_cap"],
+    "two-cycle": ["search_horizon"], "good-index": ["search_horizon"]})
 _PLAN_SOURCES = st.one_of(
     _specs({"random": ["max_len"], "banded": ["d"]}), _ADVERSARY_KINDS)
 _PLAN_LINES = st.lists(st.one_of(
@@ -809,6 +834,7 @@ def test_every_command_line_keeps_the_exit_code_contract(case):
                 pytest.fail(f"{argv} raised\n{traceback.format_exc()}")
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
     if code == 1:
         printed = out.getvalue()
         assert ('"verdict":' in printed or "\nFAIL " in "\n" + printed
