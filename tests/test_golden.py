@@ -9,7 +9,9 @@ with note entries skipped, which is what the fixed CLI prints.  The
 window digests were recorded from the prisoner-by-prisoner walk, before
 closed-box variants were scored per cycle from prefix sums, and the
 analyzer digests from the per-arrangement rational loops, before the
-exhaustive scans summed integers over a common denominator.
+exhaustive scans summed integers over a common denominator.  The last
+five window digests were recorded before claims became typed objects,
+one for each judge path no earlier pin covered.
 """
 import hashlib
 import itertools
@@ -18,7 +20,8 @@ import json
 import pytest
 
 from prisoners import (
-    adversaries, analyzer, engine, permutations, sequences, strategies,
+    adversaries, analyzer, engine, permutations, registry, sequences,
+    strategies,
 )
 from prisoners.cli import main
 from prisoners.errors import PrisonersError
@@ -186,6 +189,42 @@ def _v2a_constant1():
     return engine.simulate("V2a", HARMONIC, alloc, plan, 300)
 
 
+def _v1b_bounded_diameter_relabeled():
+    # label 3 sits at coordinate 40, past the threshold 36, and fails
+    delta = sequences.Relabeling({3: 40, 40: 3, 7: 9, 9: 7})
+    alloc, _ = strategies.build_bounded_diameter_strategy(GEO, 2, delta)
+    plan = permutations.random_bounded_diameter_plan(200, 2, 5)
+    return engine.simulate("V1b", GEO, alloc, plan, 200)
+
+
+def _v1a_tail_sum_relabeled():
+    # built as the rearranged-strategy check builds it
+    model = registry._shuffled_geometric(0)
+    delta = sequences.descending_rearrangement(model, 64)
+    alloc, _ = strategies.build_tail_sum_strategy(model, delta)
+    plan = permutations.random_plan(200, 5, 7)
+    return engine.simulate("V1a", sequences.PermutedModel(model, delta),
+                           alloc, plan, 200)
+
+
+def _v1c_bounded_length():
+    alloc, _ = strategies.build_bounded_length_strategy(GEO, 3)
+    plan = permutations.random_plan(300, 3, 23)
+    return engine.simulate("V1c", GEO, alloc, plan, 300)
+
+
+def _v2b_shifted_harmonic():
+    alloc = strategies.build_v2_strategy("shifted-harmonic", k=3)
+    plan = permutations.random_plan(300, 6, 29)
+    return engine.simulate("V2b", HARMONIC, alloc, plan, 300)
+
+
+def _v2b_scaled():
+    alloc = strategies.build_v2_strategy("scaled", c=rat(1, 2))
+    plan = permutations.random_plan(300, 6, 31)
+    return engine.simulate("V2b", HARMONIC, alloc, plan, 300)
+
+
 # (window, verdict, report.to_json() length, digest)
 WINDOW_REPORTS = [
     (_v1a_bounded_length, "PatternConfirmed", 67835,
@@ -204,6 +243,16 @@ WINDOW_REPORTS = [
      "24981306750e607c1625bec66db43375a2ddb2c5f5cd0fef8f4362ade0f7fb1e"),
     (_v2a_constant1, "Inconclusive", 31205,
      "3e9a1e6e4bc2e4fd9cc91c1ef55cbfd3711b002c8ed962f098ca292960775247"),
+    (_v1b_bounded_diameter_relabeled, "CounterexampleFound", 20428,
+     "07eec8cf94eeb4341a949d508fa44969752f57dc125151b72e5d8c00a1a3bd91"),
+    (_v1a_tail_sum_relabeled, "PatternConfirmed", 25078,
+     "255d01ad6b4b5aaad46a9a0111cd61d8d2d3574e72399f09ec469791e6238e96"),
+    (_v1c_bounded_length, "PatternConfirmed", 32878,
+     "b432d980011c384822cb8ffc3edfec81e02f9a7c27a195674d89d93ba015c707"),
+    (_v2b_shifted_harmonic, "CounterexampleFound", 29059,
+     "0beceb3c14c98a090fa704be2403c8d8cc6a202ce6636a12ee48e8345cfbbc21"),
+    (_v2b_scaled, "Inconclusive", 28530,
+     "d3222857948516cd28203daf0792d2901fa72191d2c9744f0605320f6af41620"),
 ]
 
 
