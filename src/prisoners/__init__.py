@@ -36,16 +36,19 @@ from .strategies import (
     build_v2_strategy,
 )
 from .adversaries import (
-    AdversaryClaim, divergence_witness, good_index_adversary,
-    scaled_harmonic_gap, two_cycle_adversary, v1b_ceiling_adversary,
-    v1d_cycle_chooser, v2a_block_adversary, v2b_block_adversary,
+    divergence_witness, good_index_adversary, scaled_harmonic_gap,
+    two_cycle_adversary, v1b_ceiling_adversary, v1d_cycle_chooser,
+    v2a_block_adversary, v2b_block_adversary,
 )
 from .analyzer import (
     ExistenceVerdict, analysis_tsv, brute_force_min, check_zero_omission,
     cycle_notation, decide_existence, descending_partial_dominance,
 )
 from .engine import (
-    PrisonerOutcome, ReleaseVerdict, SimulationReport, VARIANTS, Variant,
+    NO_CLAIM, VARIANTS, AboveThreshold, AllMembersFail, AnchorFails,
+    BuilderClaim, CycleMembers, FailureInEveryCycle, GuardClaim, LastMember,
+    LeastMember, MaxPriceMember, NoClaim, NoSuccessAfterFirst,
+    PrisonerOutcome, ReleaseVerdict, SimulationReport, Variant,
     evaluate_release, get_variant, run_prisoner, simulate,
 )
 from .registry import THEOREM_KEYS, VerificationReport, verify_theorem

@@ -1,18 +1,22 @@
 """Guard-side constructions that defeat prisoner allocations.
 
-Each builder returns a lazy cycle stream together with a machine-checkable
-claim about who fails inside it.  Every inequality backing a claim is
-established in exact rational arithmetic while the numbers involved are
-representable; blocks too large to sum term by term are vouched for by
-certified logarithm bounds instead, and the stream reports exactly where
-the representation changes.
+Each builder returns a lazy cycle stream together with a guard claim, the
+engine's typed promise of who fails inside it.  Every inequality backing a
+claim is established in exact rational arithmetic while the numbers
+involved are representable; blocks too large to sum term by term are
+vouched for by certified logarithm bounds instead, and the stream reports
+exactly where the representation changes.
 """
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from .engine import (
+    AllMembersFail, AnchorFails, FailureInEveryCycle, GuardClaim,
+    NoSuccessAfterFirst,
+)
 from .errors import (
     CapabilityError, DomainError, HorizonExhaustedError, PlanViolationError)
 from .numeric import (
@@ -24,9 +28,7 @@ from .sequences import (
     NonIncreasingBeyond, PriceModel, Relabeling, WeightedCert, ZeroBeyond)
 
 __all__ = [
-    "ALL_MEMBERS_FAIL", "ANCHOR_FAILS", "AdversaryClaim",
-    "CertifiedBlock", "FAILURE_IN_EVERY_CYCLE", "GoodIndexPlan", "GuardPlan",
-    "HarmonicBlockPlan", "NO_SUCCESS_AFTER_FIRST",
+    "CertifiedBlock", "GoodIndexPlan", "GuardPlan", "HarmonicBlockPlan",
     "divergence_witness", "good_index_adversary", "scaled_harmonic_gap",
     "two_cycle_adversary", "v1b_ceiling_adversary", "v1d_cycle_chooser",
     "v2a_block_adversary", "v2b_block_adversary",
@@ -38,22 +40,6 @@ _EXACT_END_CAP = 100_000
 _EXPONENT_CAP = 1 << 60
 _HEAD_CAP = 2_000_000
 _LEADER_CAP = 10_000_000
-
-# claim kinds: who the guard asserts will fail
-NO_SUCCESS_AFTER_FIRST = "no-success-after-first-cycle"
-FAILURE_IN_EVERY_CYCLE = "failure-in-every-unskipped-cycle"
-ALL_MEMBERS_FAIL = "every-member-fails"
-ANCHOR_FAILS = "first-member-fails"
-
-
-@dataclass
-class AdversaryClaim:
-    """What the guard asserts about successes inside an emitted stream."""
-
-    adversary: str
-    kind: str
-    detail: str = ""
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -107,7 +93,7 @@ class GuardPlan(CyclePlan):
     note (see _stop) when the stream stops short of the identity.
     """
 
-    def __init__(self, name: str, claim: AdversaryClaim,
+    def __init__(self, name: str, claim: GuardClaim,
                  stream: Callable[["GuardPlan"], Pairs]):
         # the stream sees the plan through a weak proxy: a plan it held
         # strongly would form a cycle with its own generator and outlive
@@ -331,7 +317,7 @@ class GoodIndexPlan(GuardPlan):
     """The good-index stream, plus the amount-descending coordinates it
     was built in."""
 
-    def __init__(self, merge: _DescendingMerge, claim: AdversaryClaim,
+    def __init__(self, merge: _DescendingMerge, claim: GuardClaim,
                  stream: Callable[[GuardPlan], Pairs]):
         super().__init__("good-index", claim, stream)
         self._merge = merge
@@ -460,11 +446,10 @@ def good_index_adversary(model: PriceModel, alloc: AllocationPlan,
             start = end + 1
             anchor = end + 1
 
-    return GoodIndexPlan(merge, AdversaryClaim(
-        "good-index", NO_SUCCESS_AFTER_FIRST,
+    return GoodIndexPlan(merge, NoSuccessAfterFirst(
+        "good-index", params={"enrichment_added": merge.added},
         detail="beyond cycle one, every member's enriched amount sits "
-               "strictly below its cycle price",
-        params={"enrichment_added": merge.added}), stream)
+               "strictly below its cycle price"), stream)
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +501,10 @@ def v1b_ceiling_adversary(model: PriceModel, alloc: AllocationPlan,
             }
             leader = end + 1
 
-    return GuardPlan("ceiling-blocks", AdversaryClaim(
-        "ceiling-blocks", FAILURE_IN_EVERY_CYCLE,
+    return GuardPlan("ceiling-blocks", FailureInEveryCycle(
+        "ceiling-blocks", params={"total_bound": bound},
         detail="in every unskipped block, some member's amount is below "
-               "the leader price and so below the block price",
-        params={"total_bound": bound}),
-        stream)
+               "the leader price and so below the block price"), stream)
 
 
 def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
@@ -577,11 +560,9 @@ def two_cycle_adversary(model: PriceModel, alloc: AllocationPlan,
             }
             floor_index = leader + 1
 
-    return GuardPlan("two-cycles", AdversaryClaim(
-        "two-cycles", FAILURE_IN_EVERY_CYCLE,
-        detail="the partner in every unskipped pair cannot pay the "
-               "leader's box price"),
-        stream)
+    return GuardPlan("two-cycles", FailureInEveryCycle(
+        "two-cycles", detail="the partner in every unskipped pair cannot "
+                             "pay the leader's box price"), stream)
 
 
 def v1d_cycle_chooser(model: PriceModel, total=ONE,
@@ -647,13 +628,11 @@ def v1d_cycle_chooser(model: PriceModel, total=ONE,
             }
             covered = end
 
-    return GuardPlan("pigeonhole-blocks", AdversaryClaim(
-        "pigeonhole-blocks", FAILURE_IN_EVERY_CYCLE,
+    return GuardPlan("pigeonhole-blocks", FailureInEveryCycle(
+        "pigeonhole-blocks", params={"total_bound": bound},
         detail="each block holds a witness price p with size * p above "
                "the total, so against any allocation within the total "
-               "some member cannot pay",
-        params={"total_bound": bound}),
-        stream)
+               "some member cannot pay"), stream)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +717,7 @@ class HarmonicBlockPlan(GuardPlan):
     """
 
     def __init__(self, alloc: AllocationPlan, per_member: bool,
-                 claim: AdversaryClaim, exact_end_cap: int,
+                 claim: GuardClaim, exact_end_cap: int,
                  exponent_cap: int):
         super().__init__(claim.adversary, claim,
                          HarmonicBlockPlan._exact_stream)
@@ -852,10 +831,9 @@ def v2a_block_adversary(alloc: AllocationPlan,
     block ends stop being exactly summable, certified_blocks(count)
     continues the stream with power-of-two blocks proved by log bounds.
     """
-    return HarmonicBlockPlan(alloc, True, AdversaryClaim(
-        "v2a-blocks", ALL_MEMBERS_FAIL,
-        detail="each block's price strictly exceeds the largest amount "
-               "carried by any of its members"),
+    return HarmonicBlockPlan(alloc, True, AllMembersFail(
+        "v2a-blocks", detail="each block's price strictly exceeds the "
+                             "largest amount carried by any of its members"),
         exact_end_cap, exponent_cap)
 
 
@@ -870,9 +848,9 @@ def v2b_block_adversary(alloc: AllocationPlan,
     each block closes.  The certified continuation mirrors
     v2a_block_adversary.
     """
-    return HarmonicBlockPlan(alloc, False, AdversaryClaim(
-        "v2b-blocks", ANCHOR_FAILS,
-        detail="the first member of each block cannot pay the block price"),
+    return HarmonicBlockPlan(alloc, False, AnchorFails(
+        "v2b-blocks", detail="the first member of each block cannot pay "
+                             "the block price"),
         exact_end_cap, exponent_cap)
 
 

@@ -24,8 +24,8 @@ from .analyzer import (
     analysis_tsv, brute_force_min, check_zero_omission, decide_existence,
     descending_partial_dominance,
 )
-from .engine import simulate
-from .errors import PrisonersError, UsageError
+from .engine import NoClaim, simulate
+from .errors import DomainError, PrisonersError, UsageError
 from .numeric import rat, rat_str
 from .permutations import (
     cycle_line, parse_plan, random_bounded_diameter_plan, random_plan,
@@ -41,6 +41,19 @@ from .strategies import (
 )
 
 __all__ = ["ScenarioConfig", "main"]
+
+# Past these a run is refused before any work.  At 10^5 prisoners the
+# cheapest run (V2a constant1) took 0.8 s and 110 MiB, so 10^6 needs about
+# 1 GiB; one cycle of 3000 zero-price members, each row going round it, took
+# 234 MiB, growing as the square, so 10^4 members need about 2.5 GiB.
+HORIZON_CAP = 10**6
+MAX_LEN_CAP = 10**4
+
+
+def _capped(label: str, value, cap: int):
+    if isinstance(value, int) and value > cap:
+        raise DomainError(f"{label} is capped at {cap}, not {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +192,12 @@ def parse_plan_source(spec: str, horizon: int, seed: int, model, alloc):
     params = {k: _value(v) for k, v in raw.items()}
     if name == "random":
         _check_keys(name, params, ("max_len",))
-        return random_plan(horizon, params.get("max_len", 6), seed)
+        return random_plan(horizon, _capped(
+            "max_len", params.get("max_len", 6), MAX_LEN_CAP), seed)
     if name == "banded":
         _check_keys(name, params, ("d",))
-        return random_bounded_diameter_plan(horizon, params.get("d", 2),
-                                            seed)
+        return random_bounded_diameter_plan(horizon, _capped(
+            "d", params.get("d", 2), MAX_LEN_CAP), seed)
     if name in _ADVERSARIES:
         return _adversary_plan(name, model, alloc, params)
     raise UsageError(f"unknown plan source {spec!r}; use @file, random, "
@@ -258,12 +272,12 @@ def cmd_simulate(args) -> int:
         config = ScenarioConfig(args.variant, args.model, args.strategy,
                                 args.plan, args.horizon, args.seed,
                                 order, args.out)
+    _capped("the horizon", config.horizon, HORIZON_CAP)
     if args.save_config:
         ScenarioConfig(**config.to_dict()).save(args.save_config)
 
     model = parse_model(config.model)
     strategy_spec, _ = _split_spec(config.strategy)
-    plan = None
     alloc = None
     if strategy_spec != "cycle-informed":
         alloc = parse_strategy(config.strategy, model)
@@ -279,11 +293,8 @@ def cmd_simulate(args) -> int:
                f"verdict={report.verdict} successes={wins}"
                f"/{len(report.outcomes)}")
     _emit(report.to_json() + "\n", config.out, summary)
-    if report.verdict == "PatternConfirmed":
-        return 0
-    if report.verdict == "Inconclusive" and report.claim is None:
-        return 0
-    return 1
+    claims = not isinstance(report.claim, NoClaim)  # else it decides nothing
+    return 1 if claims and report.verdict != "PatternConfirmed" else 0
 
 
 _PARAM_ALIASES = {"alloc": "allocs", "cycles": "blocks"}

@@ -3,8 +3,10 @@
 A prisoner walks their pointer chain box by box, paying each closed box's
 price out of their own amount; the walk either closes their whole cycle or
 dies where the money runs out.  Simulation scores every prisoner whose cycle
-is fully inside the window and renders a verdict against whatever success
-pattern was claimed (by a builder descriptor or by a guard construction).
+is fully inside the window and renders a verdict against the claim object
+a builder descriptor or a guard plan carries.  The claim classes live here,
+next to their judge: builder claims name the members of each cycle promised
+to succeed, guard claims the members promised to fail.
 
 A walk never leaves its cycle, so every variant is scored a cycle at a time
 from the cycle's prices as integers over one scale.  Under closed boxes
@@ -19,14 +21,10 @@ from __future__ import annotations
 import json
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import NamedTuple, Optional
 
-from .adversaries import (
-    ALL_MEMBERS_FAIL, ANCHOR_FAILS, AdversaryClaim, FAILURE_IN_EVERY_CYCLE,
-    NO_SUCCESS_AFTER_FIRST,
-)
 from .errors import DomainError, UsageError
 from .numeric import (
     ONE, Cmp, Rat, ZERO, compare_certified, int_str, rat_str,
@@ -34,14 +32,16 @@ from .numeric import (
 from .permutations import CyclePlan
 from .sequences import (
     AllocationPlan, BracketedTotal, DivergentTotal, ExactTotal, HarmonicModel,
-    PriceModel,
+    PriceModel, Relabeling,
 )
-from .strategies import StrategyDescriptor, relabeling_from_pairs
 
 __all__ = [
-    "PrisonerOutcome", "ReleaseVerdict", "SimulationReport", "Variant",
-    "VARIANTS", "evaluate_release", "get_variant", "run_prisoner",
-    "simulate",
+    "AboveThreshold", "AllMembersFail", "AnchorFails", "BuilderClaim",
+    "CycleMembers", "FailureInEveryCycle", "GuardClaim", "LastMember",
+    "LeastMember", "MaxPriceMember", "NO_CLAIM", "NoClaim",
+    "NoSuccessAfterFirst", "PrisonerOutcome", "ReleaseVerdict",
+    "SimulationReport", "Variant", "VARIANTS", "evaluate_release",
+    "get_variant", "run_prisoner", "simulate",
 ]
 
 
@@ -324,7 +324,8 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
     failures.  Open boxes persist across prisoners only when the variant
     says so, in ascending order unless an explicit entry order is given.
     The verdict is rendered against the guard's claim when the plan
-    carries one, else against the allocation's descriptor.
+    carries one, else against the claim of the allocation's descriptor,
+    else against NO_CLAIM.
     """
     v = get_variant(variant)
     if not isinstance(horizon, int) or horizon < 1:
@@ -377,7 +378,7 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
                            for members in cycles)
 
     ordered = tuple(outcomes[n] for n in sorted(outcomes))
-    claim = plan.claim if plan.claim is not None else alloc.descriptor
+    claim = plan.claim or getattr(alloc.descriptor, "claim", NO_CLAIM)
     report = SimulationReport(
         variant=v.id, horizon=horizon, outcomes=ordered,
         success_count=sum(1 for o in ordered if o.success),
@@ -401,101 +402,146 @@ class ReleaseVerdict:
 
 def evaluate_release(variant, report: SimulationReport,
                      claim) -> ReleaseVerdict:
-    """Judge the finite window against the claimed success pattern.
+    """Judge the finite window against a claim object.
 
     Infinite release conditions are never decided here; the verdict only
-    says whether the claimed pattern survived the window.  A builder
-    descriptor is confirmed when every prisoner it promises did succeed
-    (and, under a cofinite release rule, nobody outside its declared
-    exceptions failed).  A guard claim is confirmed when the promised
-    failures all happened, which is a counterexample to the allocation.
-    No claim, or an empty window, decides nothing.
+    says whether the claimed pattern survived the window.
     """
     v = get_variant(variant)
     if report.variant != v.id:
         raise UsageError(f"report was produced under {report.variant}, "
                          f"not {v.id}")
-    if claim is None:
-        return ReleaseVerdict("Inconclusive")
-    if isinstance(claim, AdversaryClaim):
-        return _guard_verdict(report, claim)
-    pattern = claim.success_pattern() if isinstance(
-        claim, StrategyDescriptor) else dict(claim)
-    return _pattern_verdict(v, report, pattern)
+    return claim.judge(v, report)
 
 
-def _pattern_verdict(v: Variant, report, pattern: dict) -> ReleaseVerdict:
-    scope = pattern["scope"]
-    if scope == "none":
+@dataclass(frozen=True)
+class NoClaim:
+    """A plan that promises nothing, so its windows decide nothing."""
+
+    def judge(self, v: Variant, report) -> ReleaseVerdict:
         return ReleaseVerdict("Inconclusive")
-    claimed: set[int] = set()
-    exempt: set[int] = set()
-    if scope == "above-threshold":
-        threshold = pattern["threshold"]
-        pairs = pattern.get("relabeling")
-        delta = relabeling_from_pairs(pairs) if pairs else None
-        for o in report.outcomes:
-            coord = delta.inverse(o.prisoner) if delta else o.prisoner
-            (claimed if coord > threshold else exempt).add(o.prisoner)
-    else:
-        cutoff = pattern.get("cutoff") or 1
+
+
+NO_CLAIM = NoClaim()
+
+
+class BuilderClaim:
+    """Who a builder promises will succeed.
+
+    A scored cycle with a member below the cutoff is exempt; pick(cycles,
+    tops) names the claimed members of the rest, given their top-priced
+    members.  A claimed failure is a counterexample, and so under a
+    cofinite release rule is any failure outside an exempt cycle, unless
+    unpicked_exempt is set.  Else a claim on anyone is confirmed.
+    """
+
+    cutoff = 1  # no index lies below it
+    unpicked_exempt = False
+
+    def judge(self, v: Variant, report) -> ReleaseVerdict:
+        exempt, cycles, tops, cut = set(), [], [], self.cutoff
         for members, top in zip(report.cycles, report.top_priced):
-            least = min(members)
-            if least < cutoff:
+            if min(members) < cut:
                 exempt.update(members)
-            elif scope == "least-member":
-                claimed.add(least)
-            elif scope == "cycle-members":
-                claimed.update(members)
-            elif scope == "last-member":
-                claimed.add(max(members))
-            elif scope == "max-price-member":
-                claimed.update(top)
             else:
-                raise DomainError(f"unknown claim scope {scope!r}")
-    failures = [o.prisoner for o in report.outcomes if not o.success]
-    bad = {n for n in failures if n in claimed}
-    if v.release == "CofinitelyMany":
-        bad.update(n for n in failures if n not in exempt)
-    if bad:
-        return ReleaseVerdict("CounterexampleFound", tuple(sorted(bad)))
-    if not claimed:
-        return ReleaseVerdict("Inconclusive")
-    return ReleaseVerdict("PatternConfirmed")
+                cycles.append(members)
+                tops.append(top)
+        claimed = set(self.pick(cycles, tops))
+        failures = [o.prisoner for o in report.outcomes if not o.success]
+        bad = {n for n in failures if n in claimed}
+        if v.release == "CofinitelyMany" and not self.unpicked_exempt:
+            bad.update(n for n in failures if n not in exempt)
+        if bad:
+            return ReleaseVerdict("CounterexampleFound", tuple(sorted(bad)))
+        return ReleaseVerdict("PatternConfirmed" if claimed
+                              else "Inconclusive")
 
 
-def _guard_verdict(report, claim: AdversaryClaim) -> ReleaseVerdict:
-    success = {o.prisoner: o.success for o in report.outcomes}
-    cycles = report.cycles
-    witnesses: list[int] = []
-    confirmed = bool(cycles)
-    if claim.kind in (NO_SUCCESS_AFTER_FIRST, ALL_MEMBERS_FAIL):
-        if claim.kind == NO_SUCCESS_AFTER_FIRST:
-            cycles = cycles[1:]
-        confirmed = bool(cycles)
-        for members in cycles:
-            for m in members:
-                if success[m]:
-                    confirmed = False
-                else:
-                    witnesses.append(m)
-    elif claim.kind == FAILURE_IN_EVERY_CYCLE:
-        blocks = [c for c in cycles if len(c) >= 2]
-        confirmed = bool(blocks)
-        for members in blocks:
-            failed = [m for m in members if not success[m]]
-            if not failed:
-                confirmed = False
+@dataclass(frozen=True)
+class _CutoffClaim(BuilderClaim):
+    cutoff: int
+
+
+class LeastMember(_CutoffClaim):
+    def pick(self, cycles, tops):
+        return map(min, cycles)
+
+
+class LastMember(_CutoffClaim):
+    def pick(self, cycles, tops):
+        return map(max, cycles)
+
+
+class CycleMembers(_CutoffClaim):
+    def pick(self, cycles, tops):
+        return chain.from_iterable(cycles)
+
+
+class MaxPriceMember(_CutoffClaim):
+    def pick(self, cycles, tops):
+        return chain.from_iterable(tops)
+
+
+@dataclass(frozen=True)
+class AboveThreshold(BuilderClaim):
+    """Claims prisoner n when its coordinate delta^-1(n) passes the
+    threshold; every other prisoner is exempt."""
+
+    threshold: int
+    delta: Relabeling
+    unpicked_exempt = True
+
+    def pick(self, cycles, tops):
+        members, threshold = chain.from_iterable(cycles), self.threshold
+        if self.delta.is_identity:
+            return [n for n in members if n > threshold]
+        return [n for n in members if self.delta.inverse(n) > threshold]
+
+
+@dataclass(frozen=True)
+class GuardClaim:
+    """Who a guard promises will fail in the stream it emits.
+
+    pick(cycles) gives groups of scored members, each promised to fail in
+    full, or with one_fails in at least one member.  Kept in every group,
+    with some group picked, the promise is a counterexample.
+    """
+
+    adversary: str
+    detail: str = ""
+    params: dict = field(default_factory=dict)
+    one_fails = False
+
+    def judge(self, v: Variant, report) -> ReleaseVerdict:
+        success = {o.prisoner: o.success for o in report.outcomes}
+        witnesses: list[int] = []
+        for picked in self.pick(report.cycles):
+            failed = [m for m in picked if not success[m]]
+            if len(failed) < len(picked) and not (self.one_fails and failed):
+                return ReleaseVerdict("Inconclusive")
             witnesses.extend(failed)
-    elif claim.kind == ANCHOR_FAILS:
-        for members in cycles:
-            anchor = min(members)
-            if success[anchor]:
-                confirmed = False
-            else:
-                witnesses.append(anchor)
-    else:
-        raise DomainError(f"unknown guard claim kind {claim.kind!r}")
-    if confirmed:
+        if not witnesses:
+            return ReleaseVerdict("Inconclusive")
         return ReleaseVerdict("CounterexampleFound", tuple(sorted(witnesses)))
-    return ReleaseVerdict("Inconclusive")
+
+
+class NoSuccessAfterFirst(GuardClaim):
+    def pick(self, cycles):
+        return cycles[1:]
+
+
+class FailureInEveryCycle(GuardClaim):
+    one_fails = True
+
+    def pick(self, cycles):
+        return [c for c in cycles if len(c) >= 2]
+
+
+class AllMembersFail(GuardClaim):
+    def pick(self, cycles):
+        return cycles
+
+
+class AnchorFails(GuardClaim):
+    def pick(self, cycles):
+        return [(min(c),) for c in cycles]

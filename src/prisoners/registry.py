@@ -56,17 +56,20 @@ INVSQ = builtin_model("inverse-square")
 
 _PARAM_KINDS = {int: "an integer", tuple: "a tuple", Rat: "a rational"}
 
-# count parameters: below 1 a check would run nothing and pass
+# count parameters: below 1 a check would run nothing and pass, and past
+# the cap it cannot run; tail-sum at horizon 3 * 10^4 took 13 s and 200 MiB,
+# growing about as the square, so 10^5 needs about 2 GiB
 _COUNTS = frozenset(("plans", "horizon", "max_len", "m", "k", "d", "cycles",
                      "pairs", "blocks"))
+_COUNT_CAP = 10**5
 
 
 def _merge(defaults: dict, params) -> dict:
     """The runner's defaults, overridden by params of the same keys and types.
 
     A check run with a key it does not read, with a value of the wrong
-    type, or with a count below 1 would pass vacuously or crash, so each is
-    a domain error.
+    type, or with a count below 1 or past _COUNT_CAP would pass vacuously,
+    crash or never end, so each is a domain error.
     """
     got = dict(defaults)
     for key, value in (params or {}).items():
@@ -79,9 +82,9 @@ def _merge(defaults: dict, params) -> dict:
                 f"parameter {key!r} takes "
                 f"{_PARAM_KINDS.get(want, want.__name__)}, not "
                 f"{_PARAM_KINDS.get(have, have.__name__)}")
-        if key in _COUNTS and value < 1:
+        if key in _COUNTS and not 1 <= value <= _COUNT_CAP:
             raise DomainError(f"parameter {key!r} counts, so it must be at "
-                              f"least 1, not {value}")
+                              f"least 1 and at most {_COUNT_CAP}, not {value}")
         got[key] = value
     return got
 

@@ -2,7 +2,7 @@
 
 Each builder turns a certified hypothesis about the price sequence into an
 explicit allocation plan plus the cutoff index it was chosen for, and tags
-the plan with a descriptor naming the prisoners it guarantees to succeed.
+the plan with a descriptor whose claim names who is promised to succeed.
 """
 from __future__ import annotations
 
@@ -11,6 +11,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .engine import (
+    NO_CLAIM, AboveThreshold, CycleMembers, LastMember, LeastMember,
+    MaxPriceMember,
+)
 from .errors import CapabilityError, DomainError, PlanViolationError
 from .numeric import (
     Cmp, LN2_HI, ONE, Rat, RatInterval, ZERO, least_index, ln_bounds, rat,
@@ -39,47 +43,15 @@ class StrategyDescriptor:
     builder: str
     params: dict = field(default_factory=dict)
     m: Optional[int] = None
+    claim: object = NO_CLAIM  # not in the JSON, which cannot restore it
 
     def to_json(self) -> str:
         return json.dumps(
             {"builder": self.builder, "params": self.params, "m": self.m})
 
-    @classmethod
-    def from_json(cls, text: str) -> "StrategyDescriptor":
-        raw = json.loads(text)
-        return cls(builder=raw["builder"], params=raw.get("params", {}),
-                   m=raw.get("m"))
-
-    def success_pattern(self) -> dict:
-        """Machine-checkable claim: which prisoners must succeed."""
-        p = self.params
-        if self.builder == "baseline-geometric":
-            return {"scope": "least-member", "cutoff": 2}
-        if self.builder == "tail-sum":
-            return {"scope": "least-member", "cutoff": self.m,
-                    "relabeling": p.get("relabeling")}
-        if self.builder == "bounded-length":
-            return {"scope": "max-price-member", "cutoff": self.m}
-        if self.builder == "bounded-diameter":
-            return {"scope": "above-threshold",
-                    "threshold": self.m + p["d"],
-                    "relabeling": p.get("relabeling"), "cofinite": True}
-        if self.builder == "cycle-informed":
-            return {"scope": "cycle-members", "cutoff": self.m}
-        if self.builder == "v2":
-            kind = p["kind"]
-            if kind in ("harmonic-prefix", "shifted-harmonic", "log-shift"):
-                return {"scope": "last-member", "cutoff": p.get("k", 1)}
-            return {"scope": "none"}
-        raise DomainError(f"unknown builder {self.builder!r}")
-
 
 def _relabeling_pairs(delta: Relabeling):
     return sorted([p, v] for p, v in delta.placements.items())
-
-
-def relabeling_from_pairs(pairs) -> Relabeling:
-    return Relabeling({int(p): int(v) for p, v in pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +116,8 @@ def build_baseline_geometric() -> AllocationPlan:
         "baseline-geometric", amount,
         total_cert=ExactTotal(ONE),
         tail_structure=NonIncreasingBeyond(2, positive=True),
-        descriptor=StrategyDescriptor("baseline-geometric", {}, m=2))
+        descriptor=StrategyDescriptor("baseline-geometric", {}, m=2,
+                                      claim=LeastMember(2)))
 
 
 def build_tail_sum_strategy(model: PriceModel, delta: Optional[Relabeling]
@@ -184,7 +157,8 @@ def build_tail_sum_strategy(model: PriceModel, delta: Optional[Relabeling]
     alloc = FnAllocation(
         f"tail-sum[{model.name}]", amount,
         total_cert=ExactTotal(total), tail_structure=structure,
-        descriptor=StrategyDescriptor("tail-sum", params, m=m))
+        descriptor=StrategyDescriptor("tail-sum", params, m=m,
+                                      claim=LeastMember(m)))
     return alloc, m
 
 
@@ -223,7 +197,8 @@ def build_bounded_length_strategy(model: PriceModel, k: int, total=ONE):
         tail_structure=structure,
         descriptor=StrategyDescriptor(
             "bounded-length",
-            {"model": model.name, "k": k, "total": rat_str(total)}, m=m))
+            {"model": model.name, "k": k, "total": rat_str(total)}, m=m,
+            claim=MaxPriceMember(m)))
     return alloc, m
 
 
@@ -273,7 +248,8 @@ def build_bounded_diameter_strategy(model: PriceModel, d: int,
         f"bounded-diameter[{model.name},d={d}]", fn,
         total_cert=ExactTotal(work.second_tail(m + 1)),
         tail_structure=structure,
-        descriptor=StrategyDescriptor("bounded-diameter", params, m=m))
+        descriptor=StrategyDescriptor("bounded-diameter", params, m=m,
+                                      claim=AboveThreshold(m + d, delta)))
     return alloc, m
 
 
@@ -331,7 +307,7 @@ def build_cycle_informed_strategy(model: PriceModel, plan, k: int,
         descriptor=StrategyDescriptor(
             "cycle-informed",
             {"model": model.name, "k": k, "total": rat_str(total),
-             "plan": plan.name}, m=m))
+             "plan": plan.name}, m=m, claim=CycleMembers(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +365,8 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
         return FnAllocation(
             "v2-harmonic-prefix", HARMONIC.prefix_sum,
             total_cert=DivergentTotal(), tail_structure=NonDecreasing(),
-            descriptor=StrategyDescriptor("v2", {"kind": kind, "k": 1}),
+            descriptor=StrategyDescriptor("v2", {"kind": kind, "k": 1},
+                                          claim=LastMember(1)),
             amount_upper_pow2=AffineBound(ONE, LN2_HI))
 
     if kind in ("shifted-harmonic", "log-shift"):
@@ -398,16 +375,14 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
             if not isinstance(k, int) or k < 1:
                 raise DomainError("shifted-harmonic needs an integer k >= 1")
             name = f"v2-shifted-harmonic[{k}]"
-            descriptor = StrategyDescriptor("v2", {"kind": kind, "k": k})
+            shown = {"k": k}
         else:
             K = Rat(params.get("K"))
             if K < ZERO:
                 raise DomainError("the shift constant must be nonnegative")
             k, exact = _log_shift_cutoff(K)
             name = f"v2-log-shift[{rat_str(K)}]"
-            descriptor = StrategyDescriptor(
-                "v2", {"kind": kind, "K": rat_str(K), "k": k,
-                       "minimal": exact})
+            shown = {"K": rat_str(K), "k": k, "minimal": exact}
 
         def amount(n: int) -> Rat:
             # the exact start-of-window sum is only ever needed past k,
@@ -424,7 +399,8 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
         return FnAllocation(
             name, amount,
             total_cert=DivergentTotal(), tail_structure=NonDecreasing(),
-            descriptor=descriptor,
+            descriptor=StrategyDescriptor("v2", {"kind": kind, **shown},
+                                          claim=LastMember(k)),
             amount_upper_pow2=AffineBound(ONE - base_floor, LN2_HI))
 
     # scaled: c times the harmonic prefix sum

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prisoners.adversaries import (
-    ALL_MEMBERS_FAIL, ANCHOR_FAILS, CertifiedBlock, FAILURE_IN_EVERY_CYCLE,
-    NO_SUCCESS_AFTER_FIRST, divergence_witness, good_index_adversary,
+    CertifiedBlock, divergence_witness, good_index_adversary,
     scaled_harmonic_gap, two_cycle_adversary, v1b_ceiling_adversary,
     v1d_cycle_chooser, v2a_block_adversary, v2b_block_adversary,
     _EXPONENT_CAP, _least_block_end, _least_certified_exponent,
     _refined_once,
 )
-from prisoners.engine import simulate
+from prisoners.engine import (
+    AllMembersFail, AnchorFails, FailureInEveryCycle, NoSuccessAfterFirst,
+    simulate,
+)
 from prisoners.errors import (
     CapabilityError, DomainError, HorizonExhaustedError, NotMaterializedError,
     PlanViolationError,
@@ -98,7 +100,7 @@ def test_good_index_singleton_first_cycle_on_halving_amounts():
     # price tail from 1 brackets above 1/2 and p_1 = 1 beats a_1 = 1/2,
     # position 2 is good again, so the first cycle is the singleton (1)
     assert tuple(cycles[0].members) == (1,)
-    assert plan.claim.kind == NO_SUCCESS_AFTER_FIRST
+    assert isinstance(plan.claim, NoSuccessAfterFirst)
     assert plan.enrichment_added == ZERO  # no zeros to fill
     assert pairwise_disjoint(plan.cycles)
 
@@ -264,7 +266,7 @@ def test_ceiling_blocks_match_hand_computation():
     # leader 21 needs 2^21 + 1 members
     third = plan.materialize(3)[2]
     assert (third.min_member, third.max_member) == (21, 21 + 2 ** 21)
-    assert plan.claim.kind == FAILURE_IN_EVERY_CYCLE
+    assert isinstance(plan.claim, FailureInEveryCycle)
     assert plan.claim.params["total_bound"] == ONE
 
 
@@ -572,7 +574,7 @@ def test_v2a_constant_blocks_match_hand_computation():
     assert spans(cycles) == [(1, 2), (3, 7)]
     assert harmonic_sum(3, 7) == rat(153, 140)
     assert harmonic_sum(3, 6) < ONE < harmonic_sum(3, 7)
-    assert plan.claim.kind == ALL_MEMBERS_FAIL
+    assert isinstance(plan.claim, AllMembersFail)
 
 
 def test_v2a_block_prices_exceed_every_member_amount():
@@ -635,7 +637,7 @@ def test_v2b_blocks_and_certified_continuation_for_harmonic_prefix():
     assert [b.end_exponent for b in blocks] == [19, 41, 85, 173]
     assert blocks[0].start_index == 515
     assert blocks[0].amount_upper == h.prefix_sum(515)
-    assert plan.claim.kind == ANCHOR_FAILS
+    assert isinstance(plan.claim, AnchorFails)
 
 
 def test_v2b_anchor_rule_terminates_where_v2a_cannot():

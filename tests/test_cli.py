@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from prisoners import registry
 from prisoners.cli import (
-    _ADVERSARIES, ScenarioConfig, _adversary_plan, _split_spec, _value,
-    main, parse_model, parse_strategy,
+    _ADVERSARIES, HORIZON_CAP, MAX_LEN_CAP, ScenarioConfig, _adversary_plan,
+    _capped, _split_spec, _value, main, parse_model, parse_strategy,
 )
 from prisoners.engine import VARIANTS
 from prisoners.permutations import parse_plan
@@ -49,6 +50,26 @@ def test_counterexample_exits_one(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["verdict"] == "CounterexampleFound"
     assert payload["witnesses"]
+
+
+@pytest.mark.parametrize("variant", ["V2a", "V2b"])
+@pytest.mark.parametrize("strategy", ["constant1", "scaled:c=1/2"])
+def test_runs_that_claim_nothing_exit_zero(capsys, variant, strategy):
+    code = run(["simulate", "--variant", variant, "--model", "harmonic",
+                "--strategy", strategy, "--plan", "random",
+                "--horizon", "30", "--seed", "1"])
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Inconclusive"
+    assert code == 0
+
+
+def test_a_claim_left_unconfirmed_exits_one(capsys):
+    # every cycle inside [1, 2] lies below the tail-sum cutoff 3, so the
+    # least-member claim names nobody and the window decides nothing
+    code = run(["simulate", "--variant", "V1a", "--model", "geometric",
+                "--strategy", "tail-sum", "--plan", "random",
+                "--horizon", "2"])
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Inconclusive"
+    assert code == 1
 
 
 def test_report_goes_to_stdout_without_out(capsys):
@@ -242,6 +263,48 @@ def test_verify_with_aliased_parameters(capsys):
     assert run(["verify", "v2b-no-strategy", "alloc=constant1",
                 "cycles=10"]) == 0
     assert "PASS v2b-no-strategy" in capsys.readouterr().out
+
+
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SIM[:-1] + [HUGE], "the horizon is capped at 1000000, not " + HUGE),
+    (SIM[:8] + [f"random:max_len={HUGE}", "--horizon", "40"],
+     "max_len is capped at 10000"),
+    (SIM[:8] + [f"banded:d={HUGE}", "--horizon", "40"],
+     "d is capped at 10000"),
+    (["verify", "tail-sum-strategy", f"horizon={HUGE}"], "at most 100000"),
+    (["verify", "bounded-length-v1a", f"horizon={HUGE}00"],
+     "at most 100000"),
+    (["verify", "v2b-no-strategy", f"horizon={HUGE}"], "at most 100000"),
+    (["verify", "tail-sum-strategy", f"plans={HUGE}"], "at most 100000"),
+], ids=["horizon", "max_len", "banded-d", "tail-sum-horizon",
+        "bounded-length-horizon", "v2b-horizon", "tail-sum-plans"])
+def test_oversized_counts_are_refused_before_any_work(capsys, argv, message):
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert "Traceback" not in err and "internal error" not in err
+
+
+def test_a_config_file_horizon_is_capped_too(tmp_path, capsys):
+    config = tmp_path / "huge.json"
+    ScenarioConfig("V1a", "geometric", "baseline", "random",
+                   int(HUGE)).save(config)
+    assert run(["simulate", "--config", str(config)]) == 2
+    assert "the horizon is capped" in capsys.readouterr().err
+
+
+def test_the_caps_themselves_are_allowed():
+    # checked without running anything at the cap
+    assert _capped("the horizon", HORIZON_CAP, HORIZON_CAP) == HORIZON_CAP
+    assert _capped("max_len", MAX_LEN_CAP, MAX_LEN_CAP) == MAX_LEN_CAP
+    cap = registry._COUNT_CAP
+    assert registry._merge({"horizon": 48}, {"horizon": cap}) == {
+        "horizon": cap}
 
 
 def test_verify_unknown_key_exits_two(capsys):

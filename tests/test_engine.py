@@ -15,27 +15,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prisoners import registry
-from prisoners.adversaries import (
-    ALL_MEMBERS_FAIL, ANCHOR_FAILS, AdversaryClaim, FAILURE_IN_EVERY_CYCLE,
-    NO_SUCCESS_AFTER_FIRST, good_index_adversary,
-)
+from prisoners.adversaries import good_index_adversary
 from prisoners.cli import main
 from prisoners.engine import (
-    VARIANTS, PrisonerOutcome, SimulationReport, _score_cycle,
-    _walk_open_cycle, evaluate_release, get_variant, run_prisoner, simulate,
+    NO_CLAIM, VARIANTS, AboveThreshold, AllMembersFail, AnchorFails,
+    CycleMembers, FailureInEveryCycle, LastMember, LeastMember,
+    MaxPriceMember, NoSuccessAfterFirst, PrisonerOutcome, SimulationReport,
+    _score_cycle, _walk_open_cycle, evaluate_release, get_variant,
+    run_prisoner, simulate,
 )
 from prisoners.errors import DomainError, UsageError
 from prisoners.numeric import (
     ONE, ZERO, Cmp, RatInterval, compare_certified, rat, rat_str,
 )
-from prisoners.permutations import Cycle, CyclePlan, random_plan
+from prisoners.permutations import (
+    Cycle, CyclePlan, random_bounded_diameter_plan, random_plan,
+)
 from prisoners.registry import THEOREM_KEYS, verify_theorem
 from prisoners.sequences import (
     BracketedTotal, CustomModel, FnAllocation, PermutedModel, PriceModel, Relabeling,
     ScaledModel, TableAllocation, ZeroTail, builtin_model,
 )
 from prisoners.strategies import (
-    build_baseline_geometric, build_bounded_length_strategy,
+    build_baseline_geometric, build_bounded_diameter_strategy,
+    build_bounded_length_strategy,
 )
 
 GEO = builtin_model("geometric", ratio=rat(1, 2))
@@ -424,13 +427,22 @@ def test_guard_claims_outrank_builder_descriptors():
     plan = good_index_adversary(invsq, base)
     horizon = max(c.max_member for c in plan.materialize(5))
     report = simulate("V1a", invsq, base, plan, horizon)
-    assert isinstance(report.claim, AdversaryClaim)
+    assert isinstance(report.claim, NoSuccessAfterFirst)
     assert report.verdict == "CounterexampleFound"
 
 
 def test_no_claim_means_no_verdict():
     report = simulate("V1a", GEO, table({1: "1/2"}), plan_of((1, 2)), 2)
     assert report.verdict == "Inconclusive" and report.witnesses == ()
+    assert report.claim is NO_CLAIM
+
+
+def test_claims_are_frozen_values():
+    assert LeastMember(2) == LeastMember(2) != LastMember(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        LeastMember(2).cutoff = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        AnchorFails("unit").adversary = "other"
 
 
 def _plain_json(report) -> str:
@@ -601,7 +613,7 @@ def demo_report():
 
 def test_least_member_scope_under_both_release_rules():
     report = demo_report()
-    claim = {"scope": "least-member", "cutoff": 2}
+    claim = LeastMember(2)
     assert evaluate_release("V1a", report, claim).verdict == \
         "PatternConfirmed"
     report_b = simulate("V1b", GEO, table({2: "3/8", 4: "7/64", 5: "7/64"}),
@@ -613,7 +625,7 @@ def test_least_member_scope_under_both_release_rules():
 
 def test_cycle_members_scope_counts_every_member():
     verdict = evaluate_release("V1a", demo_report(),
-                               {"scope": "cycle-members", "cutoff": 4})
+                               CycleMembers(4))
     assert verdict.verdict == "CounterexampleFound"
     assert verdict.witnesses == (6,)
 
@@ -621,46 +633,47 @@ def test_cycle_members_scope_counts_every_member():
 def test_last_member_scope_claims_the_largest_label():
     # claimed: 3 and 6; both walk on empty pockets
     verdict = evaluate_release("V1a", demo_report(),
-                               {"scope": "last-member", "cutoff": 2})
+                               LastMember(2))
     assert verdict.verdict == "CounterexampleFound"
     assert verdict.witnesses == (3, 6)
 
 
 def test_max_price_scope_claims_the_priciest_member():
     verdict = evaluate_release("V1a", demo_report(),
-                               {"scope": "max-price-member", "cutoff": 2})
+                               MaxPriceMember(2))
     assert verdict.verdict == "PatternConfirmed"
 
 
 def test_threshold_scope_reads_labels_through_the_relabeling():
-    claim = {"scope": "above-threshold", "threshold": 3, "cofinite": True}
+    claim = AboveThreshold(3, Relabeling.identity())
     report_b = simulate("V1b", GEO, table({2: "3/8", 4: "7/64", 5: "7/64"}),
                         plan_of((1,), (2, 3), (4, 5, 6)), 6)
     assert evaluate_release("V1b", report_b, claim).verdict == \
         "CounterexampleFound"
-    moved = dict(claim, relabeling=[(6, 3)])
+    moved = AboveThreshold(3, Relabeling({6: 3}))
     verdict = evaluate_release("V1a", demo_report(), moved)
     assert verdict.witnesses == (3, 6)
 
 
 def test_scopeless_claims_decide_nothing():
     report = demo_report()
-    assert evaluate_release("V1a", report, {"scope": "none"}).verdict == \
+    assert evaluate_release("V1a", report, NO_CLAIM).verdict == \
         "Inconclusive"
-    assert evaluate_release("V1a", report, None).verdict == "Inconclusive"
-    with pytest.raises(DomainError):
-        evaluate_release("V1a", report, {"scope": "sideways"})
+    report_b = simulate("V1b", GEO, table({}), plan_of((1,), (2, 3)), 3)
+    assert report_b.success_count == 0
+    assert evaluate_release("V1b", report_b, NO_CLAIM).verdict == \
+        "Inconclusive"
 
 
 def test_reports_cannot_be_judged_under_another_variant():
     with pytest.raises(UsageError):
-        evaluate_release("V2a", demo_report(), {"scope": "none"})
+        evaluate_release("V2a", demo_report(), NO_CLAIM)
 
 
 def test_empty_windows_are_inconclusive():
     report = simulate("V1a", GEO, table({1: "1/2"}), plan_of((1, 2)), 1)
     assert report.outcomes == () and report.verdict == "Inconclusive"
-    claim = AdversaryClaim("unit", ALL_MEMBERS_FAIL)
+    claim = AllMembersFail("unit")
     assert evaluate_release("V1a", report, claim).verdict == "Inconclusive"
     assert json.loads(report.to_json())["outcomes"] == []
 
@@ -672,7 +685,7 @@ def guard_report(alloc_entries, variant="V1a"):
 
 def test_no_success_after_first_guard_claim():
     report = guard_report({1: "1/2"})
-    claim = AdversaryClaim("unit", NO_SUCCESS_AFTER_FIRST)
+    claim = NoSuccessAfterFirst("unit")
     verdict = evaluate_release("V1a", report, claim)
     assert verdict.verdict == "CounterexampleFound"
     assert verdict.witnesses == (2, 3, 4, 5, 6)
@@ -681,7 +694,7 @@ def test_no_success_after_first_guard_claim():
 
 
 def test_failure_in_every_cycle_skips_free_singletons():
-    claim = AdversaryClaim("unit", FAILURE_IN_EVERY_CYCLE)
+    claim = FailureInEveryCycle("unit")
     verdict = evaluate_release("V1a", guard_report({}), claim)
     assert verdict.verdict == "CounterexampleFound"
     assert verdict.witnesses == (2, 3, 4, 5, 6)
@@ -692,7 +705,7 @@ def test_failure_in_every_cycle_skips_free_singletons():
 
 
 def test_every_member_fails_guard_claim():
-    claim = AdversaryClaim("unit", ALL_MEMBERS_FAIL)
+    claim = AllMembersFail("unit")
     verdict = evaluate_release("V1a", guard_report({}), claim)
     assert verdict.verdict == "CounterexampleFound"
     assert verdict.witnesses == (1, 2, 3, 4, 5, 6)
@@ -701,14 +714,11 @@ def test_every_member_fails_guard_claim():
 
 
 def test_anchor_fails_guard_claim():
-    claim = AdversaryClaim("unit", ANCHOR_FAILS)
+    claim = AnchorFails("unit")
     verdict = evaluate_release("V1a", guard_report({}), claim)
     assert verdict.witnesses == (1, 2, 4)
     assert evaluate_release("V1a", guard_report({2: "3/8"}),
                             claim).verdict == "Inconclusive"
-    with pytest.raises(DomainError):
-        evaluate_release("V1a", guard_report({}),
-                         AdversaryClaim("unit", "sideways"))
 
 
 # ---------------------------------------------------------------------------
@@ -923,14 +933,115 @@ def test_verify_prints_fail_and_exits_one_for_an_analyzer_fault(
 
 
 # ---------------------------------------------------------------------------
+# the builder-claim keys can fail
+#
+# Each fault halves the amounts a builder hands out while its descriptor
+# keeps the claim, so the judge, not the builder, has to see the shortfall.
+
+def _halved(alloc, cut=1):
+    """alloc with every amount from index cut on halved, same descriptor."""
+    return FnAllocation(
+        f"{alloc.name}/2",
+        lambda n: alloc.amount(n) / 2 if n >= cut else alloc.amount(n),
+        descriptor=alloc.descriptor)
+
+
+def _halve_pair(monkeypatch, name):
+    build = getattr(registry, name)
+
+    def faulty(*args, **kwargs):
+        alloc, m = build(*args, **kwargs)
+        return _halved(alloc, m), m
+    monkeypatch.setattr(registry, name, faulty)
+
+
+def _window(plan, horizon):
+    return plan.window(horizon)[0]
+
+
+def test_tail_sum_strategy_fails_on_halved_tail_amounts(monkeypatch):
+    _halve_pair(monkeypatch, "build_tail_sum_strategy")
+    report = verify_theorem("tail-sum-strategy")
+    assert report.passed is False
+    # a least member n past the cutoff 3 now holds tail(n) / 2 = 2^-n, its
+    # own price: it pays for a singleton and fails every longer cycle
+    late = tuple(sorted(min(c) for c in _window(random_plan(48, 6, 0), 48)
+                        if len(c) > 1 and min(c) >= 3))
+    assert late and report.witnesses[:len(late)] == late
+
+
+def test_verify_prints_fail_for_halved_tail_amounts(monkeypatch, capsys):
+    _halve_pair(monkeypatch, "build_tail_sum_strategy")
+    assert main(["verify", "tail-sum-strategy"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL tail-sum-strategy: ") and out.count("\n") == 1
+    assert " witnesses=[3, 6, " in out
+
+
+def test_bounded_length_fails_on_halved_amounts(monkeypatch):
+    _halve_pair(monkeypatch, "build_bounded_length_strategy")
+    report = verify_theorem("bounded-length-v1a")
+    assert report.passed is False
+    # the top member n of a late cycle holds 3 * 2^-n / 2: enough for n and
+    # any two later members but n + 1, whose price alone is half of n's
+    expected = tuple(i for i in range(200) if any(
+        len(c) == 3 and min(c) >= 3 and min(c) + 1 in c
+        for c in _window(random_plan(40, 3, i), 40)))
+    assert expected and report.witnesses == expected
+
+
+def test_bounded_diameter_fails_on_halved_amounts(monkeypatch):
+    _halve_pair(monkeypatch, "build_bounded_diameter_strategy")
+    report = verify_theorem("bounded-diameter-v1b")
+    assert report.passed is False
+    # under V1b anyone past the threshold 5 who fails is a counterexample;
+    # run_prisoner, not the judge, decides who fails
+    alloc, _ = build_bounded_diameter_strategy(GEO, 2)
+    expected = []
+    for i in range(10):
+        plan = random_bounded_diameter_plan(40, 2, i)
+        if any(not run_prisoner(n, alloc.amount(n) / 2, plan, GEO).success
+               for c in _window(plan, 40) for n in c if n > 5):
+            expected.append(i)
+    assert expected and report.witnesses[:len(expected)] == tuple(expected)
+
+
+def test_v1d_bounded_fails_on_halved_cycle_prices(monkeypatch):
+    build = registry.build_cycle_informed_strategy
+    monkeypatch.setattr(registry, "build_cycle_informed_strategy",
+                        lambda *args: _halved(build(*args)))
+    report = verify_theorem("v1d-bounded")
+    assert report.passed is False
+    # each member of a cycle past the cutoff 3 now holds half its price
+    expected = tuple(i for i in range(50) if any(
+        min(c) >= 3 for c in _window(random_plan(40, 3, i), 40)))
+    assert expected and report.witnesses == expected
+
+
+def test_v2a_strategies_fail_on_halved_prefix_sums(monkeypatch):
+    build = registry.build_v2_strategy
+
+    def faulty(kind, **params):
+        alloc = build(kind, **params)
+        return _halved(alloc) if kind == "harmonic-prefix" else alloc
+    monkeypatch.setattr(registry, "build_v2_strategy", faulty)
+    report = verify_theorem("v2a-strategies")
+    assert report.passed is False
+    # the last member n of each cycle now holds H_n / 2
+    expected = tuple(
+        f"v2-harmonic-prefix/2: plan {i}" for i in range(30) if any(
+            sum(Fraction(1, j) for j in c)
+            > sum(Fraction(1, j) for j in range(1, max(c) + 1)) / 2
+            for c in _window(random_plan(40, 4, i), 40)))
+    assert expected and report.witnesses == expected
+
+
+# ---------------------------------------------------------------------------
 # the simulation core's imports
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "prisoners"
 # the only names the core takes from each sibling module; None means any
 ENGINE_IMPORTS = {
-    "adversaries": {"AdversaryClaim", "ALL_MEMBERS_FAIL", "ANCHOR_FAILS",
-                    "FAILURE_IN_EVERY_CYCLE", "NO_SUCCESS_AFTER_FIRST"},
-    "strategies": {"StrategyDescriptor", "relabeling_from_pairs"},
     "errors": None, "numeric": None, "permutations": None,
     "sequences": None,
 }
@@ -968,14 +1079,18 @@ def test_no_module_names_another_rational_backend():
 
 
 # names whose duplicates the shared harmonic table, least_index, table
-# models, declared allocation shapes and numeric.lcm_units replaced, and the
-# helpers that asked which tail rule a model held
+# models, declared allocation shapes and numeric.lcm_units replaced, the
+# helpers that asked which tail rule a model held, and the scope and kind
+# strings (with their judges) that typed claim objects replaced
 RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
                  "_hsum", "_validate_tail_rule", "_tails_exact",
                  "_table_sum_from", "cycle_no", "_tail_rule", "max_term_in",
                  "zero_indices_before_tail", "_scaled", "_lcm_units",
                  "_dump_table_text", "_scored_arrangements",
-                 "_zero_free_trace"}
+                 "_zero_free_trace", "success_pattern", "_pattern_verdict",
+                 "_guard_verdict", "relabeling_from_pairs", "AdversaryClaim",
+                 "NO_SUCCESS_AFTER_FIRST", "FAILURE_IN_EVERY_CYCLE",
+                 "ALL_MEMBERS_FAIL", "ANCHOR_FAILS"}
 # a tail rule answers for its own sums and says whether its prices stay
 # positive, the built-in summable models are tables with such a rule, and a
 # model is a table model when it has a rule, so no module asks for these

@@ -1,10 +1,14 @@
 """Builder outputs against hand-computed and independently summed values."""
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prisoners.engine import simulate
+from prisoners.engine import (
+    NO_CLAIM, AboveThreshold, LastMember, LeastMember, MaxPriceMember,
+    simulate,
+)
 from prisoners.errors import (
     CapabilityError, DomainError, PlanViolationError,
 )
@@ -33,8 +37,7 @@ def test_baseline_amounts_and_total():
     assert alloc.amount(2) == rat(1, 2)
     assert alloc.amount(4) == rat(1, 8)
     assert alloc.total_cert == ExactTotal(ONE)
-    assert alloc.descriptor.success_pattern() == {
-        "scope": "least-member", "cutoff": 2}
+    assert alloc.descriptor.claim == LeastMember(2)
     # finite prefixes stay strictly under the declared total
     running = ZERO
     for n in range(1, 60):
@@ -51,8 +54,7 @@ def test_tail_sum_geometric_matches_walkthrough():
     assert alloc.amount(4) == rat(1, 8)
     assert alloc.total_cert == ExactTotal(ONE)
     assert alloc.tail_structure == NonIncreasingBeyond(3, positive=True)
-    pat = alloc.descriptor.success_pattern()
-    assert pat["scope"] == "least-member" and pat["cutoff"] == 3
+    assert alloc.descriptor.claim == LeastMember(3)
 
 
 def test_tail_sum_smaller_budget_pushes_cutoff():
@@ -137,8 +139,7 @@ def test_bounded_length_geometric():
     assert alloc.total_cert == ExactTotal(rat(1, 2))
     assert alloc.max_in_range(1, 10) == rat(1, 4)
     assert alloc.max_in_range(4, 9) == rat(1, 8)
-    assert alloc.descriptor.success_pattern() == {
-        "scope": "max-price-member", "cutoff": 3}
+    assert alloc.descriptor.claim == MaxPriceMember(3)
 
 
 def test_bounded_length_unit_bound_funds_prices():
@@ -175,9 +176,9 @@ def test_bounded_diameter_geometric_walkthrough():
     assert alloc.amount(7) == rat(1, 16)
     assert alloc.amount(9) == rat(1, 64)
     assert alloc.total_cert == ExactTotal(rat(1, 4))
-    pat = alloc.descriptor.success_pattern()
-    assert pat == {"scope": "above-threshold", "threshold": 5,
-                   "relabeling": None, "cofinite": True}
+    claim = alloc.descriptor.claim
+    assert isinstance(claim, AboveThreshold) and claim.threshold == 5
+    assert claim.delta.is_identity
 
 
 def test_bounded_diameter_smaller_budget():
@@ -191,6 +192,7 @@ def test_bounded_diameter_relabeled_matches_base_beyond_support():
     alloc, m = build_bounded_diameter_strategy(GEO, d=2, delta=delta)
     base, m2 = build_bounded_diameter_strategy(GEO, d=2)
     assert (m, m2) == (3, 3)
+    assert alloc.descriptor.claim == AboveThreshold(5, delta)
     for n in range(1, 12):
         assert alloc.amount(n) == base.amount(n)
 
@@ -260,14 +262,13 @@ def test_v2_constant_and_harmonic_prefix():
     ones = build_v2_strategy("constant1")
     assert ones.amount(1) == ONE and ones.amount(999) == ONE
     assert ones.amount_upper_pow2(40) == ONE
-    assert ones.descriptor.success_pattern() == {"scope": "none"}
+    assert ones.descriptor.claim is NO_CLAIM
 
     pref = build_v2_strategy("harmonic-prefix")
     assert pref.amount(3) == rat(11, 6)
     assert pref.max_in_range(2, 6) == pref.amount(6)
     assert pref.amount(1024) <= pref.amount_upper_pow2(10)
-    assert pref.descriptor.success_pattern() == {
-        "scope": "last-member", "cutoff": 1}
+    assert pref.descriptor.claim == LastMember(1)
 
 
 def test_v2_amount_bounds_are_typed_affine_bounds():
@@ -290,15 +291,14 @@ def test_v2_shifted_harmonic():
     assert alloc.amount(5) == rat(47, 60)
     assert alloc.max_in_range(1, 2) == ZERO
     assert alloc.amount(512) <= alloc.amount_upper_pow2(9)
-    assert alloc.descriptor.success_pattern() == {
-        "scope": "last-member", "cutoff": 3}
+    assert alloc.descriptor.claim == LastMember(3)
 
 
 def test_v2_scaled():
     alloc = build_v2_strategy("scaled", c=rat(1, 2))
     assert alloc.amount(4) == rat(25, 24)
     assert alloc.amount(256) <= alloc.amount_upper_pow2(8)
-    assert alloc.descriptor.success_pattern() == {"scope": "none"}
+    assert alloc.descriptor.claim is NO_CLAIM
     with pytest.raises(DomainError):
         build_v2_strategy("scaled", c=ONE)
     with pytest.raises(DomainError):
@@ -364,12 +364,13 @@ def test_v2_log_shift_large_constant_is_conservative():
     assert alloc.amount(100) == ZERO
 
 
-def test_descriptor_json_round_trip():
+def test_descriptor_json_names_the_build_but_not_the_claim():
     alloc, m = build_bounded_length_strategy(GEO, k=2, total=ONE)
-    text = alloc.descriptor.to_json()
-    back = StrategyDescriptor.from_json(text)
-    assert back == alloc.descriptor
-    assert back.success_pattern() == alloc.descriptor.success_pattern()
+    assert json.loads(alloc.descriptor.to_json()) == {
+        "builder": "bounded-length", "m": m,
+        "params": {"model": GEO.name, "k": 2, "total": "1/1"}}
+    assert alloc.descriptor.claim == MaxPriceMember(m)
+    assert StrategyDescriptor("bounded-length").claim is NO_CLAIM
 
 
 @given(st.integers(1, 200))
