@@ -414,9 +414,10 @@ def evaluate_release(variant, report: SimulationReport,
     return claim.judge(v, report)
 
 
-@dataclass(frozen=True)
 class NoClaim:
     """A plan that promises nothing, so its windows decide nothing."""
+
+    __slots__ = ()  # no state, so nothing to change
 
     def judge(self, v: Variant, report) -> ReleaseVerdict:
         return ReleaseVerdict("Inconclusive")
