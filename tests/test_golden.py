@@ -319,6 +319,33 @@ def test_v2_family_certified_block_lines():
         "7c3a456bd370accd7e2b9abfad0a86ce3f90f24cdb07cb84625f611e90ab6d7e")
 
 
+# every fixed-price family, plus a log shift whose cutoff is past the exact
+# prefix floor; the amounts cross the end of the shared prefix table
+V2_KINDS = V2_FAMILY + [("log-shift", {"K": rat(20)})]
+V2_AMOUNT_INDICES = [*range(1, 21), 4999, 5000, 5001]
+
+
+def v2_allocation_facts_text() -> str:
+    lines = []
+    for kind, params in V2_KINDS:
+        alloc = strategies.build_v2_strategy(kind, **params)
+        lines += [
+            f"{alloc.name} {alloc.descriptor.to_json()}",
+            "amounts " + " ".join(_value_text(alloc.amount(n))
+                                  for n in V2_AMOUNT_INDICES),
+            f"structure {alloc.tail_structure!r} "
+            f"total {_cert_text(alloc.total_cert)}",
+            f"bound {alloc.amount_upper_pow2!r}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_v2_allocation_facts():
+    # recorded while each fixed-price kind declared its own total, shape
+    # and power-of-two bound
+    assert digest(v2_allocation_facts_text()) == (
+        "66c03f6654c10fdc8b49f8fe6fac706ed1283ccc66ff1818ae9df9bc0cfbbc19")
+
+
 # ---------------------------------------------------------------------------
 # analyzer scans
 
