@@ -21,7 +21,7 @@ __all__ = [
     "rat_sum", "lcm_units", "rat_ceil", "rat_floor", "check_range", "harmonic_sum",
     "power_sum", "geometric_sum", "geometric_tail", "RatInterval",
     "power_tail_bounds", "Cmp", "compare_certified", "least_index", "LN2_LO",
-    "LN2_HI", "ln_bounds", "harmonic_upper_ln", "harmonic_range_lower_ln",
+    "LN2_HI", "ln_bounds",
 ]
 
 Rat = Fraction
@@ -406,19 +406,3 @@ def ln_bounds(n: int) -> tuple[Rat, Rat]:
         hi = e * LN2_HI + _ln_bounds_mantissa(top + 1, unit)[1]
     return lo, hi
 
-
-def harmonic_upper_ln(n: int) -> Rat:
-    """Rational upper bound for 1 + 1/2 + ... + 1/n via 1 + ln(n)."""
-    if n < 1:
-        raise DomainError("harmonic bound needs n >= 1")
-    return ONE + ln_bounds(n)[1]
-
-
-def harmonic_range_lower_ln(a: int, b: int) -> Rat:
-    """Rational lower bound for sum of 1/i over [a, b] via ln((b+1)/a).
-
-    The bound is strict: the true range sum always exceeds the returned
-    rational.
-    """
-    check_range(a, b)
-    return ln_bounds(b + 1)[0] - ln_bounds(a)[1]

@@ -299,11 +299,6 @@ class PriceModel:
                 f"{self.name}: no closed form for a range of {b - a + 1} terms")
         return rat_sum(self.term(i) for i in range(a, b + 1))
 
-    def prefix_sum(self, n: int) -> Rat:
-        if n <= 0:
-            return ZERO
-        return self.range_sum(1, n)
-
     def last_positive(self) -> Optional[int]:
         """The last index with a positive price, 0 when there is none, and
         None unless the prices are certified zero past a finite table."""
@@ -762,25 +757,20 @@ class AffineBound:
 class AllocationPlan:
     """How much money prisoner n carries.
 
-    Builders fill in the descriptor naming who is promised to succeed, and
-    fixed-price builders the AffineBound amount_upper_pow2 on the amount at
-    index 2**E; plans built otherwise carry neither.
+    Builders fill in the descriptor naming who is promised to succeed.
+    Fixed-price plans (strategies.HarmonicAffine) also derive
+    amount_upper_pow2, an AffineBound on the amount at index 2**E; other
+    plans carry None there.
     """
 
     name: str = "allocation"
     descriptor = None
     amount_upper_pow2: Optional[AffineBound] = None
+    total_cert = UnknownTotal()
+    tail_structure = Unstructured()
 
     def amount(self, n: int) -> Rat:
         raise NotImplementedError
-
-    @property
-    def total_cert(self):
-        return UnknownTotal()
-
-    @property
-    def tail_structure(self):
-        return Unstructured()
 
     def max_in_range(self, a: int, b: int) -> Rat:
         if a > b:
@@ -838,17 +828,14 @@ class FnAllocation(AllocationPlan):
     """Allocation given by a closed-form function with declared structure."""
 
     def __init__(self, name: str, fn: Callable[[int], "Rat"],
-                 total_cert=None, tail_structure=None, descriptor=None,
-                 amount_upper_pow2=None):
-        if not isinstance(amount_upper_pow2, (AffineBound, type(None))):
-            raise DomainError("amount_upper_pow2 must be an AffineBound")
+                 total_cert=None, tail_structure=None, descriptor=None):
         self.name = name
         self.descriptor = descriptor
-        self.amount_upper_pow2 = amount_upper_pow2
         self._fn = fn
-        self._total = total_cert if total_cert is not None else UnknownTotal()
-        self._structure = (tail_structure if tail_structure is not None
-                           else Unstructured())
+        if total_cert is not None:
+            self.total_cert = total_cert
+        if tail_structure is not None:
+            self.tail_structure = tail_structure
         self._cache: dict[int, Rat] = {}
 
     def amount(self, n: int) -> Rat:
@@ -864,14 +851,6 @@ class FnAllocation(AllocationPlan):
             if len(self._cache) < 200_000:
                 self._cache[n] = v
         return v
-
-    @property
-    def total_cert(self):
-        return self._total
-
-    @property
-    def tail_structure(self):
-        return self._structure
 
 
 def load_allocation(text: str, name: str = "table") -> TableAllocation:
@@ -1081,12 +1060,6 @@ class OmittedZerosModel(PriceModel):
     @property
     def weighted_cert(self):
         return self.inner.weighted_cert
-
-    def tail(self, n: int):
-        idx = self.original_index(n)
-        if idx is None:
-            return ZERO
-        return self.inner.tail(idx)
 
 
 def omit_zeros(model: PriceModel, horizon: int):

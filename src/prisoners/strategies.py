@@ -30,7 +30,7 @@ __all__ = [
     "StrategyDescriptor", "build_baseline_geometric",
     "build_tail_sum_strategy", "build_bounded_length_strategy",
     "build_bounded_diameter_strategy", "build_cycle_informed_strategy",
-    "build_v2_strategy",
+    "HarmonicAffine", "build_v2_strategy",
 ]
 
 _SEARCH_CAP = 1_000_000
@@ -313,6 +313,54 @@ def build_cycle_informed_strategy(model: PriceModel, plan, k: int,
 # ---------------------------------------------------------------------------
 # fixed-price builders (prices 1/n, only the amounts vary)
 
+class HarmonicAffine(AllocationPlan):
+    """Amounts c * (1/start + ... + 1/n) + e from index start on, 0 before.
+
+    The facts are read off (c, start, e): the total diverges unless c and e
+    are 0, amounts are constant from start on when c is 0 and never fall
+    otherwise, and H(2**E) <= 1 + E ln 2 bounds the amount at 2**E by
+    c * (1 - H(start - 1) + E * LN2_HI) + e, with ln(start) below
+    H(start - 1) standing in for it when start is huge.
+    """
+
+    def __init__(self, name: str, c: Rat, start: int, e: Rat,
+                 descriptor: StrategyDescriptor):
+        if c < ZERO or e < ZERO:
+            raise DomainError("amounts must be nonnegative")
+        self.name, self.descriptor = name, descriptor
+        self.c, self.start, self.e = c, start, e
+        floor = (HARMONIC.prefix_sum(start - 1) if start - 1 <= 100_000
+                 else ln_bounds(start)[0])
+        self.amount_upper_pow2 = AffineBound(c * (ONE - floor) + e,
+                                             c * LN2_HI)
+        self.total_cert = DivergentTotal() if c or e else ExactTotal(ZERO)
+        self.tail_structure = (NonIncreasingBeyond(start, positive=True)
+                               if not c and e else NonDecreasing())
+        # settled once, so amount tests plain booleans
+        self._flat, self._scaled, self._shifted = not c, c != ONE, bool(e)
+        self._memo: dict[int, Rat] = {}
+
+    def amount(self, n: int) -> Rat:
+        if n < self.start:
+            if n < 1:
+                raise DomainError("indices start at 1")
+            return ZERO
+        if self._flat:
+            return self.e
+        got = self._memo.get(n)
+        if got is None:
+            # summed from start, so a huge start never needs H(start - 1)
+            got = (HARMONIC.prefix_sum(n) if self.start == 1
+                   else HARMONIC.range_sum(self.start, n))
+            if self._scaled:
+                got = self.c * got
+            if self._shifted:
+                got += self.e
+            if len(self._memo) < 200_000:
+                self._memo[n] = got
+        return got
+
+
 def _log_shift_cutoff(K: Rat) -> tuple[int, bool]:
     """Least k with 1 + ... + 1/(k+1) certified >= K + 1.
 
@@ -337,14 +385,14 @@ _V2_PARAMS = {"constant1": (), "harmonic-prefix": (),
               "scaled": ("c",)}
 
 
-def build_v2_strategy(kind: str, **params) -> AllocationPlan:
-    """Allocations for the fixed 1/n price schedule.
+def build_v2_strategy(kind: str, **params) -> HarmonicAffine:
+    """Allocations for the fixed 1/n price schedule, each a HarmonicAffine.
 
-    kinds: constant1, harmonic-prefix, shifted-harmonic (k), log-shift (K),
-    scaled (c).  Amounts are exact; unbounded families declare a divergent
-    total, and the prefix-sum kinds declare non-decreasing amounts.  Each
-    plan carries amount_upper_pow2, an AffineBound in E certified above the
-    amount at index 2**E, which never materializes 2**E itself.
+    kinds and their (c, start, e): constant1 (0, 1, 1), harmonic-prefix
+    (1, 1, 0), shifted-harmonic k and log-shift K (1, k, 0), where log-shift
+    takes the least k with H(k + 1) certified >= K + 1, and scaled c
+    (c, 1, 0).  With c = 1 the last member of a cycle past k is promised
+    to succeed.
     """
     wanted = _V2_PARAMS.get(kind)
     if wanted is None:
@@ -353,71 +401,32 @@ def build_v2_strategy(kind: str, **params) -> AllocationPlan:
         raise DomainError(
             f"{kind} takes {', '.join(wanted) or 'no parameters'}, "
             f"not {', '.join(sorted(params)) or 'none'}")
+    c, start, e, label, shown = ONE, 1, ZERO, "", {}
     if kind == "constant1":
-        return FnAllocation(
-            "v2-constant1", lambda n: ONE,
-            total_cert=DivergentTotal(),
-            tail_structure=NonIncreasingBeyond(1, positive=True),
-            descriptor=StrategyDescriptor("v2", {"kind": kind}),
-            amount_upper_pow2=AffineBound(ONE, ZERO))
-
-    if kind == "harmonic-prefix":
-        return FnAllocation(
-            "v2-harmonic-prefix", HARMONIC.prefix_sum,
-            total_cert=DivergentTotal(), tail_structure=NonDecreasing(),
-            descriptor=StrategyDescriptor("v2", {"kind": kind, "k": 1},
-                                          claim=LastMember(1)),
-            amount_upper_pow2=AffineBound(ONE, LN2_HI))
-
-    if kind in ("shifted-harmonic", "log-shift"):
-        if kind == "shifted-harmonic":
-            k = params.get("k")
-            if not isinstance(k, int) or k < 1:
-                raise DomainError("shifted-harmonic needs an integer k >= 1")
-            name = f"v2-shifted-harmonic[{k}]"
-            shown = {"k": k}
-        else:
-            K = Rat(params.get("K"))
-            if K < ZERO:
-                raise DomainError("the shift constant must be nonnegative")
-            k, exact = _log_shift_cutoff(K)
-            name = f"v2-log-shift[{rat_str(K)}]"
-            shown = {"K": rat_str(K), "k": k, "minimal": exact}
-
-        def amount(n: int) -> Rat:
-            # the exact start-of-window sum is only ever needed past k,
-            # so a huge k stays constructible
-            if n < k:
-                return ZERO
-            return HARMONIC.prefix_sum(n) - HARMONIC.prefix_sum(k - 1)
-
-        if k - 1 <= 100_000:
-            base_floor = HARMONIC.prefix_sum(k - 1)
-        else:
-            # certified: 1 + ... + 1/(k-1) exceeds ln(k)
-            base_floor = ln_bounds(k)[0]
-        return FnAllocation(
-            name, amount,
-            total_cert=DivergentTotal(), tail_structure=NonDecreasing(),
-            descriptor=StrategyDescriptor("v2", {"kind": kind, **shown},
-                                          claim=LastMember(k)),
-            amount_upper_pow2=AffineBound(ONE - base_floor, LN2_HI))
-
-    # scaled: c times the harmonic prefix sum
-    c = Rat(params.get("c"))
-    if c >= ONE:
-        raise DomainError(
-            "scaled prefix amounts with factor >= 1 are a different game")
-    if c < ZERO:
-        raise DomainError("the scale factor must be nonnegative")
-
-    def amount(n: int) -> Rat:
-        return c * HARMONIC.prefix_sum(n)
-
-    return FnAllocation(
-        f"v2-scaled[{rat_str(c)}]", amount,
-        total_cert=DivergentTotal() if c > ZERO else ExactTotal(ZERO),
-        tail_structure=NonDecreasing(),
-        descriptor=StrategyDescriptor(
-            "v2", {"kind": kind, "c": rat_str(c)}),
-        amount_upper_pow2=AffineBound(c, c * LN2_HI))
+        c, e = ZERO, ONE
+    elif kind == "harmonic-prefix":
+        shown = {"k": 1}
+    elif kind == "shifted-harmonic":
+        start = params["k"]
+        if not isinstance(start, int) or start < 1:
+            raise DomainError("shifted-harmonic needs an integer k >= 1")
+        label, shown = f"[{start}]", {"k": start}
+    elif kind == "log-shift":
+        K = Rat(params["K"])
+        if K < ZERO:
+            raise DomainError("the shift constant must be nonnegative")
+        start, exact = _log_shift_cutoff(K)
+        label = f"[{rat_str(K)}]"
+        shown = {"K": rat_str(K), "k": start, "minimal": exact}
+    else:
+        c = Rat(params["c"])
+        if c >= ONE:
+            raise DomainError(
+                "scaled prefix amounts with factor >= 1 are a different game")
+        if c < ZERO:
+            raise DomainError("the scale factor must be nonnegative")
+        label, shown = f"[{rat_str(c)}]", {"c": rat_str(c)}
+    claim = LastMember(start) if c == ONE else NO_CLAIM
+    return HarmonicAffine(
+        f"v2-{kind}{label}", c, start, e,
+        StrategyDescriptor("v2", {"kind": kind, **shown}, claim=claim))

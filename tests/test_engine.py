@@ -1081,7 +1081,8 @@ def test_no_module_names_another_rational_backend():
 # names whose duplicates the shared harmonic table, least_index, table
 # models, declared allocation shapes and numeric.lcm_units replaced, the
 # helpers that asked which tail rule a model held, and the scope and kind
-# strings (with their judges) that typed claim objects replaced
+# strings (with their judges) that typed claim objects replaced, and the
+# harmonic log helpers that only tests called
 RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
                  "_hsum", "_validate_tail_rule", "_tails_exact",
                  "_table_sum_from", "cycle_no", "_tail_rule", "max_term_in",
@@ -1090,7 +1091,8 @@ RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
                  "_zero_free_trace", "success_pattern", "_pattern_verdict",
                  "_guard_verdict", "relabeling_from_pairs", "AdversaryClaim",
                  "NO_SUCCESS_AFTER_FIRST", "FAILURE_IN_EVERY_CYCLE",
-                 "ALL_MEMBERS_FAIL", "ANCHOR_FAILS"}
+                 "ALL_MEMBERS_FAIL", "ANCHOR_FAILS", "harmonic_upper_ln",
+                 "harmonic_range_lower_ln"}
 # a tail rule answers for its own sums and says whether its prices stay
 # positive, the built-in summable models are tables with such a rule, and a
 # model is a table model when it has a rule, so no module asks for these

@@ -20,10 +20,9 @@ from prisoners.errors import (
 )
 from prisoners.numeric import (
     BACKEND, Cmp, LN2_HI, LN2_LO, ONE, Rat, RatInterval, ZERO,
-    compare_certified, geometric_sum, geometric_tail, harmonic_range_lower_ln,
-    harmonic_sum, harmonic_upper_ln, int_str, least_index, ln_bounds,
-    parse_rat, power_sum, power_tail_bounds, rat, rat_ceil, rat_floor,
-    rat_str, rat_sum, require_certified,
+    compare_certified, geometric_sum, geometric_tail, harmonic_sum, int_str,
+    least_index, ln_bounds, parse_rat, power_sum, power_tail_bounds, rat,
+    rat_ceil, rat_floor, rat_str, rat_sum, require_certified,
 )
 from prisoners.sequences import (
     HARMONIC, ExactTotal, GeometricTail, HarmonicModel, InversePowerTail,
@@ -439,19 +438,20 @@ def test_ln_bounds_product_consistency():
 
 
 def test_harmonic_ln_bounds_against_exact_sums():
-    # These rational bounds are what the certified adversary blocks rely
-    # on, so check them strictly against exact sums.
+    # H(n) <= 1 + ln(n) and ln((b+1)/a) < H(b) - H(a-1) are what the
+    # certified adversary blocks rely on, so check the log brackets that
+    # carry them strictly against exact sums.
     for n in (1, 2, 3, 10, 97, 1500):
-        assert harmonic_sum(1, n) <= harmonic_upper_ln(n)
+        assert harmonic_sum(1, n) <= ONE + ln_bounds(n)[1]
     for a, b in ((1, 1), (1, 10), (2, 5), (17, 403), (100, 10000)):
-        assert harmonic_range_lower_ln(a, b) < harmonic_sum(a, b)
+        assert ln_bounds(b + 1)[0] - ln_bounds(a)[1] < harmonic_sum(a, b)
 
 
 @settings(max_examples=40)
 @given(st.integers(1, 2000), st.integers(0, 3000))
 def test_harmonic_range_lower_ln_is_sound(a, span):
     b = a + span
-    assert harmonic_range_lower_ln(a, b) < harmonic_sum(a, b)
+    assert ln_bounds(b + 1)[0] - ln_bounds(a)[1] < harmonic_sum(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +513,13 @@ def test_harmonic_ln_bounds_bracket_harmonic_numbers_at_200_digits():
     ns = [1, 2, 3, 64, 65, 1000, 2 ** 50 + 1, 2 ** 200]
     ns += [rng.randrange(1, 1 << rng.randrange(1, 200)) for _ in range(40)]
     for n in ns:
-        # H(n) <= 1 + ln(n) <= harmonic_upper_ln(n)
+        # H(n) <= 1 + ln(n) <= 1 + ln_hi(n)
         assert ctx.harmonic(n) <= 1 + ctx.log(n) <= exact(
-            harmonic_upper_ln(n)), n
+            ONE + ln_bounds(n)[1]), n
     for a in ns:
         for b in (a, a + 63, 2 * a, a + rng.randrange(1, 1 << 100)):
-            # harmonic_range_lower_ln(a, b) <= ln((b+1)/a) < H(b) - H(a-1)
-            lower = exact(harmonic_range_lower_ln(a, b))
+            # ln_lo(b + 1) - ln_hi(a) <= ln((b+1)/a) < H(b) - H(a-1)
+            lower = exact(ln_bounds(b + 1)[0] - ln_bounds(a)[1])
             assert lower <= ctx.log(b + 1) - ctx.log(a), (a, b)
             assert lower < ctx.harmonic(b) - ctx.harmonic(a - 1), (a, b)
 

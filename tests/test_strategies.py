@@ -22,7 +22,7 @@ from prisoners.sequences import (
     ZeroTail, builtin_model,
 )
 from prisoners.strategies import (
-    StrategyDescriptor, build_baseline_geometric,
+    HarmonicAffine, StrategyDescriptor, build_baseline_geometric,
     build_bounded_diameter_strategy, build_bounded_length_strategy,
     build_cycle_informed_strategy, build_tail_sum_strategy,
     build_v2_strategy,
@@ -278,11 +278,56 @@ def test_v2_amount_bounds_are_typed_affine_bounds():
     shifted = build_v2_strategy("shifted-harmonic", k=40).amount_upper_pow2
     assert shifted.intercept < ZERO and shifted(2) == ZERO
     assert shifted(40) == shifted.intercept + 40 * LN2_HI
-    with pytest.raises(DomainError, match="must be an AffineBound"):
-        FnAllocation("ones", lambda n: ONE, amount_upper_pow2=lambda E: ONE)
-    bound = AffineBound(ONE, ZERO)
-    ones = FnAllocation("ones", lambda n: ONE, amount_upper_pow2=bound)
-    assert ones.amount_upper_pow2 is bound
+    # the fixed-price form builds its own bound; other plans carry none
+    ones = build_v2_strategy("constant1")
+    assert isinstance(ones, HarmonicAffine)
+    assert ones.amount_upper_pow2 == AffineBound(ONE, ZERO)
+    assert FnAllocation("ones", lambda n: ONE).amount_upper_pow2 is None
+
+
+# the kinds test_golden pins: every fixed-price family, and a log shift
+# whose cutoff 1318815733 is past the exact prefix floor
+V2_KINDS = [
+    ("constant1", {}), ("harmonic-prefix", {}),
+    ("shifted-harmonic", {"k": 3}), ("shifted-harmonic", {"k": 40}),
+    ("log-shift", {"K": 1}), ("log-shift", {"K": 2}),
+    ("log-shift", {"K": rat(7, 2)}), ("log-shift", {"K": rat(20)}),
+    ("scaled", {"c": 0}), ("scaled", {"c": rat(1, 3)}),
+    ("scaled", {"c": rat(1, 2)}), ("scaled", {"c": rat(9, 10)}),
+    ("scaled", {"c": rat(99, 100)}),
+]
+
+
+@pytest.mark.parametrize("kind, params", V2_KINDS, ids=[
+    f"{kind}{''.join(f'-{v}' for v in params.values())}"
+    for kind, params in V2_KINDS])
+def test_v2_derived_facts_agree_with_the_amounts(kind, params):
+    alloc = build_v2_strategy(kind, **params)
+    c, start, e = alloc.c, alloc.start, alloc.e
+    # the amounts against plain sums of the form
+    amounts, harmonic = [], Fraction(0)
+    for n in range(1, 601):
+        harmonic += Fraction(1, n) if n >= start else 0
+        amounts.append(c * harmonic + e if n >= start else ZERO)
+    assert [alloc.amount(n) for n in range(1, 601)] == amounts
+    # the shape against the amounts on [1, 600]
+    pairs = list(zip(amounts, amounts[1:]))
+    if alloc.tail_structure == NonDecreasing():
+        assert all(a <= b for a, b in pairs)
+    else:
+        assert alloc.tail_structure == NonIncreasingBeyond(start, True)
+        assert all(a >= b > ZERO for a, b in pairs[start - 1:])
+    # the bound at E against the amount at 2^E, across the exact prefix
+    # table's end at 5000
+    for E in range(14):
+        assert alloc.amount(2 ** E) <= alloc.amount_upper_pow2(E), E
+    # amounts that never fall from a positive one diverge; none is zero
+    positive = alloc.amount(max(start, 600)) > ZERO
+    assert positive == (c > ZERO or e > ZERO)
+    if positive:
+        assert alloc.total_cert.kind == "divergent"
+    else:
+        assert alloc.total_cert == ExactTotal(ZERO) and not any(amounts)
 
 
 def test_v2_shifted_harmonic():
