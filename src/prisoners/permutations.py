@@ -324,12 +324,30 @@ class CyclePlan:
         return CyclePlan(mapped, name=name or f"{self.name}@{delta.name}")
 
 
+# A window opens at most horizon * (longest cycle) boxes, and a report keeps
+# about 26 bytes per opened box (one 3000-member zero-price cycle, every row
+# going round it, took 234 MiB), so 10^7 boxes stay near 260 MiB, and every
+# horizon up to 10^6 passes in cycles of the default 6 members.
+OPENED_BOX_CAP = 10**7
+
+
+def _check_opened_boxes(horizon: int, longest: int) -> None:
+    """Refuse a random plan whose window could open too many boxes."""
+    longest = min(longest, horizon)
+    if horizon * longest > OPENED_BOX_CAP:
+        raise DomainError(
+            f"{horizon} prisoners in cycles of up to {longest} members "
+            f"could open {horizon * longest} boxes, past the cap of "
+            f"{OPENED_BOX_CAP}")
+
+
 def random_plan(horizon: int, max_len: int, seed: int,
                 name: Optional[str] = None) -> CyclePlan:
     """Random partition of [1, horizon] into cycles of length <= max_len."""
     if not (isinstance(horizon, int) and isinstance(max_len, int)
             and horizon >= 1 and max_len >= 1):
         raise DomainError("horizon and max_len must be integers >= 1")
+    _check_opened_boxes(horizon, max_len)
     rng = random.Random(("plan", horizon, max_len, seed).__repr__())
     pool = list(range(1, horizon + 1))
     rng.shuffle(pool)
@@ -350,6 +368,7 @@ def random_bounded_diameter_plan(horizon: int, diameter: int, seed: int,
             and horizon >= 1 and diameter >= 0):
         raise DomainError("horizon must be an integer >= 1 and diameter "
                           "an integer >= 0")
+    _check_opened_boxes(horizon, diameter + 1)
     rng = random.Random(("banded", horizon, diameter, seed).__repr__())
     cycles = []
     n = 1

@@ -15,11 +15,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prisoners import registry
 from prisoners.cli import (
-    _ADVERSARIES, HORIZON_CAP, MAX_LEN_CAP, ScenarioConfig, _adversary_plan,
+    _ADVERSARIES, HORIZON_CAP, ScenarioConfig, _adversary_plan,
     _capped, _split_spec, _value, main, parse_model, parse_strategy,
 )
 from prisoners.engine import VARIANTS
-from prisoners.permutations import parse_plan
+from prisoners.errors import DomainError
+from prisoners.permutations import (
+    OPENED_BOX_CAP, _check_opened_boxes, parse_plan,
+)
 from prisoners.registry import THEOREM_KEYS
 
 SIM = ["simulate", "--variant", "V1a", "--model", "geometric",
@@ -270,17 +273,21 @@ HUGE = "100000000000000000000"
 
 @pytest.mark.parametrize("argv, message", [
     (SIM[:-1] + [HUGE], "the horizon is capped at 1000000, not " + HUGE),
-    (SIM[:8] + [f"random:max_len={HUGE}", "--horizon", "40"],
-     "max_len is capped at 10000"),
-    (SIM[:8] + [f"banded:d={HUGE}", "--horizon", "40"],
-     "d is capped at 10000"),
+    (SIM[:8] + ["random:max_len=10000", "--horizon", "1000000"],
+     "1000000 prisoners in cycles of up to 10000 members could open "
+     "10000000000 boxes, past the cap of 10000000"),
+    (SIM[:8] + [f"banded:d={HUGE}", "--horizon", "100000"],
+     "in cycles of up to 100000 members could open 10000000000 boxes"),
     (["verify", "tail-sum-strategy", f"horizon={HUGE}"], "at most 100000"),
     (["verify", "bounded-length-v1a", f"horizon={HUGE}00"],
      "at most 100000"),
     (["verify", "v2b-no-strategy", f"horizon={HUGE}"], "at most 100000"),
     (["verify", "tail-sum-strategy", f"plans={HUGE}"], "at most 100000"),
+    (["verify", "tail-sum-strategy", "horizon=100000", "max_len=100000"],
+     "could open 10000000000 boxes"),
 ], ids=["horizon", "max_len", "banded-d", "tail-sum-horizon",
-        "bounded-length-horizon", "v2b-horizon", "tail-sum-plans"])
+        "bounded-length-horizon", "v2b-horizon", "tail-sum-plans",
+        "tail-sum-boxes"])
 def test_oversized_counts_are_refused_before_any_work(capsys, argv, message):
     start = time.perf_counter()
     assert run(argv) == 2
@@ -301,7 +308,11 @@ def test_a_config_file_horizon_is_capped_too(tmp_path, capsys):
 def test_the_caps_themselves_are_allowed():
     # checked without running anything at the cap
     assert _capped("the horizon", HORIZON_CAP, HORIZON_CAP) == HORIZON_CAP
-    assert _capped("max_len", MAX_LEN_CAP, MAX_LEN_CAP) == MAX_LEN_CAP
+    # the horizon cap in cycles of the default 6 members opens 6 * 10^6
+    _check_opened_boxes(HORIZON_CAP, 6)
+    _check_opened_boxes(OPENED_BOX_CAP // 10, 10)
+    with pytest.raises(DomainError, match="could open 10000010 boxes"):
+        _check_opened_boxes(OPENED_BOX_CAP // 10 + 1, 10)
     cap = registry._COUNT_CAP
     assert registry._merge({"horizon": 48}, {"horizon": cap}) == {
         "horizon": cap}
@@ -819,9 +830,16 @@ def test_fuzzed_verify_parameters_name_every_registry_key():
     assert list(_VERIFY_PARAMS) == list(THEOREM_KEYS)
 
 
+# registry keys whose random plans take their longest cycle from a parameter
+_BOX_PARAMS = {"tail-sum-strategy": "max_len", "rearranged-strategy": "max_len",
+               "bounded-length-v1a": "k", "bounded-diameter-v1b": "d",
+               "open-boxes-v1c": "k", "v1d-bounded": "k"}
+
+
 @st.composite
 def _command_lines(draw):
-    """(argv, {placeholder: file bytes}) for one bounded CLI run."""
+    """(argv, {placeholder: file bytes}, refused) for one bounded CLI run;
+    refused runs draw a count past a cap, so they must exit 2 at once."""
     command = draw(st.sampled_from(["simulate", "verify", "adversary",
                                     "analyze"]))
     files = {}
@@ -850,8 +868,31 @@ def _command_lines(draw):
         order = draw(st.none() | st.lists(st.integers(0, 12), max_size=4))
         if order is not None:
             argv += ["--entry-order", ",".join(map(str, order))]
-        return argv, files
+        if not draw(st.integers(0, 5)):
+            # past the horizon cap, or a random plan whose window could
+            # open more boxes than the plans admit
+            horizon = draw(st.integers(10 ** 4, 2 * HORIZON_CAP))
+            longest = draw(st.integers(OPENED_BOX_CAP // horizon + 1,
+                                       10 ** 30))
+            argv[argv.index("--plan") + 1] = draw(st.sampled_from(
+                ["random:max_len={}", "banded:d={}"])).format(longest)
+            argv[argv.index("--horizon") + 1] = str(horizon)
+            return argv, files, True
+        return argv, files, False
     if command == "verify":
+        seed = ["--seed", str(draw(st.integers(0, 3)))]
+        if not draw(st.integers(0, 5)):
+            # a count past the registry's cap, or a horizon and cycle
+            # length under it whose windows could open too many boxes
+            key, length = draw(st.sampled_from(sorted(_BOX_PARAMS.items())))
+            count = draw(st.integers(registry._COUNT_CAP + 1, 10 ** 30))
+            horizon = draw(st.integers(10 ** 4, registry._COUNT_CAP))
+            longest = draw(st.integers(OPENED_BOX_CAP // horizon + 1,
+                                       registry._COUNT_CAP))
+            params = draw(st.sampled_from([
+                [f"{draw(st.sampled_from(_VERIFY_PARAMS[key]))}={count}"],
+                [f"horizon={horizon}", f"{length}={longest}"]]))
+            return ["verify", key, *params, *seed], files, True
         key = draw(st.sampled_from([*_VERIFY_PARAMS, "sideways"]))
         params = draw(st.lists(st.builds(
             lambda k, v: f"{k}={v}",
@@ -860,19 +901,18 @@ def _command_lines(draw):
                       st.sampled_from(["1/2", "constant1", "scaled:1/2",
                                        "abc"]))),
             max_size=3))
-        return ["verify", key, *params,
-                "--seed", str(draw(st.integers(0, 3)))], files
+        return ["verify", key, *params, *seed], files, False
     if command == "adversary":
         return ["adversary", draw(_ADVERSARY_KINDS),
                 "--model", table_file(draw(_MODELS), "@MODEL"),
                 "--strategy", table_file(draw(_STRATEGIES), "@ALLOC"),
-                "--cycles", str(draw(st.integers(-1, 6)))], files
+                "--cycles", str(draw(st.integers(-1, 6)))], files, False
     return ["analyze", "--model", table_file(draw(_MODELS), "@MODEL"),
             "--mode", draw(st.sampled_from(["min", "existence", "dominance",
                                             "zero-omission", "sideways"])),
             "--m", str(draw(st.integers(-1, 9))),
             "--trials", str(draw(st.integers(0, 40))),
-            "--seed", str(draw(st.integers(0, 3)))], files
+            "--seed", str(draw(st.integers(0, 3)))], files, False
 
 
 @given(_command_lines())
@@ -881,7 +921,8 @@ def _command_lines(draw):
 def test_every_command_line_keeps_the_exit_code_contract(case):
     # 0 confirmed, 1 only after a verdict or failed check was printed,
     # 2 for usage errors, and never a traceback
-    argv, files = case
+    argv, files, refused = case
+    start = time.perf_counter()
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for placeholder, data in files.items():
@@ -896,6 +937,8 @@ def test_every_command_line_keeps_the_exit_code_contract(case):
             except Exception:
                 pytest.fail(f"{argv} raised\n{traceback.format_exc()}")
     assert code in (0, 1, 2)
+    if refused:
+        assert code == 2 and time.perf_counter() - start < 1, argv
     assert "Traceback" not in err.getvalue()
     assert "internal error" not in err.getvalue()
     if code == 1:

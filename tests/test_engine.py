@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prisoners import registry
+from prisoners import adversaries, registry
 from prisoners.adversaries import good_index_adversary
 from prisoners.cli import main
 from prisoners.engine import (
@@ -38,7 +38,7 @@ from prisoners.sequences import (
 )
 from prisoners.strategies import (
     build_baseline_geometric, build_bounded_diameter_strategy,
-    build_bounded_length_strategy,
+    build_bounded_length_strategy, build_v2_strategy,
 )
 
 GEO = builtin_model("geometric", ratio=rat(1, 2))
@@ -1034,6 +1034,38 @@ def test_v2a_strategies_fail_on_halved_prefix_sums(monkeypatch):
             > sum(Fraction(1, j) for j in range(1, max(c) + 1)) / 2
             for c in _window(random_plan(40, 4, i), 40)))
     assert expected and report.witnesses == expected
+
+
+def test_scaled_gap_fails_on_gaps_one_index_late(monkeypatch):
+    gap = registry.scaled_harmonic_gap
+    monkeypatch.setattr(registry, "scaled_harmonic_gap",
+                        lambda k, c: gap(k, c) + 1)
+    report = verify_theorem("scaled-gap")
+    assert report.passed is False
+    assert report.witnesses == ("gap(2,1/2) = 5", "gap(1,1/2) = 2",
+                                "gap(1,99/100) = 2", "gap(5,1/2) = 37")
+
+
+def test_v2b_no_strategy_fails_on_blocks_ending_one_index_early(
+        monkeypatch):
+    least_end = adversaries._least_block_end
+
+    def early(anchor, target_fn, end_cap):
+        found = least_end(anchor, target_fn, end_cap)
+        if found is None or found[0] == anchor:
+            return found
+        return found[0] - 1, HARMONIC.range_sum(anchor, found[0] - 1)
+    monkeypatch.setattr(adversaries, "_least_block_end", early)
+    report = verify_theorem("v2b-no-strategy")
+    assert report.passed is False
+    assert report.witnesses == ("constant1: Inconclusive",
+                                "harmonic-prefix: Inconclusive")
+    # the shortened blocks no longer outprice their anchors
+    alloc = build_v2_strategy("constant1")
+    plan = adversaries.v2b_block_adversary(alloc)
+    window = simulate("V2b", HARMONIC, alloc, plan, 520)
+    won = {o.prisoner for o in window.outcomes if o.success}
+    assert won & {min(c) for c in window.cycles if len(c) > 1}
 
 
 # ---------------------------------------------------------------------------
