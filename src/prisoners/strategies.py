@@ -341,21 +341,22 @@ class HarmonicAffine(AllocationPlan):
         self._memo: dict[int, Rat] = {}
 
     def amount(self, n: int) -> Rat:
-        if n < self.start:
-            if n < 1:
-                raise DomainError("indices start at 1")
-            return ZERO
-        if self._flat:
-            return self.e
         got = self._memo.get(n)
         if got is None:
-            # summed from start, so a huge start never needs H(start - 1)
-            got = (HARMONIC.prefix_sum(n) if self.start == 1
-                   else HARMONIC.range_sum(self.start, n))
-            if self._scaled:
-                got = self.c * got
-            if self._shifted:
-                got += self.e
+            if n < 1:
+                raise DomainError("indices start at 1")
+            if n < self.start:
+                got = ZERO
+            elif self._flat:
+                got = self.e
+            else:
+                # summed from start, so a huge start never needs H(start - 1)
+                got = (HARMONIC.prefix_sum(n) if self.start == 1
+                       else HARMONIC.range_sum(self.start, n))
+                if self._scaled:
+                    got = self.c * got
+                if self._shifted:
+                    got += self.e
             if len(self._memo) < 200_000:
                 self._memo[n] = got
         return got
