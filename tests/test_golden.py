@@ -325,25 +325,47 @@ V2_KINDS = V2_FAMILY + [("log-shift", {"K": rat(20)})]
 V2_AMOUNT_INDICES = [*range(1, 21), 4999, 5000, 5001]
 
 
-def v2_allocation_facts_text() -> str:
-    lines = []
+def _claim_text(claim) -> str:
+    # NO_CLAIM's default repr holds an address
+    return "NoClaim" if claim is engine.NO_CLAIM else repr(claim)
+
+
+def v2_allocation_texts() -> tuple:
+    """Each fixed-price kind's facts, its descriptor JSON and its claim line.
+
+    The descriptor JSON and the claim are pinned apart from the facts, so
+    the facts and the claim stay fixed when the descriptor goes.
+    """
+    facts, descriptors, claims = [], [], []
     for kind, params in V2_KINDS:
         alloc = strategies.build_v2_strategy(kind, **params)
-        lines += [
-            f"{alloc.name} {alloc.descriptor.to_json()}",
+        descriptors.append(f"{alloc.name} {alloc.descriptor.to_json()}")
+        claims.append(f"{alloc.name} claim "
+                      f"{_claim_text(alloc.descriptor.claim)}")
+        facts += [
+            alloc.name,
             "amounts " + " ".join(_value_text(alloc.amount(n))
                                   for n in V2_AMOUNT_INDICES),
             f"structure {alloc.tail_structure!r} "
             f"total {_cert_text(alloc.total_cert)}",
             f"bound {alloc.amount_upper_pow2!r}"]
-    return "\n".join(lines) + "\n"
+    return tuple("\n".join(part) + "\n"
+                 for part in (facts, descriptors, claims))
 
 
 def test_v2_allocation_facts():
     # recorded while each fixed-price kind declared its own total, shape
-    # and power-of-two bound
-    assert digest(v2_allocation_facts_text()) == (
-        "66c03f6654c10fdc8b49f8fe6fac706ed1283ccc66ff1818ae9df9bc0cfbbc19")
+    # and power-of-two bound (66c03f66... with the descriptor JSON on each
+    # name line), then with the descriptor JSON split out
+    facts, _descriptors, _claims = v2_allocation_texts()
+    assert digest(facts) == (
+        "020cee7e3a4d4f00f0688299935847b7dffcc726e185832618c424bc5b26e96e")
+
+
+def test_v2_descriptor_json():
+    _facts, descriptors, _claims = v2_allocation_texts()
+    assert digest(descriptors) == (
+        "c21a31764c496a4e5b80b95e6af1c2dc31654bbec850b61912adedc5dbca6645")
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +560,7 @@ def _allocation_lines(name, table, rule):
 
 def _plan_lines(alloc, m) -> list:
     return [f"m {m}", f"descriptor {alloc.descriptor.to_json()}",
+            f"claim {_claim_text(alloc.descriptor.claim)}",
             "amounts " + " ".join(rat_str(alloc.amount(n))
                                   for n in range(1, 21)),
             f"structure {alloc.tail_structure!r}",
@@ -616,18 +639,24 @@ DUMP_PREFIXES = ("dump_model ", "dump_allocation ")
 
 
 def tail_rules_canonical_texts() -> tuple:
-    """The canonical text without MOVED_BLOCKS or table dumps, those blocks
-    alone, and every dump_model and dump_allocation line.
+    """The canonical text without MOVED_BLOCKS, table dumps, descriptors or
+    claims, those blocks alone, every dump_model and dump_allocation line,
+    every builder's descriptor JSON and every builder's claim.
 
     The dumps are pinned apart so a change of the text format moves only
-    their digest.
+    their digest; the descriptors and claims so that the rest stays fixed
+    when the descriptor goes.  A claim line names its model and block.
     """
-    kept, moved, dumps = [], [], []
+    kept, moved, dumps, descriptors, claims = [], [], [], [], []
 
     def add(lines, model=None, block=None):
         for line in lines:
             if line.startswith(DUMP_PREFIXES):
                 dumps.append(line)
+            elif line.startswith("descriptor "):
+                descriptors.append(line)
+            elif line.startswith("claim "):
+                claims.append(f"{model.name} {block} {line}")
             elif model is not None and (model.name, block) in MOVED_BLOCKS:
                 moved.append(line)
             else:
@@ -642,21 +671,38 @@ def tail_rules_canonical_texts() -> tuple:
     for model in _tail_models():
         for block, lines in _builder_blocks(model):
             add(lines, model, block)
-    return tuple("\n".join(part) + "\n" for part in (kept, moved, dumps))
+    return tuple("\n".join(part) + "\n"
+                 for part in (kept, moved, dumps, descriptors, claims))
 
 
 def test_tail_rule_and_bracket_values_bytes():
-    kept, moved, _dumps = tail_rules_canonical_texts()
+    # recorded before the descriptor and claim lines were split out:
+    # kept 382ef5f1..., moved 3c97ea15...
+    kept, moved, *_rest = tail_rules_canonical_texts()
     assert digest(kept) == (
-        "382ef5f1b304ec6320e9743efe7c9daf098a4eff4a0a31f38019108feedad172")
+        "27983ad2fa867a708434a017d2daac3b2261f556107c5ebd43d929222031eb00")
     assert digest(moved) == (
-        "3c97ea1553c010f94dd2cecec3ac2b56d1cb7219dfb4ccb0273d5586e1e2a668")
+        "53b40c4ef0da5c0212e1069c3d7f8b7db5e8c0a1e7e2ad5004bea749a6cd4955")
 
 
 def test_table_dump_bytes():
-    *_rest, dumps = tail_rules_canonical_texts()
+    _kept, _moved, dumps, *_rest = tail_rules_canonical_texts()
     assert digest(dumps) == (
         "2be5304ac23038305401cac95346106fb8fe29719c86049ec9dfef701e437c38")
+
+
+def test_builder_descriptor_json():
+    *_rest, descriptors, _claims = tail_rules_canonical_texts()
+    assert digest(descriptors) == (
+        "7192586e80007a8e008f997172d75ca10af888e8dd59f6ca1cc471911fbd1856")
+
+
+def test_claim_bytes():
+    # every builder block's claim, then every fixed-price kind's
+    *_rest, builder_claims = tail_rules_canonical_texts()
+    *_rest, v2_claims = v2_allocation_texts()
+    assert digest(builder_claims + v2_claims) == (
+        "dffc9ea2b8f892ec6cbe0921b439d0d592be5cd15ff5d27443633d0e8d84944b")
 
 
 # Witness logs, recorded before the guard streams yielded (cycle, witness)
