@@ -30,10 +30,9 @@ from .permutations import (
     random_plan,
 )
 from .strategies import (
-    StrategyDescriptor, build_baseline_geometric,
-    build_bounded_diameter_strategy, build_bounded_length_strategy,
-    build_cycle_informed_strategy, build_tail_sum_strategy,
-    build_v2_strategy,
+    build_baseline_geometric, build_bounded_diameter_strategy,
+    build_bounded_length_strategy, build_cycle_informed_strategy,
+    build_tail_sum_strategy, build_v2_strategy,
 )
 from .adversaries import (
     divergence_witness, good_index_adversary, scaled_harmonic_gap,

@@ -4,7 +4,7 @@ A prisoner walks their pointer chain box by box, paying each closed box's
 price out of their own amount; the walk either closes their whole cycle or
 dies where the money runs out.  Simulation scores every prisoner whose cycle
 is fully inside the window and renders a verdict against the claim object
-a builder descriptor or a guard plan carries.  The claim classes live here,
+an allocation or a guard plan carries.  The claim classes live here,
 next to their judge: builder claims name the members of each cycle promised
 to succeed, guard claims the members promised to fail.
 
@@ -324,8 +324,8 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
     failures.  Open boxes persist across prisoners only when the variant
     says so, in ascending order unless an explicit entry order is given.
     The verdict is rendered against the guard's claim when the plan
-    carries one, else against the claim of the allocation's descriptor,
-    else against NO_CLAIM.
+    carries one, else against the allocation's claim, else against
+    NO_CLAIM.
     """
     v = get_variant(variant)
     if not isinstance(horizon, int) or horizon < 1:
@@ -378,7 +378,7 @@ def simulate(variant, model: PriceModel, alloc: AllocationPlan,
                            for members in cycles)
 
     ordered = tuple(outcomes[n] for n in sorted(outcomes))
-    claim = plan.claim or getattr(alloc.descriptor, "claim", NO_CLAIM)
+    claim = plan.claim or alloc.claim or NO_CLAIM
     report = SimulationReport(
         variant=v.id, horizon=horizon, outcomes=ordered,
         success_count=sum(1 for o in ordered if o.success),

@@ -433,7 +433,7 @@ def _k_v1d_bounded(params, seed) -> VerificationReport:
         alloc = build_cycle_informed_strategy(GEO_HALF, plan, p["k"])
         report = simulate("V1d", GEO_HALF, alloc, plan, p["horizon"])
         won = {o.prisoner: o.success for o in report.outcomes}
-        late = [c for c in report.cycles if min(c) >= alloc.descriptor.m]
+        late = [c for c in report.cycles if min(c) >= alloc.claim.cutoff]
         if (report.verdict != "PatternConfirmed"
                 or not all(won[x] for c in late for x in c)):
             bad.append(i)
@@ -450,7 +450,7 @@ def _k_v2a(params, seed) -> VerificationReport:
     winners = [build_v2_strategy("harmonic-prefix"),
                build_v2_strategy("shifted-harmonic", k=5),
                build_v2_strategy("log-shift", K=p["K"])]
-    kcut = winners[2].descriptor.params["k"]
+    kcut = winners[2].start
     if HARMONIC.prefix_sum(kcut + 1) < Rat(p["K"]) + 1:
         bad.append("log-shift cutoff too small")
     for alloc in winners:

@@ -757,14 +757,15 @@ class AffineBound:
 class AllocationPlan:
     """How much money prisoner n carries.
 
-    Builders fill in the descriptor naming who is promised to succeed.
+    Builders set claim, the engine's claim object naming who is promised
+    to succeed; None means no promise.
     Fixed-price plans (strategies.HarmonicAffine) also derive
     amount_upper_pow2, an AffineBound on the amount at index 2**E; other
     plans carry None there.
     """
 
     name: str = "allocation"
-    descriptor = None
+    claim = None
     amount_upper_pow2: Optional[AffineBound] = None
     total_cert = UnknownTotal()
     tail_structure = Unstructured()
@@ -828,9 +829,9 @@ class FnAllocation(AllocationPlan):
     """Allocation given by a closed-form function with declared structure."""
 
     def __init__(self, name: str, fn: Callable[[int], "Rat"],
-                 total_cert=None, tail_structure=None, descriptor=None):
+                 total_cert=None, tail_structure=None, claim=None):
         self.name = name
-        self.descriptor = descriptor
+        self.claim = claim
         self._fn = fn
         if total_cert is not None:
             self.total_cert = total_cert

@@ -1,14 +1,12 @@
 """Allocation builders, one per constructive winning strategy.
 
 Each builder turns a certified hypothesis about the price sequence into an
-explicit allocation plan plus the cutoff index it was chosen for, and tags
-the plan with a descriptor whose claim names who is promised to succeed.
+explicit allocation plan plus the cutoff index it was chosen for, and hands
+the plan the claim naming who is promised to succeed.
 """
 from __future__ import annotations
 
 import dataclasses
-import json
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import (
@@ -27,31 +25,13 @@ from .sequences import (
 )
 
 __all__ = [
-    "StrategyDescriptor", "build_baseline_geometric",
+    "build_baseline_geometric",
     "build_tail_sum_strategy", "build_bounded_length_strategy",
     "build_bounded_diameter_strategy", "build_cycle_informed_strategy",
     "HarmonicAffine", "build_v2_strategy",
 ]
 
 _SEARCH_CAP = 1_000_000
-
-
-@dataclass
-class StrategyDescriptor:
-    """What was built, from which parameters, and who is promised to win."""
-
-    builder: str
-    params: dict = field(default_factory=dict)
-    m: Optional[int] = None
-    claim: object = NO_CLAIM  # not in the JSON, which cannot restore it
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"builder": self.builder, "params": self.params, "m": self.m})
-
-
-def _relabeling_pairs(delta: Relabeling):
-    return sorted([p, v] for p, v in delta.placements.items())
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +96,7 @@ def build_baseline_geometric() -> AllocationPlan:
         "baseline-geometric", amount,
         total_cert=ExactTotal(ONE),
         tail_structure=NonIncreasingBeyond(2, positive=True),
-        descriptor=StrategyDescriptor("baseline-geometric", {}, m=2,
-                                      claim=LeastMember(2)))
+        claim=LeastMember(2))
 
 
 def build_tail_sum_strategy(model: PriceModel, delta: Optional[Relabeling]
@@ -151,14 +130,10 @@ def build_tail_sum_strategy(model: PriceModel, delta: Optional[Relabeling]
         structure = NonIncreasingBeyond(m, positive=True)
     else:
         structure = ZeroBeyond(max(top, m - 1, 1))
-    params = {"model": model.name, "total": rat_str(total)}
-    if not delta.is_identity:
-        params["relabeling"] = _relabeling_pairs(delta)
     alloc = FnAllocation(
         f"tail-sum[{model.name}]", amount,
         total_cert=ExactTotal(total), tail_structure=structure,
-        descriptor=StrategyDescriptor("tail-sum", params, m=m,
-                                      claim=LeastMember(m)))
+        claim=LeastMember(m))
     return alloc, m
 
 
@@ -194,11 +169,7 @@ def build_bounded_length_strategy(model: PriceModel, k: int, total=ONE):
     alloc = FnAllocation(
         f"bounded-length[{model.name},k={k}]", amount,
         total_cert=_total_cert_from_tail(scaled_tail(m)),
-        tail_structure=structure,
-        descriptor=StrategyDescriptor(
-            "bounded-length",
-            {"model": model.name, "k": k, "total": rat_str(total)}, m=m,
-            claim=MaxPriceMember(m)))
+        tail_structure=structure, claim=MaxPriceMember(m))
     return alloc, m
 
 
@@ -241,15 +212,10 @@ def build_bounded_diameter_strategy(model: PriceModel, d: int,
     else:
         structure = NonIncreasingBeyond(
             max(floor + 1, delta.support_bound + 1), positive=True)
-    params = {"model": model.name, "d": d, "total": rat_str(total)}
-    if not delta.is_identity:
-        params["relabeling"] = _relabeling_pairs(delta)
     alloc = FnAllocation(
         f"bounded-diameter[{model.name},d={d}]", fn,
         total_cert=ExactTotal(work.second_tail(m + 1)),
-        tail_structure=structure,
-        descriptor=StrategyDescriptor("bounded-diameter", params, m=m,
-                                      claim=AboveThreshold(m + d, delta)))
+        tail_structure=structure, claim=AboveThreshold(m + d, delta))
     return alloc, m
 
 
@@ -304,10 +270,7 @@ def build_cycle_informed_strategy(model: PriceModel, plan, k: int,
             model.tail(m) + (rat_sum(charged) - rat_sum(listed)))
     return FnAllocation(
         f"cycle-informed[{model.name}]", amount, total_cert=total_cert,
-        descriptor=StrategyDescriptor(
-            "cycle-informed",
-            {"model": model.name, "k": k, "total": rat_str(total),
-             "plan": plan.name}, m=m, claim=CycleMembers(m)))
+        claim=CycleMembers(m))
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +283,16 @@ class HarmonicAffine(AllocationPlan):
     are 0, amounts are constant from start on when c is 0 and never fall
     otherwise, and H(2**E) <= 1 + E ln 2 bounds the amount at 2**E by
     c * (1 - H(start - 1) + E * LN2_HI) + e, with ln(start) below
-    H(start - 1) standing in for it when start is huge.
+    H(start - 1) standing in for it when start is huge.  With c = 1 the
+    last member of a cycle past start is promised to succeed; no other
+    form promises anyone.
     """
 
-    def __init__(self, name: str, c: Rat, start: int, e: Rat,
-                 descriptor: StrategyDescriptor):
+    def __init__(self, name: str, c: Rat, start: int, e: Rat):
         if c < ZERO or e < ZERO:
             raise DomainError("amounts must be nonnegative")
-        self.name, self.descriptor = name, descriptor
-        self.c, self.start, self.e = c, start, e
+        self.name, self.c, self.start, self.e = name, c, start, e
+        self.claim = LastMember(start) if c == ONE else NO_CLAIM
         floor = (HARMONIC.prefix_sum(start - 1) if start - 1 <= 100_000
                  else ln_bounds(start)[0])
         self.amount_upper_pow2 = AffineBound(c * (ONE - floor) + e,
@@ -392,8 +356,7 @@ def build_v2_strategy(kind: str, **params) -> HarmonicAffine:
     kinds and their (c, start, e): constant1 (0, 1, 1), harmonic-prefix
     (1, 1, 0), shifted-harmonic k and log-shift K (1, k, 0), where log-shift
     takes the least k with H(k + 1) certified >= K + 1, and scaled c
-    (c, 1, 0).  With c = 1 the last member of a cycle past k is promised
-    to succeed.
+    (c, 1, 0).
     """
     wanted = _V2_PARAMS.get(kind)
     if wanted is None:
@@ -402,32 +365,26 @@ def build_v2_strategy(kind: str, **params) -> HarmonicAffine:
         raise DomainError(
             f"{kind} takes {', '.join(wanted) or 'no parameters'}, "
             f"not {', '.join(sorted(params)) or 'none'}")
-    c, start, e, label, shown = ONE, 1, ZERO, "", {}
+    c, start, e, label = ONE, 1, ZERO, ""
     if kind == "constant1":
         c, e = ZERO, ONE
-    elif kind == "harmonic-prefix":
-        shown = {"k": 1}
     elif kind == "shifted-harmonic":
         start = params["k"]
         if not isinstance(start, int) or start < 1:
             raise DomainError("shifted-harmonic needs an integer k >= 1")
-        label, shown = f"[{start}]", {"k": start}
+        label = f"[{start}]"
     elif kind == "log-shift":
         K = Rat(params["K"])
         if K < ZERO:
             raise DomainError("the shift constant must be nonnegative")
-        start, exact = _log_shift_cutoff(K)
+        start = _log_shift_cutoff(K)[0]
         label = f"[{rat_str(K)}]"
-        shown = {"K": rat_str(K), "k": start, "minimal": exact}
-    else:
+    elif kind == "scaled":
         c = Rat(params["c"])
         if c >= ONE:
             raise DomainError(
                 "scaled prefix amounts with factor >= 1 are a different game")
         if c < ZERO:
             raise DomainError("the scale factor must be nonnegative")
-        label, shown = f"[{rat_str(c)}]", {"c": rat_str(c)}
-    claim = LastMember(start) if c == ONE else NO_CLAIM
-    return HarmonicAffine(
-        f"v2-{kind}{label}", c, start, e,
-        StrategyDescriptor("v2", {"kind": kind, **shown}, claim=claim))
+        label = f"[{rat_str(c)}]"
+    return HarmonicAffine(f"v2-{kind}{label}", c, start, e)

@@ -192,7 +192,7 @@ def test_09_fixed_price_strategies_and_their_limits():
         for alloc in winners:
             report = simulate("V2a", HARMONIC, alloc, plan, 3000)
             assert report.verdict == "PatternConfirmed", (alloc.name, seed)
-            cutoff = alloc.descriptor.claim.cutoff
+            cutoff = alloc.claim.cutoff
             won = success_map(report)
             for members in report.cycles:
                 if min(members) >= cutoff:

@@ -421,7 +421,7 @@ def test_reports_serialize_deterministically():
         assert re.fullmatch(r"-?\d+/\d+", entry["spent"])
 
 
-def test_guard_claims_outrank_builder_descriptors():
+def test_guard_claims_outrank_builder_claims():
     invsq = builtin_model("inverse-square")
     base = build_baseline_geometric()
     plan = good_index_adversary(invsq, base)
@@ -935,15 +935,15 @@ def test_verify_prints_fail_and_exits_one_for_an_analyzer_fault(
 # ---------------------------------------------------------------------------
 # the builder-claim keys can fail
 #
-# Each fault halves the amounts a builder hands out while its descriptor
+# Each fault halves the amounts a builder hands out while the allocation
 # keeps the claim, so the judge, not the builder, has to see the shortfall.
 
 def _halved(alloc, cut=1):
-    """alloc with every amount from index cut on halved, same descriptor."""
+    """alloc with every amount from index cut on halved, same claim."""
     return FnAllocation(
         f"{alloc.name}/2",
         lambda n: alloc.amount(n) / 2 if n >= cut else alloc.amount(n),
-        descriptor=alloc.descriptor)
+        claim=alloc.claim)
 
 
 def _halve_pair(monkeypatch, name):
@@ -1113,8 +1113,9 @@ def test_no_module_names_another_rational_backend():
 # names whose duplicates the shared harmonic table, least_index, table
 # models, declared allocation shapes and numeric.lcm_units replaced, the
 # helpers that asked which tail rule a model held, and the scope and kind
-# strings (with their judges) that typed claim objects replaced, and the
-# harmonic log helpers that only tests called
+# strings (with their judges) that typed claim objects replaced, the
+# harmonic log helpers that only tests called, and the builder descriptor
+# that each allocation's own claim replaced
 RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
                  "_hsum", "_validate_tail_rule", "_tails_exact",
                  "_table_sum_from", "cycle_no", "_tail_rule", "max_term_in",
@@ -1124,7 +1125,8 @@ RETIRED_NAMES = {"PrefixSums", "AdversaryState", "_H", "_SHARED_HARMONIC",
                  "_guard_verdict", "relabeling_from_pairs", "AdversaryClaim",
                  "NO_SUCCESS_AFTER_FIRST", "FAILURE_IN_EVERY_CYCLE",
                  "ALL_MEMBERS_FAIL", "ANCHOR_FAILS", "harmonic_upper_ln",
-                 "harmonic_range_lower_ln"}
+                 "harmonic_range_lower_ln", "StrategyDescriptor",
+                 "_relabeling_pairs"}
 # a tail rule answers for its own sums and says whether its prices stay
 # positive, the built-in summable models are tables with such a rule, and a
 # model is a table model when it has a rule, so no module asks for these
@@ -1161,6 +1163,9 @@ def test_src_builds_one_harmonic_model_and_no_retired_helpers():
                 assert node.name not in RETIRED_NAMES, (path.name, node.name)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 assert node.id not in RETIRED_NAMES, (path.name, node.id)
+            # an allocation carries its claim itself
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "descriptor", (path.name, node.lineno)
         for function, classes in _isinstance_classes(tree):
             assert not classes & RULE_CLASSES, (path.name, function)
             if "RatInterval" in classes and path.name != "numeric.py":

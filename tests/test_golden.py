@@ -331,17 +331,11 @@ def _claim_text(claim) -> str:
 
 
 def v2_allocation_texts() -> tuple:
-    """Each fixed-price kind's facts, its descriptor JSON and its claim line.
-
-    The descriptor JSON and the claim are pinned apart from the facts, so
-    the facts and the claim stay fixed when the descriptor goes.
-    """
-    facts, descriptors, claims = [], [], []
+    """Each fixed-price kind's facts, and apart from them its claim line."""
+    facts, claims = [], []
     for kind, params in V2_KINDS:
         alloc = strategies.build_v2_strategy(kind, **params)
-        descriptors.append(f"{alloc.name} {alloc.descriptor.to_json()}")
-        claims.append(f"{alloc.name} claim "
-                      f"{_claim_text(alloc.descriptor.claim)}")
+        claims.append(f"{alloc.name} claim {_claim_text(alloc.claim)}")
         facts += [
             alloc.name,
             "amounts " + " ".join(_value_text(alloc.amount(n))
@@ -349,23 +343,16 @@ def v2_allocation_texts() -> tuple:
             f"structure {alloc.tail_structure!r} "
             f"total {_cert_text(alloc.total_cert)}",
             f"bound {alloc.amount_upper_pow2!r}"]
-    return tuple("\n".join(part) + "\n"
-                 for part in (facts, descriptors, claims))
+    return tuple("\n".join(part) + "\n" for part in (facts, claims))
 
 
 def test_v2_allocation_facts():
     # recorded while each fixed-price kind declared its own total, shape
     # and power-of-two bound (66c03f66... with the descriptor JSON on each
     # name line), then with the descriptor JSON split out
-    facts, _descriptors, _claims = v2_allocation_texts()
+    facts, _claims = v2_allocation_texts()
     assert digest(facts) == (
         "020cee7e3a4d4f00f0688299935847b7dffcc726e185832618c424bc5b26e96e")
-
-
-def test_v2_descriptor_json():
-    _facts, descriptors, _claims = v2_allocation_texts()
-    assert digest(descriptors) == (
-        "c21a31764c496a4e5b80b95e6af1c2dc31654bbec850b61912adedc5dbca6645")
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +546,7 @@ def _allocation_lines(name, table, rule):
 
 
 def _plan_lines(alloc, m) -> list:
-    return [f"m {m}", f"descriptor {alloc.descriptor.to_json()}",
-            f"claim {_claim_text(alloc.descriptor.claim)}",
+    return [f"m {m}", f"claim {_claim_text(alloc.claim)}",
             "amounts " + " ".join(rat_str(alloc.amount(n))
                                   for n in range(1, 21)),
             f"structure {alloc.tail_structure!r}",
@@ -603,7 +589,7 @@ def _builder_blocks(model):
             lines.append(f"{type(exc).__name__}: {exc}")
         else:
             lines.extend(_plan_lines(
-                alloc, alloc.descriptor.m if m is None else m))
+                alloc, alloc.claim.cutoff if m is None else m))
         yield f"builder {label}", lines
 
 
@@ -639,22 +625,20 @@ DUMP_PREFIXES = ("dump_model ", "dump_allocation ")
 
 
 def tail_rules_canonical_texts() -> tuple:
-    """The canonical text without MOVED_BLOCKS, table dumps, descriptors or
-    claims, those blocks alone, every dump_model and dump_allocation line,
-    every builder's descriptor JSON and every builder's claim.
+    """The canonical text without MOVED_BLOCKS, table dumps or claims,
+    those blocks alone, every dump_model and dump_allocation line, and
+    every builder's claim.
 
     The dumps are pinned apart so a change of the text format moves only
-    their digest; the descriptors and claims so that the rest stays fixed
-    when the descriptor goes.  A claim line names its model and block.
+    their digest, and the claims so they are read the same way from every
+    builder.  A claim line names its model and block.
     """
-    kept, moved, dumps, descriptors, claims = [], [], [], [], []
+    kept, moved, dumps, claims = [], [], [], []
 
     def add(lines, model=None, block=None):
         for line in lines:
             if line.startswith(DUMP_PREFIXES):
                 dumps.append(line)
-            elif line.startswith("descriptor "):
-                descriptors.append(line)
             elif line.startswith("claim "):
                 claims.append(f"{model.name} {block} {line}")
             elif model is not None and (model.name, block) in MOVED_BLOCKS:
@@ -672,12 +656,13 @@ def tail_rules_canonical_texts() -> tuple:
         for block, lines in _builder_blocks(model):
             add(lines, model, block)
     return tuple("\n".join(part) + "\n"
-                 for part in (kept, moved, dumps, descriptors, claims))
+                 for part in (kept, moved, dumps, claims))
 
 
 def test_tail_rule_and_bracket_values_bytes():
-    # recorded before the descriptor and claim lines were split out:
-    # kept 382ef5f1..., moved 3c97ea15...
+    # recorded with each builder's descriptor JSON in the text (kept
+    # 382ef5f1..., moved 3c97ea15...), then with the descriptor and claim
+    # lines split out
     kept, moved, *_rest = tail_rules_canonical_texts()
     assert digest(kept) == (
         "27983ad2fa867a708434a017d2daac3b2261f556107c5ebd43d929222031eb00")
@@ -691,14 +676,9 @@ def test_table_dump_bytes():
         "2be5304ac23038305401cac95346106fb8fe29719c86049ec9dfef701e437c38")
 
 
-def test_builder_descriptor_json():
-    *_rest, descriptors, _claims = tail_rules_canonical_texts()
-    assert digest(descriptors) == (
-        "7192586e80007a8e008f997172d75ca10af888e8dd59f6ca1cc471911fbd1856")
-
-
 def test_claim_bytes():
-    # every builder block's claim, then every fixed-price kind's
+    # every builder block's claim, then every fixed-price kind's, recorded
+    # while each allocation reached its claim through a descriptor
     *_rest, builder_claims = tail_rules_canonical_texts()
     *_rest, v2_claims = v2_allocation_texts()
     assert digest(builder_claims + v2_claims) == (

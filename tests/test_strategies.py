@@ -1,13 +1,12 @@
 """Builder outputs against hand-computed and independently summed values."""
-import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prisoners.engine import (
-    NO_CLAIM, AboveThreshold, LastMember, LeastMember, MaxPriceMember,
-    simulate,
+    NO_CLAIM, AboveThreshold, CycleMembers, LastMember, LeastMember,
+    MaxPriceMember, simulate,
 )
 from prisoners.errors import (
     CapabilityError, DomainError, PlanViolationError,
@@ -22,7 +21,7 @@ from prisoners.sequences import (
     ZeroTail, builtin_model,
 )
 from prisoners.strategies import (
-    HarmonicAffine, StrategyDescriptor, build_baseline_geometric,
+    HarmonicAffine, _log_shift_cutoff, build_baseline_geometric,
     build_bounded_diameter_strategy, build_bounded_length_strategy,
     build_cycle_informed_strategy, build_tail_sum_strategy,
     build_v2_strategy,
@@ -37,7 +36,7 @@ def test_baseline_amounts_and_total():
     assert alloc.amount(2) == rat(1, 2)
     assert alloc.amount(4) == rat(1, 8)
     assert alloc.total_cert == ExactTotal(ONE)
-    assert alloc.descriptor.claim == LeastMember(2)
+    assert alloc.claim == LeastMember(2)
     # finite prefixes stay strictly under the declared total
     running = ZERO
     for n in range(1, 60):
@@ -54,7 +53,7 @@ def test_tail_sum_geometric_matches_walkthrough():
     assert alloc.amount(4) == rat(1, 8)
     assert alloc.total_cert == ExactTotal(ONE)
     assert alloc.tail_structure == NonIncreasingBeyond(3, positive=True)
-    assert alloc.descriptor.claim == LeastMember(3)
+    assert alloc.claim == LeastMember(3)
 
 
 def test_tail_sum_smaller_budget_pushes_cutoff():
@@ -86,7 +85,7 @@ def test_tail_sum_rearranged_prefix():
     assert m == 3
     assert alloc.amount(1) == rat(1, 2)
     assert alloc.amount(3) == rat(1, 4)
-    assert alloc.descriptor.params["relabeling"] == [[1, 2], [2, 1]]
+    assert alloc.claim == LeastMember(3)
 
 
 def test_tail_sum_needs_exact_tails():
@@ -139,7 +138,7 @@ def test_bounded_length_geometric():
     assert alloc.total_cert == ExactTotal(rat(1, 2))
     assert alloc.max_in_range(1, 10) == rat(1, 4)
     assert alloc.max_in_range(4, 9) == rat(1, 8)
-    assert alloc.descriptor.claim == MaxPriceMember(3)
+    assert alloc.claim == MaxPriceMember(3)
 
 
 def test_bounded_length_unit_bound_funds_prices():
@@ -176,7 +175,7 @@ def test_bounded_diameter_geometric_walkthrough():
     assert alloc.amount(7) == rat(1, 16)
     assert alloc.amount(9) == rat(1, 64)
     assert alloc.total_cert == ExactTotal(rat(1, 4))
-    claim = alloc.descriptor.claim
+    claim = alloc.claim
     assert isinstance(claim, AboveThreshold) and claim.threshold == 5
     assert claim.delta.is_identity
 
@@ -192,7 +191,7 @@ def test_bounded_diameter_relabeled_matches_base_beyond_support():
     alloc, m = build_bounded_diameter_strategy(GEO, d=2, delta=delta)
     base, m2 = build_bounded_diameter_strategy(GEO, d=2)
     assert (m, m2) == (3, 3)
-    assert alloc.descriptor.claim == AboveThreshold(5, delta)
+    assert alloc.claim == AboveThreshold(5, delta)
     for n in range(1, 12):
         assert alloc.amount(n) == base.amount(n)
 
@@ -207,7 +206,7 @@ def test_cycle_informed_prices_disclosed_plan():
     assert alloc.amount(3) == rat(1, 8)
     assert alloc.amount(5) == rat(1, 32)
     assert alloc.total_cert == ExactTotal(rat(21, 64))
-    assert alloc.descriptor.m == 3
+    assert alloc.claim == CycleMembers(3)
 
 
 def _fraction_informed_shift(model, plan, m: int) -> Fraction:
@@ -232,7 +231,7 @@ def test_cycle_informed_total_matches_a_fraction_fold(model, horizon, k,
                                                       seed):
     plan = random_plan(horizon, k, seed)
     alloc = build_cycle_informed_strategy(model, plan, k)
-    m = alloc.descriptor.m
+    m = alloc.claim.cutoff
     shift = _fraction_informed_shift(model, plan, m)
     tail = model.tail(m)
     if model is GEO:
@@ -262,13 +261,13 @@ def test_v2_constant_and_harmonic_prefix():
     ones = build_v2_strategy("constant1")
     assert ones.amount(1) == ONE and ones.amount(999) == ONE
     assert ones.amount_upper_pow2(40) == ONE
-    assert ones.descriptor.claim is NO_CLAIM
+    assert ones.claim is NO_CLAIM
 
     pref = build_v2_strategy("harmonic-prefix")
     assert pref.amount(3) == rat(11, 6)
     assert pref.max_in_range(2, 6) == pref.amount(6)
     assert pref.amount(1024) <= pref.amount_upper_pow2(10)
-    assert pref.descriptor.claim == LastMember(1)
+    assert pref.claim == LastMember(1)
 
 
 def test_v2_amount_bounds_are_typed_affine_bounds():
@@ -336,14 +335,14 @@ def test_v2_shifted_harmonic():
     assert alloc.amount(5) == rat(47, 60)
     assert alloc.max_in_range(1, 2) == ZERO
     assert alloc.amount(512) <= alloc.amount_upper_pow2(9)
-    assert alloc.descriptor.claim == LastMember(3)
+    assert alloc.claim == LastMember(3)
 
 
 def test_v2_scaled():
     alloc = build_v2_strategy("scaled", c=rat(1, 2))
     assert alloc.amount(4) == rat(25, 24)
     assert alloc.amount(256) <= alloc.amount_upper_pow2(8)
-    assert alloc.descriptor.claim is NO_CLAIM
+    assert alloc.claim is NO_CLAIM
     with pytest.raises(DomainError):
         build_v2_strategy("scaled", c=ONE)
     with pytest.raises(DomainError):
@@ -391,8 +390,8 @@ def test_allocations_take_no_range_maximum_function():
 
 def test_v2_log_shift_small_constant_is_minimal():
     alloc = build_v2_strategy("log-shift", K=ONE)
-    assert alloc.descriptor.params["k"] == 3
-    assert alloc.descriptor.params["minimal"] is True
+    assert alloc.start == 3
+    assert _log_shift_cutoff(ONE) == (3, True)
     shifted = build_v2_strategy("shifted-harmonic", k=3)
     for n in (1, 3, 7, 20):
         assert alloc.amount(n) == shifted.amount(n)
@@ -401,21 +400,22 @@ def test_v2_log_shift_small_constant_is_minimal():
 def test_v2_log_shift_large_constant_is_conservative():
     from prisoners.numeric import ln_bounds
     alloc = build_v2_strategy("log-shift", K=rat(20))
-    k = alloc.descriptor.params["k"]
-    assert alloc.descriptor.params["minimal"] is False
+    k = alloc.start
+    assert _log_shift_cutoff(rat(20)) == (k, False)
     assert k > 10**8
     assert ln_bounds(k + 2)[0] >= rat(21)
     assert ln_bounds(k + 1)[0] < rat(21)
     assert alloc.amount(100) == ZERO
 
 
-def test_descriptor_json_names_the_build_but_not_the_claim():
+def test_an_allocation_built_without_a_claim_promises_nothing():
     alloc, m = build_bounded_length_strategy(GEO, k=2, total=ONE)
-    assert json.loads(alloc.descriptor.to_json()) == {
-        "builder": "bounded-length", "m": m,
-        "params": {"model": GEO.name, "k": 2, "total": "1/1"}}
-    assert alloc.descriptor.claim == MaxPriceMember(m)
-    assert StrategyDescriptor("bounded-length").claim is NO_CLAIM
+    assert alloc.claim == MaxPriceMember(m)
+    plain = FnAllocation("ones", lambda n: ONE)
+    assert plain.claim is None
+    report = simulate("V2a", builtin_model("harmonic"), plain,
+                      random_plan(12, 3, 0), 12)
+    assert report.claim is NO_CLAIM and report.verdict == "Inconclusive"
 
 
 @given(st.integers(1, 200))
