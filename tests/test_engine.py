@@ -35,10 +35,12 @@ from prisoners.registry import THEOREM_KEYS, verify_theorem
 from prisoners.sequences import (
     BracketedTotal, CustomModel, FnAllocation, PermutedModel, PriceModel, Relabeling,
     ScaledModel, TableAllocation, ZeroTail, builtin_model,
+    descending_rearrangement,
 )
 from prisoners.strategies import (
     build_baseline_geometric, build_bounded_diameter_strategy,
-    build_bounded_length_strategy, build_v2_strategy,
+    build_bounded_length_strategy, build_tail_sum_strategy,
+    build_v2_strategy,
 )
 
 GEO = builtin_model("geometric", ratio=rat(1, 2))
@@ -1034,6 +1036,66 @@ def test_v2a_strategies_fail_on_halved_prefix_sums(monkeypatch):
             > sum(Fraction(1, j) for j in range(1, max(c) + 1)) / 2
             for c in _window(random_plan(40, 4, i), 40)))
     assert expected and report.witnesses == expected
+
+
+def _failing_least_members(plan, horizon, alloc, model, m):
+    """Least members n >= m of scored cycles that fail on amount(n) / 2,
+    each walked alone, as the least member walks first in its cycle."""
+    return sorted(min(c) for c in _window(plan, horizon) if min(c) >= m
+                  and not run_prisoner(min(c), alloc.amount(min(c)) / 2,
+                                       plan, model).success)
+
+
+def test_rearranged_strategy_fails_on_halved_tail_amounts(monkeypatch):
+    _halve_pair(monkeypatch, "build_tail_sum_strategy")
+    report = verify_theorem("rearranged-strategy")
+    assert report.passed is False
+    # the halved amounts keep their least-member claim in the rearranged
+    # coordinates, so every late least member that now fails is a witness
+    model = registry._shuffled_geometric(0)
+    delta = descending_rearrangement(model, 64)
+    alloc, m = build_tail_sum_strategy(model, delta)
+    work = PermutedModel(model, delta)
+    expected = [n for i in range(30) for n in _failing_least_members(
+        random_plan(40, 5, i), 40, alloc, work, m)]
+    assert expected[:4] == [3, 5, 6, 9]
+    assert report.witnesses == tuple(expected)
+
+
+def test_open_boxes_fails_on_halved_amounts(monkeypatch):
+    _halve_pair(monkeypatch, "build_bounded_length_strategy")
+    report = verify_theorem("open-boxes-v1c")
+    assert report.passed is False
+    # members walk in ascending order over one shared set of open boxes,
+    # and under a cofinite release any late failure defeats the plan
+    alloc, m = build_bounded_length_strategy(GEO, 3)
+    expected = []
+    for i in range(100):
+        plan = random_plan(40, 3, i)
+        cycles = _window(plan, 40)
+        opened, failed = set(), set()
+        for n in sorted(x for c in cycles for x in c):
+            amount = alloc.amount(n) / 2 if n >= m else alloc.amount(n)
+            if not run_prisoner(n, amount, plan, GEO, opened).success:
+                failed.add(n)
+        if any(min(c) >= m and failed & set(c) for c in cycles):
+            expected.append(str(i))
+    assert expected[:3] == ["3", "8", "9"]
+    assert report.witnesses == tuple(expected)
+
+
+def test_existence_criterion_fails_on_halved_tail_amounts(monkeypatch):
+    _halve_pair(monkeypatch, "build_tail_sum_strategy")
+    report = verify_theorem("existence-criterion")
+    assert report.passed is False
+    # the certificates and the divergent-side guard are untouched; only
+    # the tail-funded windows lose their confirmation
+    alloc, m = build_tail_sum_strategy(GEO)
+    expected = tuple(
+        f"plan {i} unconfirmed" for i in range(20)
+        if _failing_least_members(random_plan(40, 5, i), 40, alloc, GEO, m))
+    assert expected[0] == "plan 0 unconfirmed"
+    assert report.witnesses == expected
 
 
 def test_scaled_gap_fails_on_gaps_one_index_late(monkeypatch):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prisoners import strategies
+from prisoners.cli import main
 from prisoners.engine import (
     NO_CLAIM, AboveThreshold, CycleMembers, LastMember, LeastMember,
     MaxPriceMember, simulate,
@@ -28,6 +30,8 @@ from prisoners.strategies import (
 )
 
 GEO = builtin_model("geometric", ratio=rat(1, 2))
+INVSQ = builtin_model("inverse-square")
+HARMONIC = builtin_model("harmonic")
 
 
 def test_baseline_amounts_and_total():
@@ -327,6 +331,17 @@ def test_v2_derived_facts_agree_with_the_amounts(kind, params):
         assert alloc.total_cert.kind == "divergent"
     else:
         assert alloc.total_cert == ExactTotal(ZERO) and not any(amounts)
+    # the claim against the amounts: LastMember(k) promises the last member
+    # n of a cycle inside [a, n], a >= k, whose walk costs at most
+    # 1/a + ... + 1/n; a form that promises nobody falls short of some range
+    pairs = [(a, n) for n in range(1, 201) for a in range(1, n + 1)]
+    if alloc.claim == LastMember(start):
+        assert all(alloc.amount(n) >= HARMONIC.range_sum(a, n)
+                   for a, n in pairs if a >= start)
+    else:
+        assert alloc.claim is NO_CLAIM
+        assert any(alloc.amount(n) < HARMONIC.range_sum(a, n)
+                   for a, n in pairs)
 
 
 def test_v2_shifted_harmonic():
@@ -413,7 +428,7 @@ def test_an_allocation_built_without_a_claim_promises_nothing():
     assert alloc.claim == MaxPriceMember(m)
     plain = FnAllocation("ones", lambda n: ONE)
     assert plain.claim is None
-    report = simulate("V2a", builtin_model("harmonic"), plain,
+    report = simulate("V2a", HARMONIC, plain,
                       random_plan(12, 3, 0), 12)
     assert report.claim is NO_CLAIM and report.verdict == "Inconclusive"
 
@@ -436,3 +451,121 @@ def test_bounded_length_budget_scaling_keeps_shape(k, denom):
     if m > 1:
         assert not k * GEO.tail(m - 1) < total
     assert alloc.amount(m) == k * GEO.term(m)
+
+
+# ---------------------------------------------------------------------------
+# every refusal in the builders, by type and text, and through the CLI
+# where a --strategy spec reaches it
+
+LONG_CYCLE = CyclePlan([Cycle((4, 6, 8))])
+
+
+def _search_past_a_small_cap():
+    strategies._SEARCH_CAP = 3  # monkeypatched back by the test
+    return build_tail_sum_strategy(GEO, total=rat(1, 10 ** 6))
+
+
+def _v1(variant, model, spec):
+    return ["simulate", "--variant", variant, "--model", model,
+            "--strategy", spec, "--plan", "random", "--horizon", "10"]
+
+
+def _v2(spec):
+    return _v1("V2a", "harmonic", spec)
+
+
+BUDGET = "the shared budget must be positive"
+LENGTH = "the length bound must be a positive integer"
+# (id, build, error type, message, CLI argv reaching it or None)
+REFUSALS = [
+    ("tail-sum total", lambda: build_tail_sum_strategy(GEO, total=0),
+     DomainError, BUDGET, _v1("V1a", "geometric", "tail-sum:total=0")),
+    ("bounded-length total",
+     lambda: build_bounded_length_strategy(GEO, 2, total=rat(-1, 2)),
+     DomainError, BUDGET,
+     _v1("V1a", "geometric", "bounded-length:k=2,total=-1/2")),
+    ("bounded-diameter total",
+     lambda: build_bounded_diameter_strategy(GEO, 1, total=0),
+     DomainError, BUDGET,
+     _v1("V1b", "geometric", "bounded-diameter:d=1,total=0")),
+    ("cycle-informed total",
+     lambda: build_cycle_informed_strategy(GEO, LONG_CYCLE, 3, total=0),
+     DomainError, BUDGET,
+     _v1("V1d", "geometric", "cycle-informed:k=3,total=0")),
+    ("bounded-length k=0", lambda: build_bounded_length_strategy(GEO, 0),
+     DomainError, LENGTH, _v1("V1a", "geometric", "bounded-length:k=0")),
+    ("bounded-length k=3/2",
+     lambda: build_bounded_length_strategy(GEO, rat(3, 2)),
+     DomainError, LENGTH, _v1("V1a", "geometric", "bounded-length:k=3/2")),
+    ("cycle-informed k=0",
+     lambda: build_cycle_informed_strategy(GEO, LONG_CYCLE, 0),
+     DomainError, LENGTH, _v1("V1d", "geometric", "cycle-informed:k=0")),
+    ("bounded-diameter d=-1",
+     lambda: build_bounded_diameter_strategy(GEO, -1), DomainError,
+     "the diameter bound must be a nonnegative integer",
+     _v1("V1b", "geometric", "bounded-diameter:d=-1")),
+    ("tail-sum inexact tails", lambda: build_tail_sum_strategy(INVSQ),
+     CapabilityError,
+     "inverse-square: tail-funded amounts need exact, summable tails",
+     _v1("V1a", "inverse-square", "tail-sum")),
+    ("bounded-diameter inexact tails",
+     lambda: build_bounded_diameter_strategy(INVSQ, 1), CapabilityError,
+     "inverse-square: shifted tail amounts need exact, summable tails",
+     _v1("V1b", "inverse-square", "bounded-diameter:d=1")),
+    ("cycle-informed long cycle",
+     lambda: build_cycle_informed_strategy(GEO, LONG_CYCLE, 2),
+     PlanViolationError, "disclosed plan has a cycle of length 3 > 2", None),
+    ("rearranged without a rule",
+     lambda: strategies._rearranged_model(HARMONIC, Relabeling.swap(1, 2)),
+     CapabilityError, "cannot rearrange a HarmonicModel and keep its tails",
+     None),
+    ("search cap", _search_past_a_small_cap, CapabilityError,
+     "no certified cutoff within 3 indices", None),
+    ("shifted-harmonic k=0",
+     lambda: build_v2_strategy("shifted-harmonic", k=0), DomainError,
+     "shifted-harmonic needs an integer k >= 1",
+     _v2("shifted-harmonic:k=0")),
+    ("log-shift K=-1", lambda: build_v2_strategy("log-shift", K=-1),
+     DomainError, "the shift constant must be nonnegative",
+     _v2("log-shift:K=-1")),
+    ("log-shift K=138", lambda: build_v2_strategy("log-shift", K=138),
+     CapabilityError, "shift constant out of tractable range",
+     _v2("log-shift:K=138")),
+    ("scaled c=1", lambda: build_v2_strategy("scaled", c=ONE), DomainError,
+     "scaled prefix amounts with factor >= 1 are a different game",
+     _v2("scaled:c=1")),
+    ("scaled c=-1/2", lambda: build_v2_strategy("scaled", c=rat(-1, 2)),
+     DomainError, "the scale factor must be nonnegative",
+     _v2("scaled:c=-1/2")),
+    ("unknown kind", lambda: build_v2_strategy("constant2"), DomainError,
+     "unknown fixed-price strategy kind 'constant2'", None),
+    ("wrong keyword", lambda: build_v2_strategy("shifted-harmonic", j=3),
+     DomainError, "shifted-harmonic takes k, not j",
+     _v2("shifted-harmonic:j=3")),
+    ("missing keyword", lambda: build_v2_strategy("log-shift"), DomainError,
+     "log-shift takes K, not none", _v2("log-shift")),
+    ("keyword for none", lambda: build_v2_strategy("constant1", k=1),
+     DomainError, "constant1 takes no parameters, not k",
+     _v2("constant1:k=1")),
+    ("negative c", lambda: HarmonicAffine("neg", rat(-1), 1, ZERO),
+     DomainError, "amounts must be nonnegative", None),
+    ("negative e", lambda: HarmonicAffine("neg", ZERO, 1, rat(-1, 3)),
+     DomainError, "amounts must be nonnegative", None),
+    ("index 0", lambda: build_v2_strategy("harmonic-prefix").amount(0),
+     DomainError, "indices start at 1", None),
+]
+
+
+@pytest.mark.parametrize("build, error, message, argv",
+                         [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_every_builder_refusal_names_its_reason(monkeypatch, capsys, build,
+                                                error, message, argv):
+    monkeypatch.setattr(strategies, "_SEARCH_CAP", strategies._SEARCH_CAP)
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+    if argv is not None:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
