@@ -423,16 +423,6 @@ def test_v2_log_shift_large_constant_is_conservative():
     assert alloc.amount(100) == ZERO
 
 
-def test_an_allocation_built_without_a_claim_promises_nothing():
-    alloc, m = build_bounded_length_strategy(GEO, k=2, total=ONE)
-    assert alloc.claim == MaxPriceMember(m)
-    plain = FnAllocation("ones", lambda n: ONE)
-    assert plain.claim is None
-    report = simulate("V2a", HARMONIC, plain,
-                      random_plan(12, 3, 0), 12)
-    assert report.claim is NO_CLAIM and report.verdict == "Inconclusive"
-
-
 @given(st.integers(1, 200))
 @settings(max_examples=40, deadline=None)
 def test_tail_sum_prefix_never_exceeds_declared_total(n):
