@@ -451,7 +451,7 @@ LONG_CYCLE = CyclePlan([Cycle((4, 6, 8))])
 
 
 def _search_past_a_small_cap():
-    strategies._SEARCH_CAP = 3  # monkeypatched back by the test
+    strategies._SEARCH_CAP = 3
     return build_tail_sum_strategy(GEO, total=rat(1, 10 ** 6))
 
 
@@ -551,6 +551,7 @@ REFUSALS = [
                          ids=[case[0] for case in REFUSALS])
 def test_every_builder_refusal_names_its_reason(monkeypatch, capsys, build,
                                                 error, message, argv):
+    # restores the cap _search_past_a_small_cap lowers
     monkeypatch.setattr(strategies, "_SEARCH_CAP", strategies._SEARCH_CAP)
     with pytest.raises(error) as info:
         build()
